@@ -18,19 +18,20 @@ import json
 import os
 import sys
 
-from .ioutil import csv_text, json_text, write_text_atomic
+from .ioutil import csv_text, json_text, write_files
 from .pipeline_des import BLOCK_FEED, DEVIATION_COLUMNS, deviation_table, simulate_pipeline
-from .presets import PRESETS, run_preset
+from .presets import run_preset
 from .queueing import (
     ORDERER_MODES,
     QueueNetworkConfig,
     REPORT_COLUMNS,
     UnstableConfigError,
+    performance,
     report_rows,
     sweep,
 )
 from .reputation import ReputationMode
-from .scenario import ScenarioConfigError, load_scenario_config, run_scenario
+from .scenario import ScenarioConfigError, _check_keys, load_scenario_config, run_scenario
 from .ledger import verify_export_lines
 
 EXIT_OK = 0
@@ -48,12 +49,6 @@ def _out_dir(args) -> str:
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ScenarioConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
@@ -87,34 +82,30 @@ def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
     return base, lambdas, batch_sizes
 
 
-def _write_report(out_dir: str, name: str, fmt: str, columns: list[str],
-                  records: list[dict]) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+def _report_file(name: str, fmt: str, columns: list[str],
+                 records: list[dict]) -> tuple[str, str]:
+    """(file name, text) of a table in the requested format."""
     if fmt == "json":
-        path = os.path.join(out_dir, f"{name}.json")
-        write_text_atomic(path, json_text(records))
-    else:
-        path = os.path.join(out_dir, f"{name}.csv")
-        rows = [[rec[c] for c in columns] for rec in records]
-        write_text_atomic(path, csv_text(columns, rows))
-    return path
+        return f"{name}.json", json_text(records)
+    rows = [[rec[c] for c in columns] for rec in records]
+    return f"{name}.csv", csv_text(columns, rows)
 
 
 def cmd_analyze(args) -> int:
     doc = _load_json(args.config)
     base, lambdas, batch_sizes = _parse_grid(doc, args.orderer_mode)
     rows = sweep(base, lambdas, batch_sizes)
-    records = report_rows(rows)
-    out = _out_dir(args)
-    path = _write_report(out, "queueing_report", args.format, REPORT_COLUMNS, records)
+    name, text = _report_file("queueing_report", args.format, REPORT_COLUMNS,
+                              report_rows(rows))
     summary = {
         "rows": len(rows),
         "stable_rows": sum(1 for r in rows if r.stable),
         "unstable_rows": sum(1 for r in rows if not r.stable),
         "orderer_mode": base.orderer_mode,
     }
-    write_text_atomic(os.path.join(out, "stability_summary.json"), json_text(summary))
-    print(f"wrote {path} ({summary['rows']} rows, {summary['unstable_rows']} unstable)")
+    paths = write_files(_out_dir(args),
+                        {name: text, "stability_summary.json": json_text(summary)})
+    print(f"wrote {paths[name]} ({summary['rows']} rows, {summary['unstable_rows']} unstable)")
     return EXIT_OK
 
 
@@ -127,16 +118,8 @@ def cmd_simulate(args, ledger_only: bool = False) -> int:
     report = run_scenario(cfg)
     out = _out_dir(args)
     if ledger_only:
-        os.makedirs(out, exist_ok=True)
-        from .ledger import export_ledger_lines, export_world_state
-
-        write_text_atomic(
-            os.path.join(out, "ledger.jsonl"),
-            "\n".join(export_ledger_lines(report.chain)) + "\n",
-        )
-        write_text_atomic(
-            os.path.join(out, "world_state.json"), export_world_state(report.chain)
-        )
+        files = report.output_files()
+        write_files(out, {name: files[name] for name in ("ledger.jsonl", "world_state.json")})
         print(f"wrote ledger export to {out} ({report.chain.tip.number} blocks)")
         return EXIT_OK
     report.write_outputs(out)
@@ -150,13 +133,11 @@ def cmd_simulate(args, ledger_only: bool = False) -> int:
 
 
 def cmd_preset(args) -> int:
-    if args.name not in PRESETS:
-        print(
-            f"unknown preset {args.name!r}; available: {', '.join(sorted(PRESETS))}",
-            file=sys.stderr,
-        )
+    try:
+        result = run_preset(args.name, seed=args.seed)
+    except KeyError as err:  # unknown preset name; the message lists the known ones
+        print(err.args[0], file=sys.stderr)
         return EXIT_CONFIG
-    result = run_preset(args.name, seed=args.seed)
     out = _out_dir(args)
     result.write_outputs(out)
     for a in result.assertions:
@@ -188,11 +169,12 @@ def cmd_compare(args) -> int:
         batch_size=args.batch_size,
         orderer_mode=args.orderer_mode or "block_granularity",
     )
+    performance(cfg)  # refuses an unstable or idle point before simulating
     stats = simulate_pipeline(cfg, args.n_tx, args.seed or 0,
                               commit_feed=BLOCK_FEED)
     table = deviation_table(cfg, stats)
-    out = _out_dir(args)
-    path = _write_report(out, "deviation", args.format, DEVIATION_COLUMNS, table)
+    name, text = _report_file("deviation", args.format, DEVIATION_COLUMNS, table)
+    path = write_files(_out_dir(args), {name: text})[name]
     worst = max(table, key=lambda r: r["rel_deviation"])
     print(
         f"wrote {path}; confirmation {stats.confirmation_mean:.4f}s, "
@@ -207,39 +189,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reputation-based consortium-chain simulator and analytics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--config": dict(required=True, help="path to the JSON config"),
+        "--out": dict(default="out", help="output directory"),
+        "--seed": dict(type=int, default=None, help="seed override"),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--mode": dict(choices=[m.value for m in ReputationMode], default=None),
+        "--orderer-mode": dict(choices=ORDERER_MODES, default=None),
+    }
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--mode", choices=[m.value for m in ReputationMode], default=None)
-        p.add_argument("--orderer-mode", choices=ORDERER_MODES, default=None)
+    def command(name, fn, summary, *names):
+        """A subcommand that accepts exactly the shared flags it reads."""
+        p = sub.add_parser(name, help=summary)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("analyze", help="closed-form queueing sweep")
-    common(p)
-    p.set_defaults(fn=cmd_analyze)
+    command("analyze", cmd_analyze, "closed-form queueing sweep",
+            "--config", "--out", "--format", "--orderer-mode")
+    command("simulate", cmd_simulate, "run a scenario config",
+            "--config", "--out", "--seed", "--mode")
+    command("ledger-export", lambda a: cmd_simulate(a, ledger_only=True),
+            "run a scenario, write only the ledger",
+            "--config", "--out", "--seed", "--mode")
 
-    p = sub.add_parser("simulate", help="run a scenario config")
-    common(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("ledger-export", help="run a scenario, write only the ledger")
-    common(p)
-    p.set_defaults(fn=lambda a: cmd_simulate(a, ledger_only=True))
-
-    p = sub.add_parser("preset", help="run a canned experiment")
+    p = command("preset", cmd_preset, "run a canned experiment", "--out", "--seed")
     p.add_argument("name", help="preset name")
-    common(p, config_required=False)
-    p.set_defaults(fn=cmd_preset)
 
-    p = sub.add_parser("ledger-verify", help="verify an exported ledger file")
+    p = command("ledger-verify", cmd_ledger_verify, "verify an exported ledger file")
     p.add_argument("path", help="ledger.jsonl export")
-    p.set_defaults(fn=cmd_ledger_verify)
 
-    p = sub.add_parser("compare", help="pipeline simulator vs closed forms")
-    common(p, config_required=False)
+    p = command("compare", cmd_compare, "pipeline simulator vs closed forms",
+                "--out", "--seed", "--format", "--orderer-mode")
     p.add_argument("--lambda0", type=float, default=37.29)
     p.add_argument("--batch-size", type=int, default=10)
     p.add_argument("--n-tx", type=int, default=200_000)

@@ -34,3 +34,13 @@ def write_text_atomic(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def write_files(out_dir: str, files: dict[str, str]) -> dict[str, str]:
+    """Write each {name: text} into out_dir atomically; returns {name: path}."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for name, text in files.items():
+        paths[name] = os.path.join(out_dir, name)
+        write_text_atomic(paths[name], text)
+    return paths

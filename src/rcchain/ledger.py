@@ -6,7 +6,8 @@ deterministically and sign the result; the ordering service cuts blocks
 by batch size or timeout while a majority of orderers is up; committing
 peers re-check policy, duplicates, and read-set versions (the MVCC
 check that kills double spends), apply valid writes to the world state,
-and append every transaction to the log regardless of legality.
+and seal every transaction into its block regardless of legality; the
+block's validity flags are the only record of which ones took effect.
 
 Signatures are HMAC tags keyed by each identity's key tag; transaction
 ids are content digests, so the tx-id-only body hash still pins every
@@ -177,6 +178,14 @@ class EndorsedTransaction:
         return self.proposal.kind
 
 
+def state_payload(key: str, value: str) -> bytes:
+    """Canonical payload bytes of a write of value to the state key; the
+    inverse of what simulate_execution reads."""
+    return json.dumps(
+        {"state_key": key, "state_value": value}, sort_keys=True, separators=(",", ":")
+    ).encode()
+
+
 def simulate_execution(
     kind: str, payload: bytes, world_state: dict[str, tuple[str, int]]
 ) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[str, str], ...]]:
@@ -322,33 +331,19 @@ class Block:
 
 
 @dataclass(frozen=True)
-class TxLogEntry:
-    tx_id: str
-    kind: str
-    block_number: int
-    valid: bool
-    reason: Optional[str]
-
-
-@dataclass(frozen=True)
 class CommitReport:
     block_number: int
     results: tuple[tuple[str, bool, Optional[str]], ...]  # (tx_id, valid, reason)
 
-    @property
-    def valid_count(self) -> int:
-        return sum(1 for _, ok, _ in self.results if ok)
-
 
 class ChainLedger:
-    """Hash-chained blocks plus the versioned world state and the
-    append-only transaction log."""
+    """Hash-chained blocks plus the versioned world state. Each block
+    carries the validity flag and reason of every transaction in it."""
 
     def __init__(self):
         genesis = Block(0, ZERO_HASH, (), body_hash(()), ())
         self.blocks: list[Block] = [genesis]
         self.world_state: dict[str, tuple[str, int]] = {}
-        self.tx_log: list[TxLogEntry] = []
         self._seen_tx_ids: set[str] = set()
 
     @property
@@ -357,9 +352,6 @@ class ChainLedger:
 
     def next_proposal(self, txs: Iterable[EndorsedTransaction]) -> BlockProposal:
         return BlockProposal(self.tip.number + 1, self.tip.header(), tuple(txs))
-
-    def has_tx(self, tx_id: str) -> bool:
-        return tx_id in self._seen_tx_ids
 
 
 def _validate_tx(
@@ -387,8 +379,8 @@ def _validate_tx(
 def validate_and_commit(
     candidate: BlockProposal, ledger: ChainLedger, policy: EndorsementPolicy
 ) -> CommitReport:
-    """Validate every transaction in order, apply valid write sets, append
-    all of them to the log, and seal the block onto the chain."""
+    """Validate every transaction in order, apply valid write sets, and
+    seal the block, with every transaction's validity, onto the chain."""
     if candidate.number != ledger.tip.number + 1:
         raise BlockRejected(
             f"expected block {ledger.tip.number + 1}, got {candidate.number}"
@@ -404,9 +396,6 @@ def validate_and_commit(
                 _, version = ledger.world_state.get(key, ("", 0))
                 ledger.world_state[key] = (value, version + 1)
         ledger._seen_tx_ids.add(tx.tx_id)
-        ledger.tx_log.append(
-            TxLogEntry(tx.tx_id, tx.kind, candidate.number, valid, reason)
-        )
         results.append((tx.tx_id, valid, reason))
     block = Block(
         number=candidate.number,

@@ -105,6 +105,8 @@ def simulate_pipeline(
 ) -> PipelineStats:
     if commit_feed not in (STAGE_FEED, BLOCK_FEED):
         raise ValueError(f"unknown commit feed {commit_feed!r}")
+    if n_tx < 1:
+        raise ValueError("n_tx must be >= 1")
     r0, _, r2, _ = utilizations(cfg)
     if r0 >= 1.0 or r2 >= 1.0:
         raise ValueError("endorsement or commitment station is saturated")

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .ioutil import csv_text, json_text, write_text_atomic
+from .ioutil import csv_text, json_text, write_files
 from .ledger import (
     CertificateAuthority,
     ChainLedger,
@@ -41,23 +41,18 @@ from .ledger import (
     export_ledger_lines,
     export_world_state,
     propose,
+    state_payload,
     validate_and_commit,
 )
 from .pipeline_des import BLOCK_FEED, DEVIATION_COLUMNS, deviation_table, simulate_pipeline
-from .queueing import (
-    QueueNetworkConfig,
-    UnstableConfigError,
-    performance,
-    utilizations,
-)
+from .queueing import QueueNetworkConfig, performance
 from .reputation import (
-    Opinion,
     RatingEvent,
     ReputationLedger,
     ReputationMode,
     Status,
     TpfsParams,
-    final_reputation,
+    evaluate_pair,
     status_transition,
 )
 
@@ -82,10 +77,6 @@ class PresetResult:
         return all(a.passed for a in self.assertions)
 
     def write_outputs(self, out_dir: str) -> dict[str, str]:
-        import os
-
-        os.makedirs(out_dir, exist_ok=True)
-        paths = {}
         files = dict(self.files)
         files["assertions.json"] = json_text(
             {
@@ -97,11 +88,7 @@ class PresetResult:
                 ],
             }
         )
-        for name, text in files.items():
-            path = os.path.join(out_dir, name)
-            write_text_atomic(path, text)
-            paths[name] = path
-        return paths
+        return write_files(out_dir, files)
 
 
 def _check(assertions: list, name: str, passed: bool, detail: str = "") -> None:
@@ -115,26 +102,6 @@ def _check(assertions: list, name: str, passed: bool, detail: str = "") -> None:
 def _record_all(ledger: ReputationLedger, events: list[RatingEvent]) -> None:
     for e in events:
         ledger.record_rating(e, now=e.timestamp)
-
-
-def _opinions_about(ledger: ReputationLedger, observer: str, subject: str,
-                    now: float) -> list[Opinion]:
-    return [
-        Opinion(
-            recommender=rec,
-            subject=subject,
-            r_ij=ledger.direct_score(observer, rec, now),
-            r_jf=ledger.direct_score(rec, subject, now),
-        )
-        for rec in sorted(ledger.raters_of(subject))
-        if rec not in (observer, subject)
-    ]
-
-
-def _evaluate(ledger: ReputationLedger, observer: str, subject: str,
-              params: TpfsParams, mode: ReputationMode, now: float) -> float:
-    ops = _opinions_about(ledger, observer, subject, now)
-    return final_reputation(observer, subject, ledger, ops, params, mode, now)
 
 
 def _mirror_on_chain(events: list[RatingEvent], seed: int) -> ChainLedger:
@@ -158,13 +125,10 @@ def _mirror_on_chain(events: list[RatingEvent], seed: int) -> ChainLedger:
             "rater": e.rater, "ratee": e.ratee,
             "positive": e.positive, "t_min": e.timestamp,
         }
-        payload = json.dumps(
-            {
-                "state_key": f"rep/{e.rater}/{e.ratee}/{seq}",
-                "state_value": json.dumps(rating, sort_keys=True, separators=(",", ":")),
-            },
-            sort_keys=True, separators=(",", ":"),
-        ).encode()
+        payload = state_payload(
+            f"rep/{e.rater}/{e.ratee}/{seq}",
+            json.dumps(rating, sort_keys=True, separators=(",", ":")),
+        )
         prop = propose("reputation_update", payload, client, e.timestamp, nonce=seq)
         batch.append(endorse(prop, policy, [peer], chain.world_state))
         if len(batch) == 25:
@@ -223,7 +187,7 @@ def preset_reputation_timeline(seed: int = 50, params: Optional[TpfsParams] = No
     for t in range(1, 101):
         _record_all(ledger, by_minute.get(float(t), []))
         for mode in MODES:
-            rfin = _evaluate(ledger, i, j, params, mode, float(t))
+            rfin = evaluate_pair(ledger, i, j, params, mode, float(t))
             statuses[mode] = status_transition(statuses[mode], rfin, params)
             trajectory[mode].append(rfin)
             rows.append((float(t), i, j, mode.value, rfin, statuses[mode].value))
@@ -286,7 +250,7 @@ def preset_neighbor_sweep(seed: int = 60, params: Optional[TpfsParams] = None) -
                     # partial inversion: every third rating flipped
                     ledger.record_rating(RatingEvent(rec, j, t % 3 != 0, tf), tf)
         for mode in MODES:
-            rfin = _evaluate(ledger, i, j, params, mode, 60.0)
+            rfin = evaluate_pair(ledger, i, j, params, mode, 60.0)
             curves[mode].append(rfin)
             rows.append((10 * k, mode.value, rfin))
 
@@ -370,7 +334,7 @@ def preset_ptype_field(seed: int = 70, params: Optional[TpfsParams] = None) -> P
     rows = []
     for s in servers:
         for mode in MODES:
-            rfin = _evaluate(ledger, i, s, params, mode, 100.0)
+            rfin = evaluate_pair(ledger, i, s, params, mode, 100.0)
             field[mode][s] = rfin
             rows.append((s, mode.value, rfin))
 
@@ -420,14 +384,10 @@ def preset_queueing_validation(
     against the closed forms; asserts flow-balance throughput and (at the
     validated batch-10 operating envelope) the confirmation-time band."""
     cfg = QueueNetworkConfig(lambda0=lambda0, batch_size=batch_size)
-    r0, r1, r2, stable = utilizations(cfg)
-    if not stable:
-        node = [r0, r1, r2].index(max(r0, r1, r2))
-        raise UnstableConfigError(node, max(r0, r1, r2))
+    closed = performance(cfg)  # refuses an unstable point before simulating
     stats = simulate_pipeline(cfg, n_tx, seed, commit_feed=BLOCK_FEED,
                               batch_timeout_s=2.0)
     table = deviation_table(cfg, stats)
-    closed = performance(cfg)
 
     a = []
     expected_tput = cfg.q23 * cfg.q01 * cfg.lambda0

@@ -81,7 +81,6 @@ class QueueNetworkConfig:
 class PerfMetrics:
     arrivals: tuple[float, float, float]          # Lambda per node, tx/s
     utilizations: tuple[float, float, float]
-    stable: bool
     mean_counts: tuple[float, float, float]       # per node (node 1 in blocks)
     mean_count_total: float
     delays: tuple[float, float, float]            # seconds per node
@@ -150,7 +149,7 @@ def performance(cfg: QueueNetworkConfig) -> PerfMetrics:
     times the block arrival rate, by Little's law at block units).
     """
     l0, l1, l2 = solve_traffic(cfg)
-    r0, r1, r2, stable = utilizations(cfg)
+    r0, r1, r2, _ = utilizations(cfg)
     for node, r in enumerate((r0, r1, r2)):
         if r >= 1.0:
             raise UnstableConfigError(node, r)
@@ -169,7 +168,6 @@ def performance(cfg: QueueNetworkConfig) -> PerfMetrics:
     return PerfMetrics(
         arrivals=(l0, l1, l2),
         utilizations=(r0, r1, r2),
-        stable=stable,
         mean_counts=(n0, n1, n2),
         mean_count_total=n0 + n1 + n2,
         delays=(d0, d1, d2),

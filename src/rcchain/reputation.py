@@ -349,6 +349,30 @@ def final_reputation(
     return blend_reputation(r, params.eta, rin)
 
 
+def evaluate_pair(
+    ledger: ReputationLedger,
+    rater: VehicleId,
+    ratee: VehicleId,
+    params: TpfsParams,
+    mode: ReputationMode,
+    now_min: float,
+) -> float:
+    """Final score of rater about ratee with opinions gathered from every
+    other vehicle that has rated the ratee. Pure given the ledger, so a
+    chain replay reproduces it exactly."""
+    opinions = [
+        Opinion(
+            recommender=rec,
+            subject=ratee,
+            r_ij=ledger.direct_score(rater, rec, now_min),
+            r_jf=ledger.direct_score(rec, ratee, now_min),
+        )
+        for rec in sorted(ledger.raters_of(ratee))
+        if rec not in (rater, ratee)
+    ]
+    return final_reputation(rater, ratee, ledger, opinions, params, mode, now_min)
+
+
 def status_transition(current: Status, rfin: float, params: TpfsParams) -> Status:
     """Pure status step; revoked is absorbing."""
     if not 0.0 <= rfin <= 1.0:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import heapq
 import json
-import os
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional
 
-from .ioutil import csv_text, json_text, write_text_atomic
+from .ioutil import csv_text, json_text, write_files
 from .ledger import (
     CertificateAuthority,
     ChainLedger,
@@ -39,10 +39,10 @@ from .ledger import (
     export_world_state,
     order_batch,
     propose,
+    state_payload,
     validate_and_commit,
 )
 from .reputation import (
-    Opinion,
     RatingEvent,
     ReputationLedger,
     ReputationMode,
@@ -50,7 +50,7 @@ from .reputation import (
     Status,
     TpfsParams,
     classify_status,
-    final_reputation,
+    evaluate_pair,
     select_server,
 )
 
@@ -174,8 +174,8 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         "scenario",
     )
     duration = float(_require(doc, "duration_min", "scenario"))
-    if duration <= 0:
-        raise ScenarioConfigError("duration_min must be positive")
+    if not (duration > 0 and math.isfinite(duration)):
+        raise ScenarioConfigError("duration_min must be positive and finite")
     seed = _require(doc, "seed", "scenario")
     if not isinstance(seed, int):
         raise ScenarioConfigError("seed must be an integer")
@@ -271,9 +271,12 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         if m.kind not in MISSION_KINDS:
             raise ScenarioConfigError(f"unknown mission kind {m.kind!r}")
         missions.append(m)
+    rate = float(arr_doc.get("rate_per_min", 1.0))
+    if not (rate >= 0 and math.isfinite(rate)):
+        raise ScenarioConfigError("arrivals.rate_per_min must be finite and >= 0")
     arrivals = ArrivalSpec(
         kind=arr_kind,
-        rate_per_min=float(arr_doc.get("rate_per_min", 1.0)),
+        rate_per_min=rate,
         missions=tuple(sorted(missions, key=lambda m: (m.t_min, m.requester))),
     )
 
@@ -390,9 +393,9 @@ class RunReport:
             rows,
         )
 
-    def write_outputs(self, out_dir: str) -> dict[str, str]:
-        os.makedirs(out_dir, exist_ok=True)
-        files = {
+    def output_files(self) -> dict[str, str]:
+        """Every output file of the run, name -> text."""
+        return {
             "ledger.jsonl": "\n".join(export_ledger_lines(self.chain)) + "\n",
             "world_state.json": export_world_state(self.chain),
             "reputation.csv": self.reputation_csv(),
@@ -400,41 +403,14 @@ class RunReport:
             "perf.csv": self.perf_csv(),
             "summary.json": json_text(self.summary),
         }
-        paths = {}
-        for name, text in files.items():
-            path = os.path.join(out_dir, name)
-            write_text_atomic(path, text)
-            paths[name] = path
-        return paths
+
+    def write_outputs(self, out_dir: str) -> dict[str, str]:
+        return write_files(out_dir, self.output_files())
 
 
 # ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
-
-def evaluate_pair(
-    ledger: ReputationLedger,
-    rater: str,
-    ratee: str,
-    params: TpfsParams,
-    mode: ReputationMode,
-    now_min: float,
-) -> float:
-    """Final score of rater about ratee with opinions gathered from every
-    other vehicle that has rated the ratee. Pure given the ledger, so a
-    chain replay reproduces it exactly."""
-    opinions = [
-        Opinion(
-            recommender=rec,
-            subject=ratee,
-            r_ij=ledger.direct_score(rater, rec, now_min),
-            r_jf=ledger.direct_score(rec, ratee, now_min),
-        )
-        for rec in sorted(ledger.raters_of(ratee))
-        if rec not in (rater, ratee)
-    ]
-    return final_reputation(rater, ratee, ledger, opinions, params, mode, now_min)
-
 
 class _Engine:
     def __init__(self, cfg: ScenarioConfig):
@@ -515,10 +491,7 @@ class _Engine:
     def _submit(self, kind: str, state_key: str, state_value: str, client: Identity,
                 on_commit: Callable[[bool, float], None]):
         self._nonce += 1
-        payload = json.dumps(
-            {"state_key": state_key, "state_value": state_value},
-            sort_keys=True, separators=(",", ":"),
-        ).encode()
+        payload = state_payload(state_key, state_value)
         t_arrive = self.now
         endorse_delay = self.rng.expovariate(150.0)
         prop = propose(kind, payload, client, t_arrive, self._nonce)
@@ -761,8 +734,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         "completed_bad": outcomes.count("completed_bad"),
         "abandoned": outcomes.count("abandoned"),
         "blocks": engine.chain.tip.number,
-        "transactions": len(engine.chain.tx_log),
-        "valid_transactions": sum(1 for e in engine.chain.tx_log if e.valid),
+        "transactions": sum(len(blk.validity) for blk in engine.chain.blocks),
+        "valid_transactions": sum(
+            ok for blk in engine.chain.blocks for ok, _ in blk.validity
+        ),
         "revoked_vehicles": sorted(
             v for v, s in engine.reputation.status.items() if s is Status.REVOKED
         ),

@@ -11,6 +11,7 @@ from rcchain.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_UNSTABLE,
+    build_parser,
     main,
 )
 
@@ -146,10 +147,16 @@ def test_compare_writes_deviation_table(tmp_path):
     assert len(lines) == 8
 
 
-def test_compare_unstable_point_refused(tmp_path):
-    rc = main(["compare", "--out", str(tmp_path / "u"), "--lambda0", "40",
-               "--orderer-mode", "literal_eq19", "--n-tx", "1000"])
-    assert rc == EXIT_UNSTABLE
+@pytest.mark.parametrize("args,code", [
+    (["--lambda0", "40", "--orderer-mode", "literal_eq19", "--n-tx", "1000"], EXIT_UNSTABLE),
+    (["--lambda0", "200", "--n-tx", "1000"], EXIT_UNSTABLE),
+    (["--lambda0", "0", "--n-tx", "1000"], EXIT_CONFIG),
+    (["--lambda0", "40", "--n-tx", "0"], EXIT_CONFIG),
+], ids=["literal-eq19", "saturated", "no-arrivals", "no-tx"])
+def test_compare_unstable_point_refused(tmp_path, args, code):
+    out = tmp_path / "u"
+    assert main(["compare", "--out", str(out), *args]) == code
+    assert not out.exists()
 
 
 def test_env_var_overrides_out(scenario_path, tmp_path, monkeypatch):
@@ -167,3 +174,22 @@ def test_simulate_mode_override(scenario_path, tmp_path):
                  "--mode", "TWSL_like"]) == EXIT_OK
     summary = json.loads((tmp_path / "tw" / "summary.json").read_text())
     assert summary["mode"] == "TWSL_like"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--config", "grid.json", "--seed", "1"],
+    ["analyze", "--config", "grid.json", "--mode", "TPFS"],
+    ["simulate", "--config", "s.json", "--format", "json"],
+    ["simulate", "--config", "s.json", "--orderer-mode", "literal_eq19"],
+    ["ledger-export", "--config", "s.json", "--format", "json"],
+    ["ledger-export", "--config", "s.json", "--orderer-mode", "literal_eq19"],
+    ["preset", "neighbor-sweep", "--format", "json"],
+    ["preset", "neighbor-sweep", "--mode", "TPFS"],
+    ["preset", "neighbor-sweep", "--orderer-mode", "literal_eq19"],
+    ["compare", "--mode", "TPFS"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

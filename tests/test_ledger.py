@@ -57,6 +57,19 @@ def commit(ledger, policy, txs):
     return validate_and_commit(ledger.next_proposal(txs), ledger, policy)
 
 
+def tx_records(ledger):
+    """(tx_id, kind, block number, valid, reason) of every transaction on
+    the chain, in commit order."""
+    records = []
+    for blk in ledger.blocks:
+        assert len(blk.validity) == len(blk.txs)
+        records.extend(
+            (tx.tx_id, tx.kind, blk.number, ok, reason)
+            for tx, (ok, reason) in zip(blk.txs, blk.validity)
+        )
+    return records
+
+
 # ---------------------------------------------------------------------------
 # certificate authority
 # ---------------------------------------------------------------------------
@@ -189,7 +202,8 @@ def test_policy_failure_recorded_but_not_applied():
     report = commit(led, policy, [tx])
     assert report.results[0][1:] == (False, "policy")
     assert "k" not in led.world_state
-    assert led.tx_log[-1].tx_id == tx.tx_id  # logged regardless of legality
+    # sealed into the block regardless of legality
+    assert tx_records(led)[-1] == (tx.tx_id, tx.kind, 1, False, "policy")
 
 
 def test_duplicate_in_later_block_rejected():
@@ -244,7 +258,7 @@ def ledgers_equal(a, b):
     return (
         [blk.header() for blk in a.blocks] == [blk.header() for blk in b.blocks]
         and a.world_state == b.world_state
-        and a.tx_log == b.tx_log
+        and tx_records(a) == tx_records(b)
     )
 
 
@@ -395,8 +409,8 @@ def test_property_replay_and_versions(batches):
             if ok and any(k == key for k, _ in tx.write_set)
         )
         assert version == valid_writes
-    # every submitted tx in the log exactly once per commit attempt
-    assert len(led.tx_log) == sum(len(b) for b in batches)
+    # every submitted tx on the chain exactly once per commit attempt
+    assert len(tx_records(led)) == sum(len(b) for b in batches)
     # no valid transaction with unsatisfied policy
     for blk in led.blocks:
         for tx, (ok, _) in zip(blk.txs, blk.validity):

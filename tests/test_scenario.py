@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -54,12 +55,12 @@ def test_empty_roster_zero_missions_genesis_only():
 
 def test_single_mission_structural_counts():
     report = run_scenario(parse_scenario_config(base_config()))
-    kinds = [e.kind for e in report.chain.tx_log]
+    kinds = [tx.kind for blk in report.chain.blocks for tx in blk.txs]
     assert kinds.count("qa_request") == 1
     assert kinds.count("service_proposal") == 1
     assert kinds.count("service_process") == 1
     assert kinds.count("reputation_update") == 1
-    assert all(e.valid for e in report.chain.tx_log)
+    assert all(ok for blk in report.chain.blocks for ok, _ in blk.validity)
     assert report.missions[0].outcome == "completed_good"
     assert report.missions[0].selected == "v-srv"
 
@@ -70,7 +71,7 @@ def test_data_share_mission_uses_data_index():
                   "missions": [{"t_min": 1.0, "requester": "v-req", "kind": "data_share"}]},
     )
     report = run_scenario(parse_scenario_config(doc))
-    kinds = [e.kind for e in report.chain.tx_log]
+    kinds = [tx.kind for blk in report.chain.blocks for tx in blk.txs]
     assert kinds.count("data_index") == 1
     assert kinds.count("service_process") == 0
 
@@ -196,6 +197,37 @@ def test_config_requires_rsu_for_requester_area():
     doc = base_config(rsus=[])
     with pytest.raises(ScenarioConfigError, match="no RSU"):
         parse_scenario_config(doc)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("duration_min", "NaN"),
+    ("duration_min", "Infinity"),
+    ("rate_per_min", "NaN"),
+    ("rate_per_min", "Infinity"),
+    ("rate_per_min", "-1"),
+])
+def test_config_rejects_non_finite_duration_and_rate(key, value):
+    """Python's json reads NaN and Infinity; the Poisson mission generator
+    would never pass a non-finite horizon or rate, so the parser refuses
+    them (and a negative rate) before any run starts."""
+    doc = base_config(arrivals={"kind": "poisson", "rate_per_min": 2.0})
+    target = doc if key == "duration_min" else doc["arrivals"]
+    target[key] = json.loads(value)
+    with pytest.raises(ScenarioConfigError, match=key):
+        parse_scenario_config(doc)
+
+
+def test_example_config_matches_schema_and_parses():
+    jsonschema = pytest.importorskip("jsonschema")
+    docs = Path(__file__).resolve().parent.parent / "docs"
+    schema = json.loads((docs / "scenario.schema.json").read_text())
+    example = json.loads((docs / "scenario.example.json").read_text())
+    jsonschema.validate(example, schema)
+    cfg = parse_scenario_config(example)
+    assert cfg.seed == example["seed"] and len(cfg.vehicles) == len(example["vehicles"])
+    example["arrivals"]["rate_per_min"] = -1.0
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(example, schema)
 
 
 def test_perf_rows_cover_all_pipeline_stages():
