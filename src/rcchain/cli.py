@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
 from .ioutil import csv_text, json_text, write_files
-from .pipeline_des import BLOCK_FEED, DEVIATION_COLUMNS, deviation_table, simulate_pipeline
+from .pipeline_des import DEVIATION_COLUMNS, STAGE_FEED, deviation_table, simulate_pipeline
 from .presets import run_preset
 from .queueing import (
     ORDERER_MODES,
@@ -31,7 +32,7 @@ from .queueing import (
     sweep,
 )
 from .reputation import ReputationMode
-from .scenario import ScenarioConfigError, _check_keys, load_scenario_config, run_scenario
+from .scenario import ScenarioConfigError, _check_keys, _require, load_scenario_config, run_scenario
 from .ledger import verify_export_lines
 
 EXIT_OK = 0
@@ -60,12 +61,15 @@ def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
     lam = doc.get("lambda0", {"start": 10, "stop": 110, "step": 10})
     if isinstance(lam, dict):
         _check_keys(lam, {"start", "stop", "step"}, "lambda0")
-        start, stop, step = lam["start"], lam["stop"], lam.get("step", 10)
+        start, stop = (float(_require(lam, key, "lambda0")) for key in ("start", "stop"))
+        step = float(lam.get("step", 10))
+        if not (all(map(math.isfinite, (start, stop, step))) and step > 0):
+            raise ScenarioConfigError("lambda0 start, stop and step must be finite, step > 0")
         lambdas = []
-        v = float(start)
-        while v <= float(stop) + 1e-9:
+        v = start
+        while v <= stop + 1e-9:
             lambdas.append(v)
-            v += float(step)
+            v += step
     else:
         lambdas = [float(x) for x in lam]
     batch_sizes = [int(m) for m in doc.get("batch_sizes", [10, 50, 100])]
@@ -170,8 +174,7 @@ def cmd_compare(args) -> int:
         orderer_mode=args.orderer_mode or "block_granularity",
     )
     performance(cfg)  # refuses an unstable or idle point before simulating
-    stats = simulate_pipeline(cfg, args.n_tx, args.seed or 0,
-                              commit_feed=BLOCK_FEED)
+    stats = simulate_pipeline(cfg, args.n_tx, args.seed or 0, commit_feed=STAGE_FEED)
     table = deviation_table(cfg, stats)
     name, text = _report_file("deviation", args.format, DEVIATION_COLUMNS, table)
     path = write_files(_out_dir(args), {name: text})[name]

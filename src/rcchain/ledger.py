@@ -7,7 +7,11 @@ by batch size or timeout while a majority of orderers is up; committing
 peers re-check policy, duplicates, and read-set versions (the MVCC
 check that kills double spends), apply valid writes to the world state,
 and seal every transaction into its block regardless of legality; the
-block's validity flags are the only record of which ones took effect.
+sealed block is the commit result, and its validity flags are the only
+record of which transactions took effect. Audits share two walks: the
+link walk (numbers, prev-hash links, body hashes from genesis) over
+chains and exported files, and the replay that re-validates recorded
+blocks onto another ledger for peer catch-up and the full audit.
 
 Signatures are HMAC tags keyed by each identity's key tag; transaction
 ids are content digests, so the tx-id-only body hash still pins every
@@ -303,8 +307,8 @@ def order_batch(
 # blocks and the chain ledger
 # ---------------------------------------------------------------------------
 
-def body_hash(txs: Iterable[EndorsedTransaction]) -> bytes:
-    return hashlib.sha256(b"".join(tx.tx_id.encode() for tx in txs)).digest()
+def body_hash(tx_ids: Iterable[str]) -> bytes:
+    return hashlib.sha256(b"".join(tx_id.encode() for tx_id in tx_ids)).digest()
 
 
 def header_hash(number: int, prev_hash: bytes, body: bytes) -> bytes:
@@ -328,12 +332,6 @@ class Block:
 
     def header(self) -> bytes:
         return header_hash(self.number, self.prev_hash, self.body_hash)
-
-
-@dataclass(frozen=True)
-class CommitReport:
-    block_number: int
-    results: tuple[tuple[str, bool, Optional[str]], ...]  # (tx_id, valid, reason)
 
 
 class ChainLedger:
@@ -378,90 +376,96 @@ def _validate_tx(
 
 def validate_and_commit(
     candidate: BlockProposal, ledger: ChainLedger, policy: EndorsementPolicy
-) -> CommitReport:
+) -> Block:
     """Validate every transaction in order, apply valid write sets, and
-    seal the block, with every transaction's validity, onto the chain."""
+    append and return the block sealed with every transaction's validity."""
     if candidate.number != ledger.tip.number + 1:
         raise BlockRejected(
             f"expected block {ledger.tip.number + 1}, got {candidate.number}"
         )
     if candidate.prev_hash != ledger.tip.header():
         raise BlockRejected(f"block {candidate.number} does not link to the tip")
-    results = []
+    validity = []
     for tx in candidate.txs:
         reason = _validate_tx(tx, policy, ledger.world_state, ledger._seen_tx_ids)
-        valid = reason is None
-        if valid:
+        if reason is None:
             for key, value in tx.write_set:
                 _, version = ledger.world_state.get(key, ("", 0))
                 ledger.world_state[key] = (value, version + 1)
         ledger._seen_tx_ids.add(tx.tx_id)
-        results.append((tx.tx_id, valid, reason))
-    block = Block(
-        number=candidate.number,
-        prev_hash=candidate.prev_hash,
-        txs=candidate.txs,
-        body_hash=body_hash(candidate.txs),
-        validity=tuple((ok, reason) for _, ok, reason in results),
-    )
+        validity.append((reason is None, reason))
+    block = Block(candidate.number, candidate.prev_hash, candidate.txs,
+                  body_hash(tx.tx_id for tx in candidate.txs), tuple(validity))
     ledger.blocks.append(block)
-    return CommitReport(candidate.number, tuple(results))
+    return block
+
+
+def _digests_ok(blk: Block) -> bool:
+    return all(tx.proposal.digest_ok() for tx in blk.txs)
+
+
+def _first_bad_link(records: Iterable[tuple[int, bytes, bytes, bytes]]) -> Optional[int]:
+    """Walk (number, prev_hash, stated body hash, recomputed body hash)
+    records from genesis; returns the position of the first one out of
+    sequence, off the link, or with a wrong body hash."""
+    prev_header, k = ZERO_HASH, -1
+    for k, (number, prev_hash, stated, recomputed) in enumerate(records):
+        if number != k or prev_hash != prev_header or stated != recomputed:
+            return k
+        prev_header = header_hash(number, prev_hash, stated)
+    if k < 0:
+        raise ValueError("no genesis block")
+    return None
+
+
+def _replay(target: ChainLedger, blocks: list[Block], policy: EndorsementPolicy) -> Optional[int]:
+    """Re-validate recorded blocks onto target; returns the number of the
+    first one with a bad digest, rejected, or sealed to other flags or header."""
+    for blk in blocks:
+        k = target.tip.number + 1
+        if not _digests_ok(blk):
+            return k
+        try:
+            proposal = BlockProposal(blk.number, blk.prev_hash, blk.txs)
+            sealed = validate_and_commit(proposal, target, policy)
+        except BlockRejected:
+            return k
+        if sealed.validity != blk.validity or sealed.header() != blk.header():
+            return k
+    return None
 
 
 def sync_peer(lagging: ChainLedger, source: ChainLedger, policy: EndorsementPolicy) -> None:
-    """Replay the source's missing blocks onto the lagging ledger.
-
-    The shared prefix must match hash-for-hash and every replayed block
-    must re-validate to the flags the source recorded; divergence is an
-    integrity error, never silently repaired.
-    """
+    """Replay the source's missing blocks onto the lagging ledger. The
+    shared prefix must match hash-for-hash and every replayed block must
+    seal to the flags and header the source recorded; divergence is an
+    integrity error, never silently repaired."""
     if lagging.tip.number > source.tip.number:
         raise IntegrityError("lagging ledger is ahead of the source")
     for k in range(lagging.tip.number + 1):
         if lagging.blocks[k].header() != source.blocks[k].header():
             raise IntegrityError(f"divergent prefix at block {k}")
-    for k in range(lagging.tip.number + 1, source.tip.number + 1):
-        blk = source.blocks[k]
-        for tx in blk.txs:
-            if not tx.proposal.digest_ok():
-                raise IntegrityError(f"block {k} carries a tampered transaction")
-        report = validate_and_commit(
-            BlockProposal(blk.number, blk.prev_hash, blk.txs), lagging, policy
-        )
-        replay_flags = tuple((ok, reason) for _, ok, reason in report.results)
-        if replay_flags != blk.validity or lagging.tip.header() != blk.header():
-            raise IntegrityError(f"replay of block {k} does not match the source")
+    bad = _replay(lagging, source.blocks[lagging.tip.number + 1:], policy)
+    if bad is not None:
+        raise IntegrityError(f"replay of block {bad} does not match the source")
 
 
 def verify_chain(ledger: ChainLedger, policy: Optional[EndorsementPolicy] = None) -> Optional[int]:
-    """Full audit: link hashes, content digests, and (with a policy) a
+    """Full audit: the link walk, content digests, and (with a policy) a
     replay of the validity flags and world state from genesis. Returns
     None when clean, else the first bad block number."""
-    g = ledger.blocks[0]
-    if g.number != 0 or g.prev_hash != ZERO_HASH or g.body_hash != body_hash(g.txs):
-        return 0
-    scratch: Optional[ChainLedger] = ChainLedger() if policy is not None else None
-    for k in range(1, len(ledger.blocks)):
-        blk = ledger.blocks[k]
-        prev = ledger.blocks[k - 1]
-        if blk.number != prev.number + 1:
-            return k
-        if blk.prev_hash != prev.header():
-            return k
-        if blk.body_hash != body_hash(blk.txs):
-            return k
-        if any(not tx.proposal.digest_ok() for tx in blk.txs):
-            return k
-        if scratch is not None:
-            try:
-                report = validate_and_commit(
-                    BlockProposal(blk.number, blk.prev_hash, blk.txs), scratch, policy
-                )
-            except BlockRejected:
-                return k
-            if tuple((ok, r) for _, ok, r in report.results) != blk.validity:
-                return k
-    if scratch is not None and scratch.world_state != ledger.world_state:
+    bad_link = _first_bad_link(
+        (b.number, b.prev_hash, b.body_hash, body_hash(tx.tx_id for tx in b.txs))
+        for b in ledger.blocks
+    )
+    scratch = ChainLedger()
+    if policy is None:
+        bad = next((k for k, b in enumerate(ledger.blocks) if not _digests_ok(b)), None)
+    else:
+        bad = _replay(scratch, ledger.blocks[1:], policy)
+    if bad is not None or bad_link is not None:
+        return min(k for k in (bad, bad_link) if k is not None)
+    if policy is not None and scratch.world_state != ledger.world_state:
         return ledger.tip.number
     return None
 
@@ -496,30 +500,11 @@ def export_world_state(ledger: ChainLedger) -> str:
 
 
 def verify_export_lines(lines: Iterable[str]) -> Optional[int]:
-    """Hash-chain audit of an exported ledger file; the export is
+    """Link walk over an exported ledger file; the export is
     self-verifiable because the body hash covers the tx ids. Returns
     None when clean, else the first bad block number."""
-    prev_header: Optional[bytes] = None
-    expected_number = 0
-    for line in lines:
-        record = json.loads(line)
-        number = record["number"]
-        prev_hash = bytes.fromhex(record["prev_hash"])
-        stated_body = bytes.fromhex(record["body_hash"])
-        if number != expected_number:
-            return number
-        if prev_header is None:
-            if prev_hash != ZERO_HASH:
-                return number
-        elif prev_hash != prev_header:
-            return number
-        recomputed = hashlib.sha256(
-            b"".join(tx["tx_id"].encode() for tx in record["txs"])
-        ).digest()
-        if recomputed != stated_body:
-            return number
-        prev_header = header_hash(number, prev_hash, stated_body)
-        expected_number += 1
-    if expected_number == 0:
-        raise ValueError("empty ledger export")
-    return None
+    return _first_bad_link(
+        (r["number"], bytes.fromhex(r["prev_hash"]), bytes.fromhex(r["body_hash"]),
+         body_hash(tx["tx_id"] for tx in r["txs"]))
+        for r in map(json.loads, lines)
+    )

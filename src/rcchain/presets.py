@@ -28,7 +28,6 @@ where the checks require strictness:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,7 +40,6 @@ from .ledger import (
     export_ledger_lines,
     export_world_state,
     propose,
-    state_payload,
     validate_and_commit,
 )
 from .pipeline_des import BLOCK_FEED, DEVIATION_COLUMNS, deviation_table, simulate_pipeline
@@ -55,6 +53,7 @@ from .reputation import (
     evaluate_pair,
     status_transition,
 )
+from .scenario import rating_payload
 
 MODES = (ReputationMode.TPFS, ReputationMode.TP_ONLY, ReputationMode.TWSL_LIKE)
 
@@ -121,15 +120,8 @@ def _mirror_on_chain(events: list[RatingEvent], seed: int) -> ChainLedger:
             batch = []
 
     for seq, e in enumerate(events):
-        rating = {
-            "rater": e.rater, "ratee": e.ratee,
-            "positive": e.positive, "t_min": e.timestamp,
-        }
-        payload = state_payload(
-            f"rep/{e.rater}/{e.ratee}/{seq}",
-            json.dumps(rating, sort_keys=True, separators=(",", ":")),
-        )
-        prop = propose("reputation_update", payload, client, e.timestamp, nonce=seq)
+        prop = propose("reputation_update", rating_payload(e, seq), client, e.timestamp,
+                       nonce=seq)
         batch.append(endorse(prop, policy, [peer], chain.world_state))
         if len(batch) == 25:
             flush()

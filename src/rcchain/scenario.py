@@ -101,6 +101,13 @@ class OrgSpec:
     name: str
     endorsing_peers: int = 2
 
+    def __post_init__(self):
+        if self.endorsing_peers < 1:
+            raise ScenarioConfigError(f"organization {self.name!r} needs endorsing_peers >= 1")
+
+    def peer_ids(self) -> list[str]:
+        return [f"{self.name}/peer{k}" for k in range(self.endorsing_peers)]
+
 
 @dataclass(frozen=True)
 class RsuSpec:
@@ -183,7 +190,8 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
     orgs = []
     for rec in _require(doc, "organizations", "scenario"):
         _check_keys(rec, {"name", "endorsing_peers"}, "organizations[]")
-        orgs.append(OrgSpec(rec["name"], int(rec.get("endorsing_peers", 2))))
+        orgs.append(OrgSpec(_require(rec, "name", "organizations[]"),
+                            int(rec.get("endorsing_peers", 2))))
     org_names = {o.name for o in orgs}
     if len(org_names) != len(orgs):
         raise ScenarioConfigError("duplicate organization names")
@@ -191,15 +199,17 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
     rsus = []
     for rec in doc.get("rsus", []):
         _check_keys(rec, {"id", "org", "area"}, "rsus[]")
-        if rec["org"] not in org_names:
-            raise ScenarioConfigError(f"rsu {rec['id']!r} references unknown org")
-        rsus.append(RsuSpec(rec["id"], rec["org"], rec["area"]))
+        rsu = RsuSpec(*(_require(rec, key, "rsus[]") for key in ("id", "org", "area")))
+        if rsu.org not in org_names:
+            raise ScenarioConfigError(f"rsu {rsu.id!r} references unknown org")
+        rsus.append(rsu)
 
     vehicles = []
     for rec in doc.get("vehicles", []):
         _check_keys(rec, {"id", "org", "area", "roles", "profile"}, "vehicles[]")
-        if rec["org"] not in org_names:
-            raise ScenarioConfigError(f"vehicle {rec['id']!r} references unknown org")
+        vid, org, area = (_require(rec, key, "vehicles[]") for key in ("id", "org", "area"))
+        if org not in org_names:
+            raise ScenarioConfigError(f"vehicle {vid!r} references unknown org")
         prof_doc = rec.get("profile", {})
         _check_keys(prof_doc, {"kind", "switch_at", "fake_rate"}, "profile")
         kind = prof_doc.get("kind", "honest")
@@ -214,7 +224,7 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         for role in roles:
             if role not in ("requester", "server", "idler"):
                 raise ScenarioConfigError(f"unknown vehicle role {role!r}")
-        vehicles.append(VehicleSpec(rec["id"], rec["org"], rec["area"], roles, profile))
+        vehicles.append(VehicleSpec(vid, org, area, roles, profile))
     ids = [v.id for v in vehicles] + [r.id for r in rsus]
     if len(set(ids)) != len(ids):
         raise ScenarioConfigError("duplicate agent ids")
@@ -229,6 +239,9 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         },
         "tpfs",
     )
+    for key, value in tpfs_doc.items():
+        if key != "similarity_weighting" and not isinstance(value, (int, float)):
+            raise ScenarioConfigError(f"tpfs.{key} must be a number")
     tpfs = TpfsParams(**tpfs_doc)
 
     ord_doc = doc.get("ordering", {})
@@ -250,6 +263,12 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
     for org in policy_orgs:
         if org not in org_names:
             raise ScenarioConfigError(f"policy references unknown org {org!r}")
+    threshold = int(pol_doc.get("threshold", 1))
+    for o in orgs:
+        if (o.name in policy_orgs or not policy_orgs) and threshold > o.endorsing_peers:
+            raise ScenarioConfigError(
+                f"policy threshold {threshold} exceeds the {o.endorsing_peers} "
+                f"endorsing peers of {o.name!r}")
 
     arr_doc = doc.get("arrivals", {"kind": "poisson", "rate_per_min": 1.0})
     _check_keys(arr_doc, {"kind", "rate_per_min", "missions"}, "arrivals")
@@ -261,9 +280,8 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
     requester_ids = {v.id for v in vehicles if "requester" in v.roles}
     for rec in arr_doc.get("missions", []):
         _check_keys(rec, {"t_min", "requester", "kind"}, "missions[]")
-        m = ScriptedMission(
-            float(rec["t_min"]), rec["requester"], rec.get("kind", "qa")
-        )
+        m = ScriptedMission(float(_require(rec, "t_min", "missions[]")),
+                            _require(rec, "requester", "missions[]"), rec.get("kind", "qa"))
         if m.requester not in vehicle_ids:
             raise ScenarioConfigError(f"scripted mission references unknown vehicle {m.requester!r}")
         if m.requester not in requester_ids:
@@ -288,6 +306,11 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
 
     faults_doc = doc.get("faults", {})
     _check_keys(faults_doc, {"unreachable_peers"}, "faults")
+    unreachable = frozenset(faults_doc.get("unreachable_peers", []))
+    unknown_peers = unreachable - {pid for o in orgs for pid in o.peer_ids()}
+    if unknown_peers:
+        raise ScenarioConfigError(f"faults.unreachable_peers names unknown peers "
+                                  f"{sorted(unknown_peers)}")
 
     # every area with a requester-capable vehicle needs an RSU
     rsu_areas = {r.area for r in rsus}
@@ -304,10 +327,10 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         tpfs=tpfs,
         ordering=ordering,
         policy_orgs=policy_orgs,
-        policy_threshold=int(pol_doc.get("threshold", 1)),
+        policy_threshold=threshold,
         arrivals=arrivals,
         mode=mode,
-        unreachable_peers=frozenset(faults_doc.get("unreachable_peers", [])),
+        unreachable_peers=unreachable,
     )
 
 
@@ -440,10 +463,8 @@ class _Engine:
 
     def _register_all(self):
         for org in self.cfg.organizations:
-            for k in range(org.endorsing_peers):
-                self.peers.append(
-                    self.ca.register(org.name, "endorsing_peer", f"{org.name}/peer{k}")
-                )
+            for peer_id in org.peer_ids():
+                self.peers.append(self.ca.register(org.name, "endorsing_peer", peer_id))
         for rsu in self.cfg.rsus:
             self.ca.register(rsu.org, "orderer", rsu.id)
         for v in self.cfg.vehicles:
@@ -488,10 +509,9 @@ class _Engine:
 
     # -- transaction submission --
 
-    def _submit(self, kind: str, state_key: str, state_value: str, client: Identity,
+    def _submit(self, kind: str, payload: bytes, client: Identity,
                 on_commit: Callable[[bool, float], None]):
         self._nonce += 1
-        payload = state_payload(state_key, state_value)
         t_arrive = self.now
         endorse_delay = self.rng.expovariate(150.0)
         prop = propose(kind, payload, client, t_arrive, self._nonce)
@@ -527,11 +547,11 @@ class _Engine:
         t_ordered = self.now
         commit_delay = self.rng.expovariate(150.0)
         t_committed = t_ordered + commit_delay
-        report = validate_and_commit(self.chain.next_proposal(batch), self.chain, self.policy)
-        for tx_id, valid, _reason in report.results:
-            t_arrive, t_endorsed, on_commit = self._tx_meta.pop(tx_id)
+        block = validate_and_commit(self.chain.next_proposal(batch), self.chain, self.policy)
+        for tx, (valid, _reason) in zip(block.txs, block.validity):
+            t_arrive, t_endorsed, on_commit = self._tx_meta.pop(tx.tx_id)
             self.perf.append(
-                PerfRecord(tx_id, t_arrive, t_endorsed, t_ordered, t_committed, valid)
+                PerfRecord(tx.tx_id, t_arrive, t_endorsed, t_ordered, t_committed, valid)
             )
             self.schedule(t_committed, lambda v=valid, cb=on_commit: cb(v, t_committed))
 
@@ -561,9 +581,9 @@ class _Engine:
         self.missions.append(mission)
         self._submit(
             "qa_request",
-            f"mission/{mission.mission_id}",
-            json.dumps({"requester": requester, "kind": kind}, sort_keys=True,
-                       separators=(",", ":")),
+            state_payload(f"mission/{mission.mission_id}",
+                          json.dumps({"requester": requester, "kind": kind}, sort_keys=True,
+                                     separators=(",", ":"))),
             self.clients[requester],
             lambda valid, t: self._request_committed(mission, valid),
         )
@@ -606,8 +626,7 @@ class _Engine:
         mission.selected = selected
         self._submit(
             "service_proposal",
-            f"service/{mission.mission_id}",
-            selected,
+            state_payload(f"service/{mission.mission_id}", selected),
             self.clients[selected],
             lambda valid, t: self._service_committed(mission, valid),
         )
@@ -622,8 +641,7 @@ class _Engine:
         key_prefix = "proc" if mission.kind == "qa" else "index"
         self._submit(
             kind,
-            f"{key_prefix}/{mission.mission_id}",
-            "delivered",
+            state_payload(f"{key_prefix}/{mission.mission_id}", "delivered"),
             self.clients[mission.selected],
             lambda valid, t: self._delivery_committed(mission, real, valid),
         )
@@ -636,53 +654,55 @@ class _Engine:
         requester = self.vehicle_by_id[mission.requester]
         sign = requester.profile.rating_sign(real, self.rng)
         self._rep_seq += 1
-        rating = {
-            "rater": mission.requester,
-            "ratee": mission.selected,
-            "positive": sign,
-            "t_min": self.now / SECONDS_PER_MINUTE,
-        }
+        event = RatingEvent(mission.requester, mission.selected, sign,
+                            self.now / SECONDS_PER_MINUTE)
         self._submit(
             "reputation_update",
-            f"rep/{mission.requester}/{mission.selected}/{self._rep_seq}",
-            json.dumps(rating, sort_keys=True, separators=(",", ":")),
+            rating_payload(event, self._rep_seq),
             self.clients[mission.requester],
-            lambda valid, t: self._reputation_committed(mission, rating, valid, t),
+            lambda valid, t: self._reputation_committed(mission, event, valid, t),
         )
 
-    def _reputation_committed(self, mission: MissionRecord, rating: dict,
+    def _reputation_committed(self, mission: MissionRecord, event: RatingEvent,
                               valid: bool, t_committed: float):
         if not valid:
             return
-        # score at the rating's own timestamp: the chain carries it, so a
-        # replay derives bit-identical reputation state
         apply_reputation_update(
-            self.reputation, rating, float(rating["t_min"]), self.cfg.tpfs,
-            self.cfg.mode, self.trajectories,
+            self.reputation, event, self.cfg.tpfs, self.cfg.mode, self.trajectories
         )
-        ratee = rating["ratee"]
-        if self.reputation.get_status(ratee) is Status.REVOKED:
-            self.ca.revoke(ratee)  # certificate out, re-registration barred
+        if self.reputation.get_status(event.ratee) is Status.REVOKED:
+            self.ca.revoke(event.ratee)  # certificate out, re-registration barred
         mission.t_commit_min = t_committed / SECONDS_PER_MINUTE
+
+
+def rating_payload(event: RatingEvent, seq: int) -> bytes:
+    """Payload of the reputation_update transaction that carries event;
+    seq keeps the state keys of one pair's ratings apart."""
+    rating = {"rater": event.rater, "ratee": event.ratee,
+              "positive": event.positive, "t_min": event.timestamp}
+    return state_payload(f"rep/{event.rater}/{event.ratee}/{seq}",
+                         json.dumps(rating, sort_keys=True, separators=(",", ":")))
+
+
+def rating_from_payload(payload: bytes) -> RatingEvent:
+    """The rating a reputation_update payload carries; rating_payload's inverse."""
+    rating = json.loads(json.loads(payload.decode())["state_value"])
+    return RatingEvent(rating["rater"], rating["ratee"], bool(rating["positive"]),
+                       float(rating["t_min"]))
 
 
 def apply_reputation_update(
     ledger: ReputationLedger,
-    rating: dict,
-    now_min: float,
+    event: RatingEvent,
     params: TpfsParams,
     mode: ReputationMode,
     trajectories: Optional[list] = None,
 ) -> float:
     """Record a committed rating, bump the server's trade count, refresh
-    the final score, and step the status machine. Shared verbatim by the
-    live engine and the chain replay so both derive identical state."""
-    event = RatingEvent(
-        rater=rating["rater"],
-        ratee=rating["ratee"],
-        positive=bool(rating["positive"]),
-        timestamp=float(rating["t_min"]),
-    )
+    the final score, and step the status machine, all at the rating's own
+    timestamp. Shared verbatim by the live engine and the chain replay so
+    both derive identical state."""
+    now_min = event.timestamp
     ledger.record_rating(event, now=now_min)
     ledger.record_trade(event.ratee)
     rfin = evaluate_pair(ledger, event.rater, event.ratee, params, mode, now_min)
@@ -709,11 +729,9 @@ def reputation_from_chain(
     ledger = ReputationLedger(params)
     for blk in chain.blocks:
         for tx, (valid, _reason) in zip(blk.txs, blk.validity):
-            if not valid or tx.kind != "reputation_update":
-                continue
-            doc = json.loads(tx.proposal.payload.decode())
-            rating = json.loads(doc["state_value"])
-            apply_reputation_update(ledger, rating, float(rating["t_min"]), params, mode)
+            if valid and tx.kind == "reputation_update":
+                apply_reputation_update(ledger, rating_from_payload(tx.proposal.payload),
+                                        params, mode)
     return ledger
 
 

@@ -213,17 +213,17 @@ def test_criterion_7_ledger_property_suite():
     led = ChainLedger()
     # hash chain + MVCC double spend
     t1, t2 = tx(led, "acct", "a", 1), tx(led, "acct", "b", 2)
-    rep = validate_and_commit(led.next_proposal([t1, t2]), led, policy)
-    assert rep.results[0][1] and rep.results[1][1:] == (False, "mvcc_conflict")
+    blk = validate_and_commit(led.next_proposal([t1, t2]), led, policy)
+    assert blk.validity[0][0] and blk.validity[1] == (False, "mvcc_conflict")
     # duplicate rejection
-    rep = validate_and_commit(led.next_proposal([t1]), led, policy)
-    assert rep.results[0][1:] == (False, "duplicate")
+    blk = validate_and_commit(led.next_proposal([t1]), led, policy)
+    assert blk.validity[0] == (False, "duplicate")
     # policy rejection
     short = endorse(propose("qa_request", b'{"state_key":"p","state_value":"v"}',
                             client, 0.0, 3),
                     policy, [p for p in peers if p.org == "org1"], led.world_state)
-    rep = validate_and_commit(led.next_proposal([short]), led, policy)
-    assert rep.results[0][1:] == (False, "policy")
+    blk = validate_and_commit(led.next_proposal([short]), led, policy)
+    assert blk.validity[0] == (False, "policy")
     # extend the chain, then peer catch-up equality
     for n in range(4, 10):
         validate_and_commit(led.next_proposal([tx(led, f"k{n}", "v", n)]), led, policy)

@@ -2,8 +2,13 @@
 
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
+
+import rcchain
 
 from rcchain.cli import (
     EXIT_CONFIG,
@@ -80,6 +85,45 @@ def test_analyze_unparseable_json(tmp_path):
     assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("lambda0", [
+    {"start": 10, "stop": 20, "step": 0},
+    {"start": 10, "stop": 20, "step": -5},
+    {"start": 10, "stop": float("inf"), "step": 10},
+], ids=["step-zero", "step-negative", "stop-infinity"])
+def test_analyze_rejects_endless_grid(tmp_path, lambda0):
+    """A grid that never reaches its stop is a config error. The command
+    runs in a child process under a memory cap and a timeout, so an
+    endless grid loop fails the test instead of hanging it."""
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"lambda0": lambda0, "batch_sizes": [10]}))
+    out = tmp_path / "never"
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(rcchain.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rcchain.cli", "analyze", "--config", str(cfg),
+         "--out", str(out)],
+        env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "lambda0" in proc.stderr
+    assert not out.exists()
+
+
+def test_simulate_missing_key_is_config_error(scenario_path, tmp_path, capsys):
+    with open(scenario_path) as fh:
+        doc = json.load(fh)
+    del doc["vehicles"][0]["org"]
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "missing key 'org'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_and_verify_roundtrip(scenario_path, tmp_path):
     out = str(tmp_path / "run")
     assert main(["simulate", "--config", scenario_path, "--out", out]) == EXIT_OK
@@ -145,6 +189,18 @@ def test_compare_writes_deviation_table(tmp_path):
     lines = (tmp_path / "cmp" / "deviation.csv").read_text().splitlines()
     assert lines[0] == "metric,closed_form,simulated,abs_deviation,rel_deviation"
     assert len(lines) == 8
+
+
+def test_compare_default_point_tracks_closed_forms(tmp_path):
+    """compare simulates the oracle (stage) feed, whose stages are the
+    M/M/1 queues the closed forms describe, so every metric is close."""
+    out = tmp_path / "cmp"
+    assert main(["compare", "--out", str(out), "--n-tx", "200000"]) == EXIT_OK
+    lines = (out / "deviation.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 7
+    for metric, *_, rel in rows:
+        assert float(rel) <= 0.05, metric
 
 
 @pytest.mark.parametrize("args,code", [

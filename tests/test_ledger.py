@@ -187,9 +187,9 @@ def test_mvcc_double_spend_in_one_block():
     # both read version 0 of the same key
     tx1 = endorse_tx(client, peers, led, "acct", "a", nonce=1)
     tx2 = endorse_tx(client, peers, led, "acct", "b", nonce=2)
-    report = commit(led, policy, [tx1, tx2])
-    assert report.results[0][1] is True
-    assert report.results[1][1:] == (False, "mvcc_conflict")
+    blk = commit(led, policy, [tx1, tx2])
+    assert blk.validity[0][0] is True
+    assert blk.validity[1] == (False, "mvcc_conflict")
     assert led.world_state["acct"] == ("a", 1)
 
 
@@ -199,8 +199,8 @@ def test_policy_failure_recorded_but_not_applied():
     org12 = [p for p in peers if p.org != "org3"]
     prop = propose("qa_request", payload("k", "v"), client, 0.0)
     tx = endorse(prop, policy, org12, led.world_state)
-    report = commit(led, policy, [tx])
-    assert report.results[0][1:] == (False, "policy")
+    blk = commit(led, policy, [tx])
+    assert blk.validity[0] == (False, "policy")
     assert "k" not in led.world_state
     # sealed into the block regardless of legality
     assert tx_records(led)[-1] == (tx.tx_id, tx.kind, 1, False, "policy")
@@ -211,8 +211,8 @@ def test_duplicate_in_later_block_rejected():
     led = ChainLedger()
     tx = endorse_tx(client, peers, led, "k", "v")
     commit(led, policy, [tx])
-    report = commit(led, policy, [tx])
-    assert report.results[0][1:] == (False, "duplicate")
+    blk = commit(led, policy, [tx])
+    assert blk.validity[0] == (False, "duplicate")
 
 
 def test_wrong_number_or_prev_hash_rejected():
@@ -276,12 +276,15 @@ def test_sync_peer_equal_tips_noop():
     assert ledgers_equal(lagging, source)
 
 
-def tamper_payload(ledger, block_number, new_payload=b'{"state_key":"x","state_value":"y"}'):
-    blk = ledger.blocks[block_number]
+def with_payload(blk, new_payload=b'{"state_key":"x","state_value":"y"}'):
     tx = blk.txs[0]
     bad_prop = dataclasses.replace(tx.proposal, payload=new_payload)
     bad_tx = dataclasses.replace(tx, proposal=bad_prop)
-    ledger.blocks[block_number] = dataclasses.replace(blk, txs=(bad_tx,) + blk.txs[1:])
+    return dataclasses.replace(blk, txs=(bad_tx,) + blk.txs[1:])
+
+
+def tamper_payload(ledger, block_number):
+    ledger.blocks[block_number] = with_payload(ledger.blocks[block_number])
 
 
 def test_sync_peer_detects_tampered_source_block():
@@ -301,6 +304,34 @@ def test_sync_peer_divergent_prefix_is_integrity_error():
         commit(other, policy, [tx])
     with pytest.raises(IntegrityError, match="divergent prefix"):
         sync_peer(other, source, policy)
+
+
+def flip_first_flag(blk):
+    ok, _ = blk.validity[0]
+    flipped = (not ok, None if not ok else "mvcc_conflict")
+    return dataclasses.replace(blk, validity=(flipped,) + blk.validity[1:])
+
+
+TAMPERS = {
+    "payload": with_payload,
+    "validity": flip_first_flag,
+    "prev_hash": lambda blk: dataclasses.replace(blk, prev_hash=bytes(32)),
+    "body_hash": lambda blk: dataclasses.replace(blk, body_hash=bytes(32)),
+    "number": lambda blk: dataclasses.replace(blk, number=blk.number + 1),
+}
+
+
+@pytest.mark.parametrize("tamper", list(TAMPERS))
+def test_tampered_block_caught_by_audit_and_sync(tamper):
+    """The full audit names the tampered block, and a peer catching up
+    from the tampered chain gets an integrity error, whatever field of
+    the block was altered."""
+    source, policy = build_chain(6)
+    source.blocks[3] = TAMPERS[tamper](source.blocks[3])
+    assert verify_chain(source, policy) == 3
+    lagging = replay_prefix(source, policy, 2)
+    with pytest.raises(IntegrityError, match="block 3"):
+        sync_peer(lagging, source, policy)
 
 
 def test_verify_chain_clean():

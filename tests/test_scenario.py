@@ -217,6 +217,48 @@ def test_config_rejects_non_finite_duration_and_rate(key, value):
         parse_scenario_config(doc)
 
 
+def _drop(key, where):
+    def edit(doc):
+        del where(doc)[key]
+    return edit
+
+
+def _set(key, value, where=lambda doc: doc):
+    def edit(doc):
+        where(doc)[key] = value
+    return edit
+
+
+BAD_INPUTS = {
+    "org-missing-name": (_drop("name", lambda d: d["organizations"][0]), "'name'"),
+    "rsu-missing-id": (_drop("id", lambda d: d["rsus"][0]), "'id'"),
+    "vehicle-missing-org": (_drop("org", lambda d: d["vehicles"][0]), "'org'"),
+    "vehicle-missing-area": (_drop("area", lambda d: d["vehicles"][1]), "'area'"),
+    "mission-missing-t_min": (
+        _drop("t_min", lambda d: d["arrivals"]["missions"][0]), "'t_min'"),
+    "mission-missing-requester": (
+        _drop("requester", lambda d: d["arrivals"]["missions"][0]), "'requester'"),
+    "tpfs-not-a-number": (_set("t_low", "0.4", lambda d: d.setdefault("tpfs", {})), "t_low"),
+    "no-endorsing-peers": (
+        _set("endorsing_peers", 0, lambda d: d["organizations"][1]), "endorsing_peers"),
+    "threshold-above-peers": (_set("policy", {"threshold": 3}), "threshold"),
+    "unknown-unreachable-peer": (
+        _set("faults", {"unreachable_peers": ["org2/peer7"]}), "unreachable_peers"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_config_rejects_inputs_that_crashed_or_ran_silently(case):
+    """Missing keys and non-numeric model parameters used to escape as
+    KeyError/TypeError; zero peers, an unreachable policy threshold and
+    unknown fault targets used to run with every mission abandoned."""
+    edit, match = BAD_INPUTS[case]
+    doc = base_config()
+    edit(doc)
+    with pytest.raises(ScenarioConfigError, match=match):
+        parse_scenario_config(doc)
+
+
 def test_example_config_matches_schema_and_parses():
     jsonschema = pytest.importorskip("jsonschema")
     docs = Path(__file__).resolve().parent.parent / "docs"
