@@ -41,6 +41,7 @@ EXIT_UNSTABLE = 3
 EXIT_INTEGRITY = 4
 EXIT_ASSERTION = 5
 EXIT_IO = 6
+MAX_GRID_POINTS = 100_000  # most points an analyze lambda0 range may expand to
 
 
 def _out_dir(args) -> str:
@@ -65,6 +66,8 @@ def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
         step = float(lam.get("step", 10))
         if not (all(map(math.isfinite, (start, stop, step))) and step > 0):
             raise ScenarioConfigError("lambda0 start, stop and step must be finite, step > 0")
+        if (stop - start) / step >= MAX_GRID_POINTS:
+            raise ScenarioConfigError(f"lambda0 range exceeds {MAX_GRID_POINTS} points")
         lambdas = []
         v = start
         while v <= stop + 1e-9:
@@ -240,9 +243,6 @@ def main(argv=None) -> int:
     except UnstableConfigError as err:
         print(f"unstable configuration: {err}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except (ScenarioConfigError,) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except FileNotFoundError as err:
         print(f"cannot read input: {err}", file=sys.stderr)
         return EXIT_IO

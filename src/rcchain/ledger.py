@@ -8,10 +8,14 @@ peers re-check policy, duplicates, and read-set versions (the MVCC
 check that kills double spends), apply valid writes to the world state,
 and seal every transaction into its block regardless of legality; the
 sealed block is the commit result, and its validity flags are the only
-record of which transactions took effect. Audits share two walks: the
-link walk (numbers, prev-hash links, body hashes from genesis) over
-chains and exported files, and the replay that re-validates recorded
-blocks onto another ledger for peer catch-up and the full audit.
+record of which transactions took effect; a tx whose id does not match
+its content is sealed "structure", the one place a digest may fail.
+Audits share the link walk (numbers, prev-hash links, body hashes from
+genesis) over chains and exported files, and the replay that validates
+recorded blocks once more onto another ledger for peer catch-up and the
+full audit. Validation does each piece of work once: the replay's flag
+comparison is its only digest check, and a policy check hashes the
+result once and stops verifying as soon as the policy is met.
 
 Signatures are HMAC tags keyed by each identity's key tag; transaction
 ids are content digests, so the tx-id-only body hash still pins every
@@ -65,7 +69,7 @@ class Identity:
 
 
 def sign(identity: Identity, message: bytes) -> str:
-    return hmac.new(bytes.fromhex(identity.key_tag), message, "sha256").hexdigest()
+    return hmac.digest(bytes.fromhex(identity.key_tag), message, "sha256").hex()
 
 
 def verify_sig(identity: Identity, message: bytes, sig: str) -> bool:
@@ -89,9 +93,9 @@ class CertificateAuthority:
             raise ValueError(f"registration {registration_info!r} was revoked")
         if registration_info in self._issued:
             raise ValueError(f"registration {registration_info!r} already bound")
-        key_tag = hmac.new(
+        key_tag = hmac.digest(
             self._secret, f"{org}|{role}|{registration_info}".encode(), "sha256"
-        ).hexdigest()
+        ).hex()
         ident = Identity(id=registration_info, org=org, role=role, key_tag=key_tag)
         self._issued[registration_info] = ident
         return ident
@@ -250,14 +254,15 @@ def endorse(
 
 
 def check_policy(tx: EndorsedTransaction, policy: EndorsementPolicy) -> bool:
-    counts: dict[str, int] = {}
+    rh = _result_hash(tx.read_set, tx.write_set)
+    missing = dict.fromkeys(policy.required_orgs, policy.threshold)
     for e in tx.endorsements:
-        if e.result_hash != _result_hash(tx.read_set, tx.write_set):
-            continue
-        if not verify_sig(e.endorser, (e.tx_id + e.result_hash).encode(), e.sig):
-            continue
-        counts[e.endorser.org] = counts.get(e.endorser.org, 0) + 1
-    return all(counts.get(org, 0) >= policy.threshold for org in policy.required_orgs)
+        if missing.get(e.endorser.org) and e.result_hash == rh and verify_sig(
+                e.endorser, (e.tx_id + rh).encode(), e.sig):
+            missing[e.endorser.org] -= 1
+            if not any(missing.values()):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +369,7 @@ def _validate_tx(
         return "structure"
     if not verify_sig(tx.proposal.client, tx.proposal.tx_id.encode(), tx.proposal.client_sig):
         return "signature"
-    if not tx.endorsements or not check_policy(tx, policy):
+    if not check_policy(tx, policy):
         return "policy"
     if tx.tx_id in seen:
         return "duplicate"
@@ -401,7 +406,9 @@ def validate_and_commit(
 
 
 def _digests_ok(blk: Block) -> bool:
-    return all(tx.proposal.digest_ok() for tx in blk.txs)
+    return len(blk.validity) == len(blk.txs) and all(
+        tx.proposal.digest_ok() == (reason != "structure")
+        for tx, (_, reason) in zip(blk.txs, blk.validity))
 
 
 def _first_bad_link(records: Iterable[tuple[int, bytes, bytes, bytes]]) -> Optional[int]:
@@ -420,11 +427,9 @@ def _first_bad_link(records: Iterable[tuple[int, bytes, bytes, bytes]]) -> Optio
 
 def _replay(target: ChainLedger, blocks: list[Block], policy: EndorsementPolicy) -> Optional[int]:
     """Re-validate recorded blocks onto target; returns the number of the
-    first one with a bad digest, rejected, or sealed to other flags or header."""
+    first one rejected or sealed to other flags or header."""
     for blk in blocks:
         k = target.tip.number + 1
-        if not _digests_ok(blk):
-            return k
         try:
             proposal = BlockProposal(blk.number, blk.prev_hash, blk.txs)
             sealed = validate_and_commit(proposal, target, policy)
@@ -451,23 +456,21 @@ def sync_peer(lagging: ChainLedger, source: ChainLedger, policy: EndorsementPoli
 
 
 def verify_chain(ledger: ChainLedger, policy: Optional[EndorsementPolicy] = None) -> Optional[int]:
-    """Full audit: the link walk, content digests, and (with a policy) a
-    replay of the validity flags and world state from genesis. Returns
-    None when clean, else the first bad block number."""
+    """Full audit: the link walk, then a replay of the validity flags and
+    world state from genesis, or without a policy the content digests
+    against the "structure" seals. None when clean, else the first bad block."""
     bad_link = _first_bad_link(
         (b.number, b.prev_hash, b.body_hash, body_hash(tx.tx_id for tx in b.txs))
         for b in ledger.blocks
     )
-    scratch = ChainLedger()
     if policy is None:
         bad = next((k for k, b in enumerate(ledger.blocks) if not _digests_ok(b)), None)
     else:
+        scratch = ChainLedger()
         bad = _replay(scratch, ledger.blocks[1:], policy)
-    if bad is not None or bad_link is not None:
-        return min(k for k in (bad, bad_link) if k is not None)
-    if policy is not None and scratch.world_state != ledger.world_state:
-        return ledger.tip.number
-    return None
+        if bad is None and scratch.world_state != ledger.world_state:
+            bad = ledger.tip.number
+    return min((k for k in (bad, bad_link) if k is not None), default=None)
 
 
 # ---------------------------------------------------------------------------

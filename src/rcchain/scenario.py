@@ -167,6 +167,13 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _number(value, where: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioConfigError(f"{where} must be a number, got {value!r}") from None
+
+
 def parse_scenario_config(doc: dict) -> ScenarioConfig:
     """Strict parse: unknown keys anywhere are fatal, referenced ids must
     be declared, and the seed is mandatory."""
@@ -180,7 +187,7 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         },
         "scenario",
     )
-    duration = float(_require(doc, "duration_min", "scenario"))
+    duration = _number(_require(doc, "duration_min", "scenario"), "duration_min")
     if not (duration > 0 and math.isfinite(duration)):
         raise ScenarioConfigError("duration_min must be positive and finite")
     seed = _require(doc, "seed", "scenario")
@@ -191,7 +198,7 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
     for rec in _require(doc, "organizations", "scenario"):
         _check_keys(rec, {"name", "endorsing_peers"}, "organizations[]")
         orgs.append(OrgSpec(_require(rec, "name", "organizations[]"),
-                            int(rec.get("endorsing_peers", 2))))
+                            _number(rec.get("endorsing_peers", 2), "endorsing_peers", int)))
     org_names = {o.name for o in orgs}
     if len(org_names) != len(orgs):
         raise ScenarioConfigError("duplicate organization names")
@@ -216,9 +223,9 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         profile = BehaviorProfile(
             kind=kind,
             switch_at=prof_doc.get("switch_at"),
-            fake_rate=float(
-                prof_doc.get("fake_rate", 1.0 if kind in ("malicious", "p_type") else 0.0)
-            ),
+            fake_rate=_number(
+                prof_doc.get("fake_rate", 1.0 if kind in ("malicious", "p_type") else 0.0),
+                "profile.fake_rate"),
         )
         roles = tuple(rec.get("roles", ["requester", "server"]))
         for role in roles:
@@ -251,9 +258,9 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         "ordering",
     )
     ordering = OrderingConfig(
-        batch_size=int(ord_doc.get("batch_size", 10)),
-        batch_timeout_s=float(ord_doc.get("batch_timeout_s", 2.0)),
-        orderer_count=int(ord_doc.get("orderer_count", 3)),
+        batch_size=_number(ord_doc.get("batch_size", 10), "ordering.batch_size", int),
+        batch_timeout_s=_number(ord_doc.get("batch_timeout_s", 2.0), "ordering.batch_timeout_s"),
+        orderer_count=_number(ord_doc.get("orderer_count", 3), "ordering.orderer_count", int),
         crashed=set(ord_doc.get("crashed_orderers", [])),
     )
 
@@ -263,7 +270,7 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
     for org in policy_orgs:
         if org not in org_names:
             raise ScenarioConfigError(f"policy references unknown org {org!r}")
-    threshold = int(pol_doc.get("threshold", 1))
+    threshold = _number(pol_doc.get("threshold", 1), "policy.threshold", int)
     for o in orgs:
         if (o.name in policy_orgs or not policy_orgs) and threshold > o.endorsing_peers:
             raise ScenarioConfigError(
@@ -280,7 +287,7 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
     requester_ids = {v.id for v in vehicles if "requester" in v.roles}
     for rec in arr_doc.get("missions", []):
         _check_keys(rec, {"t_min", "requester", "kind"}, "missions[]")
-        m = ScriptedMission(float(_require(rec, "t_min", "missions[]")),
+        m = ScriptedMission(_number(_require(rec, "t_min", "missions[]"), "missions[].t_min"),
                             _require(rec, "requester", "missions[]"), rec.get("kind", "qa"))
         if m.requester not in vehicle_ids:
             raise ScenarioConfigError(f"scripted mission references unknown vehicle {m.requester!r}")
@@ -289,7 +296,7 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         if m.kind not in MISSION_KINDS:
             raise ScenarioConfigError(f"unknown mission kind {m.kind!r}")
         missions.append(m)
-    rate = float(arr_doc.get("rate_per_min", 1.0))
+    rate = _number(arr_doc.get("rate_per_min", 1.0), "arrivals.rate_per_min")
     if not (rate >= 0 and math.isfinite(rate)):
         raise ScenarioConfigError("arrivals.rate_per_min must be finite and >= 0")
     arrivals = ArrivalSpec(

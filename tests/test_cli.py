@@ -89,11 +89,13 @@ def test_analyze_unparseable_json(tmp_path):
     {"start": 10, "stop": 20, "step": 0},
     {"start": 10, "stop": 20, "step": -5},
     {"start": 10, "stop": float("inf"), "step": 10},
-], ids=["step-zero", "step-negative", "stop-infinity"])
+    {"start": 0, "stop": 1e12, "step": 0.001},
+], ids=["step-zero", "step-negative", "stop-infinity", "huge-range"])
 def test_analyze_rejects_endless_grid(tmp_path, lambda0):
-    """A grid that never reaches its stop is a config error. The command
-    runs in a child process under a memory cap and a timeout, so an
-    endless grid loop fails the test instead of hanging it."""
+    """A grid that never reaches its stop, or has more points than
+    MAX_GRID_POINTS, is a config error. The command runs in a child
+    process under a memory cap and a timeout, so an endless or huge grid
+    loop fails the test instead of hanging it."""
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"lambda0": lambda0, "batch_sizes": [10]}))
     out = tmp_path / "never"

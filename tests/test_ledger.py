@@ -1,8 +1,9 @@
 """Unit and property tests for the transaction pipeline and chain ledger."""
 
 import dataclasses
+import hmac
 import json
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -14,20 +15,24 @@ from rcchain.ledger import (
     CertificateAuthority,
     ChainLedger,
     EndorsementPolicy,
+    Identity,
     IntegrityError,
     OrderingConfig,
     PendingTx,
     ZERO_HASH,
+    _result_hash,
     check_policy,
     endorse,
     export_ledger_lines,
     export_world_state,
     order_batch,
     propose,
+    sign,
     sync_peer,
     validate_and_commit,
     verify_chain,
     verify_export_lines,
+    verify_sig,
 )
 
 ORGS = ("org1", "org2", "org3")
@@ -150,6 +155,69 @@ def make_txs(n, start_nonce=0):
         endorse_tx(client, peers, led, f"k{i}", "v", nonce=start_nonce + i)
         for i in range(n)
     ]
+
+
+def check_policy_count_all(tx, policy):
+    """Reference policy check: count every endorsement with the right
+    result hash and a valid signature, per org, then compare."""
+    counts = Counter()
+    for e in tx.endorsements:
+        if e.result_hash != _result_hash(tx.read_set, tx.write_set):
+            continue
+        if not verify_sig(e.endorser, (e.tx_id + e.result_hash).encode(), e.sig):
+            continue
+        counts[e.endorser.org] += 1
+    return all(counts[org] >= policy.threshold for org in policy.required_orgs)
+
+
+POLICY_ORGS = ("org1", "org2", "org3", "org4")  # org4 is never required
+FLAWS = ("none", "bad_sig", "wrong_result_hash", "relabelled_result_hash")
+
+
+@given(
+    required=st.sets(st.sampled_from(POLICY_ORGS[:3]), min_size=1),
+    threshold=st.integers(min_value=1, max_value=3),
+    picks=st.lists(st.tuples(st.integers(min_value=0, max_value=11), st.sampled_from(FLAWS)),
+                   max_size=14),
+)
+@settings(deadline=None, max_examples=300)
+def test_property_check_policy_matches_count_all(required, threshold, picks):
+    """The early-stopping policy check gives the count-all answer for any
+    mix of good, badly signed, wrong-result, non-required and repeated
+    endorsements."""
+    _, peers, client, _ = make_network(orgs=POLICY_ORGS, endorsers_per_org=3)
+    policy = EndorsementPolicy(frozenset(required), threshold)
+    prop = propose("qa_request", payload("k", "v"), client, 0.0)
+    full = endorse(prop, None, peers, {})
+    endorsements = []
+    for idx, flaw in picks:
+        e = full.endorsements[idx]
+        if flaw == "bad_sig":  # signed with another peer's key
+            e = dataclasses.replace(
+                e, sig=sign(peers[(idx + 1) % len(peers)], (e.tx_id + e.result_hash).encode()))
+        elif flaw == "wrong_result_hash":  # a validly signed different result
+            rh = "0" * 64
+            e = dataclasses.replace(e, result_hash=rh, sig=sign(e.endorser, (e.tx_id + rh).encode()))
+        elif flaw == "relabelled_result_hash":  # signature still over the true result
+            e = dataclasses.replace(e, result_hash="0" * 64)
+        endorsements.append(e)
+    tx = dataclasses.replace(full, endorsements=tuple(endorsements))
+    assert check_policy(tx, policy) == check_policy_count_all(tx, policy)
+
+
+def test_sign_is_hmac_sha256_hex():
+    """RFC 4231 test case 1 pins the tag; CA key tags and signatures equal
+    the hmac.new(...).hexdigest() path."""
+    rfc = Identity(id="rfc4231", org="org1", role="client", key_tag="0b" * 20)
+    assert sign(rfc, b"Hi There") == (
+        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7")
+    _, peers, client, _ = make_network()
+    for ident in (client, *peers):
+        info = f"{ident.org}|{ident.role}|{ident.id}".encode()
+        assert ident.key_tag == hmac.new(b"rcchain-ca", info, "sha256").hexdigest()
+        msg = f"tx-{ident.id}".encode()
+        assert sign(ident, msg) == hmac.new(
+            bytes.fromhex(ident.key_tag), msg, "sha256").hexdigest()
 
 
 def test_order_batch_cuts_at_batch_size():
@@ -332,6 +400,46 @@ def test_tampered_block_caught_by_audit_and_sync(tamper):
     lagging = replay_prefix(source, policy, 2)
     with pytest.raises(IntegrityError, match="block 3"):
         sync_peer(lagging, source, policy)
+
+
+def with_structure_seal(n_blocks=6, at=3):
+    """A chain whose block `at` seals one transaction as "structure": its
+    nonce was changed after proposing, so its id no longer matches."""
+    _, peers, client, policy = make_network()
+    led = ChainLedger()
+    for n in range(n_blocks):
+        txs = [endorse_tx(client, peers, led, f"k{n % 3}", f"v{n}", nonce=n)]
+        if n + 1 == at:
+            bad = endorse_tx(client, peers, led, "kx", "w", nonce=1000)
+            bad = dataclasses.replace(bad, proposal=dataclasses.replace(bad.proposal, nonce=1001))
+            txs.append(bad)
+        commit(led, policy, txs)
+    assert led.blocks[at].validity == ((True, None), (False, "structure"))
+    return led, policy
+
+
+def test_structure_seal_audits_clean_and_syncs():
+    led, policy = with_structure_seal()
+    assert verify_chain(led, policy) is None
+    assert verify_chain(led) is None
+    lagging = replay_prefix(led, policy, 1)
+    sync_peer(lagging, led, policy)
+    assert ledgers_equal(lagging, led)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda blk: dataclasses.replace(blk, validity=blk.validity[:1] + ((False, "policy"),)),
+    lambda blk: dataclasses.replace(blk, validity=blk.validity[:1]),
+    with_payload,
+], ids=["structure-relabelled", "flag-dropped", "payload"])
+def test_digest_audit_pins_structure_seals(tamper):
+    """Without a policy the audit still flags a structure seal given
+    another reason, a missing flag, and a payload changed under a valid
+    seal; with a policy the replay flags the same block."""
+    led, policy = with_structure_seal()
+    led.blocks[3] = tamper(led.blocks[3])
+    assert verify_chain(led) == 3
+    assert verify_chain(led, policy) == 3
 
 
 def test_verify_chain_clean():

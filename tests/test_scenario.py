@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from rcchain.cli import EXIT_CONFIG, main
 from rcchain.ledger import export_ledger_lines, verify_chain
 from rcchain.reputation import ReputationMode
 from rcchain.scenario import (
@@ -205,16 +206,24 @@ def test_config_requires_rsu_for_requester_area():
     ("rate_per_min", "NaN"),
     ("rate_per_min", "Infinity"),
     ("rate_per_min", "-1"),
+    ("duration_min", "[1]"),
+    ("rate_per_min", '{"per": 1}'),
 ])
-def test_config_rejects_non_finite_duration_and_rate(key, value):
+def test_config_rejects_non_finite_duration_and_rate(key, value, tmp_path):
     """Python's json reads NaN and Infinity; the Poisson mission generator
     would never pass a non-finite horizon or rate, so the parser refuses
-    them (and a negative rate) before any run starts."""
+    them (and a negative rate) before any run starts. A list or an object
+    where the number belongs is a config error too, not a traceback."""
     doc = base_config(arrivals={"kind": "poisson", "rate_per_min": 2.0})
     target = doc if key == "duration_min" else doc["arrivals"]
     target[key] = json.loads(value)
     with pytest.raises(ScenarioConfigError, match=key):
         parse_scenario_config(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def _drop(key, where):
@@ -244,6 +253,9 @@ BAD_INPUTS = {
     "threshold-above-peers": (_set("policy", {"threshold": 3}), "threshold"),
     "unknown-unreachable-peer": (
         _set("faults", {"unreachable_peers": ["org2/peer7"]}), "unreachable_peers"),
+    "mission-t_min-list": (_set("t_min", [1.0], lambda d: d["arrivals"]["missions"][0]), "t_min"),
+    "batch_size-object": (_set("batch_size", {}, lambda d: d["ordering"]), "batch_size"),
+    "threshold-infinity": (_set("policy", {"threshold": float("inf")}), "threshold"),
 }
 
 
