@@ -32,7 +32,8 @@ from .queueing import (
     sweep,
 )
 from .reputation import ReputationMode
-from .scenario import ScenarioConfigError, _check_keys, _require, load_scenario_config, run_scenario
+from .scenario import (ScenarioConfigError, _check_keys, _require, _shape_checked,
+                       load_scenario_config, run_scenario)
 from .ledger import verify_export_lines
 
 EXIT_OK = 0
@@ -53,6 +54,7 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+@_shape_checked
 def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
     _check_keys(
         doc,

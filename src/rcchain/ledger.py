@@ -2,18 +2,19 @@
 
 Identities come from a certificate authority that never re-admits a
 revoked registration. Endorsing peers simulate chaincode execution
-deterministically and sign the result; the ordering service cuts blocks
-by batch size or timeout while a majority of orderers is up; committing
-peers re-check policy, duplicates, and read-set versions (the MVCC
-check that kills double spends), apply valid writes to the world state,
-and seal every transaction into its block regardless of legality; the
-sealed block is the commit result, and its validity flags are the only
-record of which transactions took effect; a tx whose id does not match
-its content is sealed "structure", the one place a digest may fail.
-Audits share the link walk (numbers, prev-hash links, body hashes from
-genesis) over chains and exported files, and the replay that validates
-recorded blocks once more onto another ledger for peer catch-up and the
-full audit. Validation does each piece of work once: the replay's flag
+deterministically and sign tx id + result hash, which binds an
+endorsement to its transaction; the ordering service cuts blocks by
+batch size or timeout while a majority of orderers is up; committing
+peers re-check policy, duplicates, and read-set versions (the MVCC check
+that kills double spends), apply valid writes to the world state, and
+seal every transaction into its block regardless of legality; the sealed
+block is the commit result, and its validity flags are the only record
+of which transactions took effect; a tx whose id does not match its
+content is sealed "structure", the one place a digest may fail. Audits
+share the link walk (numbers, prev-hash links, body hashes from genesis)
+over chains and exported files, and the replay that validates recorded
+blocks once more onto another ledger for peer catch-up and the full
+audit. Validation does each piece of work once: the replay's flag
 comparison is its only digest check, and a policy check hashes the
 result once and stops verifying as soon as the policy is met.
 
@@ -164,10 +165,8 @@ def propose(
 
 @dataclass(frozen=True)
 class Endorsement:
-    tx_id: str
     endorser: Identity
-    result_hash: str
-    sig: str
+    sig: str  # over the endorsed transaction's id + result hash
 
 
 @dataclass(frozen=True)
@@ -216,13 +215,13 @@ def _result_hash(read_set, write_set) -> str:
 
 def endorse(
     proposal: TransactionProposal,
-    policy: Optional[EndorsementPolicy],
+    policy: EndorsementPolicy,
     peers: Iterable[Identity],
     world_state: dict[str, tuple[str, int]],
     unreachable: frozenset[str] = frozenset(),
 ) -> EndorsedTransaction:
     """Collect endorsements from every reachable endorsing peer of the
-    policy's required orgs (all given peers when policy is None).
+    policy's required orgs.
 
     Unreachable peers contribute nothing (execution timeout); whether
     the result satisfies the policy is the caller's check_policy call —
@@ -231,20 +230,13 @@ def endorse(
     if not proposal.digest_ok():
         raise ValueError("proposal content does not match its tx id")
     read_set, write_set = simulate_execution(proposal.kind, proposal.payload, world_state)
-    rh = _result_hash(read_set, write_set)
+    msg = (proposal.tx_id + _result_hash(read_set, write_set)).encode()
     endorsements = []
     for peer in peers:
         if peer.role != "endorsing_peer":
             raise ValueError(f"{peer.id} is not an endorsing peer")
-        if policy is not None and peer.org not in policy.required_orgs:
-            continue
-        if peer.id in unreachable:
-            continue
-        msg = (proposal.tx_id + rh).encode()
-        endorsements.append(
-            Endorsement(tx_id=proposal.tx_id, endorser=peer, result_hash=rh,
-                        sig=sign(peer, msg))
-        )
+        if peer.org in policy.required_orgs and peer.id not in unreachable:
+            endorsements.append(Endorsement(endorser=peer, sig=sign(peer, msg)))
     return EndorsedTransaction(
         proposal=proposal,
         read_set=read_set,
@@ -254,11 +246,10 @@ def endorse(
 
 
 def check_policy(tx: EndorsedTransaction, policy: EndorsementPolicy) -> bool:
-    rh = _result_hash(tx.read_set, tx.write_set)
+    msg = (tx.tx_id + _result_hash(tx.read_set, tx.write_set)).encode()
     missing = dict.fromkeys(policy.required_orgs, policy.threshold)
     for e in tx.endorsements:
-        if missing.get(e.endorser.org) and e.result_hash == rh and verify_sig(
-                e.endorser, (e.tx_id + rh).encode(), e.sig):
+        if missing.get(e.endorser.org) and verify_sig(e.endorser, msg, e.sig):
             missing[e.endorser.org] -= 1
             if not any(missing.values()):
                 return True
@@ -405,12 +396,6 @@ def validate_and_commit(
     return block
 
 
-def _digests_ok(blk: Block) -> bool:
-    return len(blk.validity) == len(blk.txs) and all(
-        tx.proposal.digest_ok() == (reason != "structure")
-        for tx, (_, reason) in zip(blk.txs, blk.validity))
-
-
 def _first_bad_link(records: Iterable[tuple[int, bytes, bytes, bytes]]) -> Optional[int]:
     """Walk (number, prev_hash, stated body hash, recomputed body hash)
     records from genesis; returns the position of the first one out of
@@ -444,32 +429,34 @@ def sync_peer(lagging: ChainLedger, source: ChainLedger, policy: EndorsementPoli
     """Replay the source's missing blocks onto the lagging ledger. The
     shared prefix must match hash-for-hash and every replayed block must
     seal to the flags and header the source recorded; divergence is an
-    integrity error, never silently repaired."""
+    integrity error, never silently repaired, and leaves the lagging
+    ledger as it was: the replay runs on a copy adopted only when clean."""
     if lagging.tip.number > source.tip.number:
         raise IntegrityError("lagging ledger is ahead of the source")
     for k in range(lagging.tip.number + 1):
         if lagging.blocks[k].header() != source.blocks[k].header():
             raise IntegrityError(f"divergent prefix at block {k}")
-    bad = _replay(lagging, source.blocks[lagging.tip.number + 1:], policy)
+    trial = ChainLedger()
+    trial.blocks, trial.world_state, trial._seen_tx_ids = (
+        lagging.blocks[:], dict(lagging.world_state), set(lagging._seen_tx_ids))
+    bad = _replay(trial, source.blocks[lagging.tip.number + 1:], policy)
     if bad is not None:
         raise IntegrityError(f"replay of block {bad} does not match the source")
+    lagging.blocks, lagging.world_state, lagging._seen_tx_ids = (
+        trial.blocks, trial.world_state, trial._seen_tx_ids)
 
 
-def verify_chain(ledger: ChainLedger, policy: Optional[EndorsementPolicy] = None) -> Optional[int]:
+def verify_chain(ledger: ChainLedger, policy: EndorsementPolicy) -> Optional[int]:
     """Full audit: the link walk, then a replay of the validity flags and
-    world state from genesis, or without a policy the content digests
-    against the "structure" seals. None when clean, else the first bad block."""
+    world state from genesis. None when clean, else the first bad block."""
     bad_link = _first_bad_link(
         (b.number, b.prev_hash, b.body_hash, body_hash(tx.tx_id for tx in b.txs))
         for b in ledger.blocks
     )
-    if policy is None:
-        bad = next((k for k, b in enumerate(ledger.blocks) if not _digests_ok(b)), None)
-    else:
-        scratch = ChainLedger()
-        bad = _replay(scratch, ledger.blocks[1:], policy)
-        if bad is None and scratch.world_state != ledger.world_state:
-            bad = ledger.tip.number
+    scratch = ChainLedger()
+    bad = _replay(scratch, ledger.blocks[1:], policy)
+    if bad is None and scratch.world_state != ledger.world_state:
+        bad = ledger.tip.number
     return min((k for k in (bad, bad_link) if k is not None), default=None)
 
 

@@ -2,10 +2,10 @@
 
 Transactions arrive Poisson, endorsement and commitment are single
 FIFO servers with exponential service, a fraction q01 of endorsed
-transactions proceeds to ordering, blocks cut at batch_size (or on the
-batch timeout), and each block takes an independent assembly delay
-~ Exp(mean M/(2*Lambda1)) before in-order delivery. A q23 coin marks
-committed transactions valid.
+transactions proceeds to ordering, every one of them is cut into a
+block at batch_size or at the fixed 2 s batch timeout, and each block
+takes an independent assembly delay ~ Exp(mean M/(2*Lambda1)) before
+in-order delivery. A q23 coin marks committed transactions valid.
 
 Two commit feeds:
 
@@ -29,7 +29,6 @@ with 10^6 transactions takes seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .queueing import QueueNetworkConfig, performance, utilizations
 
 STAGE_FEED = "stage"
 BLOCK_FEED = "block"
+BATCH_TIMEOUT_S = 2.0  # OrderingConfig's default batch timeout
 
 
 @dataclass(frozen=True)
@@ -63,32 +63,26 @@ def _fifo_departures(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     return busy + np.maximum.accumulate(arrivals - prev)
 
 
-def _cut_batches(
-    times: np.ndarray, batch_size: int, timeout: Optional[float]
-) -> tuple[np.ndarray, np.ndarray]:
+def _cut_batches(times: np.ndarray, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Batch boundaries over sorted orderer-arrival times.
 
     Returns (cut_times, block_of_tx). A block cuts when its batch_size-th
-    member arrives, or at first-member-arrival + timeout with whatever
-    is pending. Without a timeout an incomplete tail is never cut
-    (those transactions get block index -1).
+    member arrives, or at first-member-arrival + BATCH_TIMEOUT_S with
+    whatever is pending, so every transaction is cut into a block.
     """
     n = len(times)
     cuts = []
-    block_of = np.full(n, -1, dtype=np.int64)
+    block_of = np.empty(n, dtype=np.int64)
     i = 0
     while i < n:
         j_full = i + batch_size - 1
-        if j_full < n and (timeout is None or times[j_full] <= times[i] + timeout):
+        if j_full < n and times[j_full] <= times[i] + BATCH_TIMEOUT_S:
             cuts.append(times[j_full])
             block_of[i : j_full + 1] = len(cuts) - 1
             i = j_full + 1
-        elif timeout is None:
-            break
         else:
-            deadline = times[i] + timeout
-            j = int(np.searchsorted(times, deadline, side="right"))
-            j = min(j, i + batch_size)
+            deadline = times[i] + BATCH_TIMEOUT_S
+            j = int(np.searchsorted(times, deadline, side="right"))  # j <= j_full
             cuts.append(deadline)
             block_of[i:j] = len(cuts) - 1
             i = j
@@ -101,7 +95,6 @@ def simulate_pipeline(
     seed: int,
     *,
     commit_feed: str = BLOCK_FEED,
-    batch_timeout_s: Optional[float] = 2.0,
 ) -> PipelineStats:
     if commit_feed not in (STAGE_FEED, BLOCK_FEED):
         raise ValueError(f"unknown commit feed {commit_feed!r}")
@@ -125,12 +118,7 @@ def simulate_pipeline(
     sojourn0_routed = sojourn0[routed]
 
     lambda1 = cfg.q01 * cfg.lambda0
-    cut_times, block_of = _cut_batches(arrive1, cfg.batch_size, batch_timeout_s)
-    committed = block_of >= 0
-    blk = block_of[committed]
-    arrive1 = arrive1[committed]
-    arrivals_routed = arrivals_routed[committed]
-    sojourn0_routed = sojourn0_routed[committed]
+    cut_times, blk = _cut_batches(arrive1, cfg.batch_size)
 
     # assembly/broadcast of each block, scaled by its actual fill
     block_sizes = np.bincount(blk, minlength=len(cut_times)).astype(np.float64)
@@ -147,21 +135,18 @@ def simulate_pipeline(
         confirmation = sojourn0_routed + d1 + sojourn2
     else:
         # blocks commit in order; a block's transactions validate in parallel
-        if len(cut_times):
-            block_service = np.zeros(len(cut_times))
-            np.maximum.at(block_service, blk, s2)
-            block_depart = _fifo_departures(release, block_service)
-            d2_depart = block_depart[blk]
-            sojourn2 = d2_depart - release[blk]
-            confirmation = d2_depart - arrivals_routed
-        else:
-            d2_depart = sojourn2 = confirmation = np.zeros(0)
+        block_service = np.zeros(len(cut_times))
+        np.maximum.at(block_service, blk, s2)
+        block_depart = _fifo_departures(release, block_service)
+        d2_depart = block_depart[blk]
+        sojourn2 = d2_depart - release[blk]
+        confirmation = d2_depart - arrivals_routed
 
     valid = rng.random(len(arrive1)) < cfg.q23
     horizon = float(d2_depart[-1]) if len(d2_depart) else float(d0_depart[-1])
     return PipelineStats(
         n_arrivals=n_tx,
-        n_routed=int(committed.sum()),
+        n_routed=len(arrive1),
         n_valid=int(valid.sum()),
         horizon_s=horizon,
         d0_mean=float(sojourn0.mean()),

@@ -162,10 +162,10 @@ def _timeline_events() -> list[RatingEvent]:
     return events
 
 
-def preset_reputation_timeline(seed: int = 50, params: Optional[TpfsParams] = None) -> PresetResult:
+def preset_reputation_timeline(seed: int = 50) -> PresetResult:
     """Minute-by-minute final score of the observer about a target that is
     honest for 50 minutes, sends fakes for 30, then goes silent."""
-    params = params or TpfsParams()
+    params = TpfsParams()
     i, j = TIMELINE_OBSERVER, TIMELINE_TARGET
     events = _timeline_events()
     ledger = ReputationLedger(params)
@@ -219,11 +219,11 @@ def preset_reputation_timeline(seed: int = 50, params: Optional[TpfsParams] = No
 # neighbor sweep (trust propagation only)
 # ---------------------------------------------------------------------------
 
-def preset_neighbor_sweep(seed: int = 60, params: Optional[TpfsParams] = None) -> PresetResult:
+def preset_neighbor_sweep(seed: int = 60) -> PresetResult:
     """Final score of an unseen subject as the share of truthful
     recommenders sweeps 0..100% in steps of 10 (30 recommenders; the
     observer and subject never interact and share no ratees)."""
-    params = params or TpfsParams()
+    params = TpfsParams()
     i, j = "veh-i", "veh-j"
     recs = tuple(f"rec-{n:02d}" for n in range(30))
     curves: dict[ReputationMode, list[float]] = {m: [] for m in MODES}
@@ -312,10 +312,10 @@ def _ptype_events() -> list[RatingEvent]:
     return events
 
 
-def preset_ptype_field(seed: int = 70, params: Optional[TpfsParams] = None) -> PresetResult:
+def preset_ptype_field(seed: int = 70) -> PresetResult:
     """Final reputations of 15 servers after 100 interactions; server 1
     builds trust honestly for 50 minutes and then attacks."""
-    params = params or TpfsParams()
+    params = TpfsParams()
     i = "veh-i"
     servers = tuple(f"srv-{k:02d}" for k in range(1, 16))
     events = _ptype_events()
@@ -377,8 +377,7 @@ def preset_queueing_validation(
     validated batch-10 operating envelope) the confirmation-time band."""
     cfg = QueueNetworkConfig(lambda0=lambda0, batch_size=batch_size)
     closed = performance(cfg)  # refuses an unstable point before simulating
-    stats = simulate_pipeline(cfg, n_tx, seed, commit_feed=BLOCK_FEED,
-                              batch_timeout_s=2.0)
+    stats = simulate_pipeline(cfg, n_tx, seed, commit_feed=BLOCK_FEED)
     table = deviation_table(cfg, stats)
 
     a = []

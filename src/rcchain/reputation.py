@@ -139,7 +139,6 @@ class ReputationLedger:
 
     def __init__(self, params: TpfsParams | None = None):
         self.params = params or TpfsParams()
-        self.ratings: list[RatingEvent] = []
         self.direct: dict[tuple[VehicleId, VehicleId], float] = {}
         self.trade_count: dict[VehicleId, int] = defaultdict(int)
         self.status: dict[VehicleId, Status] = {}
@@ -195,7 +194,6 @@ class ReputationLedger:
         prior = self._pair_events.get(pair)
         if prior and event.timestamp < prior[-1].timestamp:
             raise ValueError("ratings for a pair must be appended in time order")
-        self.ratings.append(event)
         self._pair_events[pair].append(event)
         self._rated_by[event.rater].add(event.ratee)
         self._raters_of[event.ratee].add(event.rater)
@@ -265,22 +263,18 @@ def feedback_similarity(
     j: VehicleId,
     ledger: ReputationLedger,
     params: TpfsParams,
-    weighting: str | None = None,
 ) -> Optional[float]:
     """Weighted-Euclidean similarity of the two vehicles' rating profiles
     over the peers both have rated; None when they share no ratees.
 
-    Uniform weighting spreads weight equally; deviation weighting uses
-    the population std of each shared ratee's received feedback scores,
-    normalized (falling back to uniform when all stds are zero).
+    Uniform params.similarity_weighting spreads weight equally; deviation
+    uses the population std of each shared ratee's received feedback
+    scores, normalized (falling back to uniform when all stds are zero).
     """
-    weighting = weighting or params.similarity_weighting
-    if weighting not in (UNIFORM, DEVIATION):
-        raise ValueError(f"unknown similarity weighting {weighting!r}")
     common = sorted(ledger.common_ratees(i, j))
     if not common:
         return None
-    if weighting == DEVIATION:
+    if params.similarity_weighting == DEVIATION:
         raw = []
         for q in common:
             scores = [feedback_score(ledger.profile(v, q)) for v in sorted(ledger.raters_of(q))]

@@ -16,6 +16,7 @@ exports.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -174,6 +175,19 @@ def _number(value, where: str, kind=float):
         raise ScenarioConfigError(f"{where} must be a number, got {value!r}") from None
 
 
+def _shape_checked(parse):
+    """A parser that only reads its document raises these errors only for
+    a malformed document; report each as ScenarioConfigError."""
+    def checked(*args):
+        try:
+            return parse(*args)
+        except (TypeError, AttributeError, ValueError, OverflowError) as err:
+            raise ScenarioConfigError(
+                str(err) if isinstance(err, ValueError) else f"malformed config: {err}") from None
+    return functools.wraps(parse)(checked)
+
+
+@_shape_checked
 def parse_scenario_config(doc: dict) -> ScenarioConfig:
     """Strict parse: unknown keys anywhere are fatal, referenced ids must
     be declared, and the seed is mandatory."""
@@ -220,9 +234,10 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         prof_doc = rec.get("profile", {})
         _check_keys(prof_doc, {"kind", "switch_at", "fake_rate"}, "profile")
         kind = prof_doc.get("kind", "honest")
+        switch_at = prof_doc.get("switch_at")
         profile = BehaviorProfile(
             kind=kind,
-            switch_at=prof_doc.get("switch_at"),
+            switch_at=None if switch_at is None else _number(switch_at, "profile.switch_at"),
             fake_rate=_number(
                 prof_doc.get("fake_rate", 1.0 if kind in ("malicious", "p_type") else 0.0),
                 "profile.fake_rate"),

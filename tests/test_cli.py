@@ -1,12 +1,17 @@
 """CLI behavior: exit codes, atomicity, determinism, env override."""
 
+import copy
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcchain
 
@@ -16,9 +21,17 @@ from rcchain.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_UNSTABLE,
+    _parse_grid,
     build_parser,
     main,
 )
+from rcchain.scenario import ScenarioConfigError, parse_scenario_config
+
+EXAMPLE = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "scenario.example.json").read_text())
+README_GRID = {"lambda0": {"start": 10, "stop": 110, "step": 10},
+               "batch_sizes": [10, 50, 100],
+               "mu0": 150, "mu2": 150, "q01": 0.9, "q23": 0.95}
 
 
 @pytest.fixture
@@ -124,6 +137,98 @@ def test_simulate_missing_key_is_config_error(scenario_path, tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert "missing key 'org'" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def replaced(doc, path, value):
+    """A deep copy of doc with the value at path (keys and indices from
+    the root; the empty path is the root) replaced."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+SHAPE_ERRORS = {
+    "lambda0-start-list": (
+        "analyze", replaced(README_GRID, ["lambda0"], {"start": [1], "stop": 2})),
+    "lambda0-nested-list": ("analyze", replaced(README_GRID, ["lambda0"], [[1]])),
+    "lambda0-number": ("analyze", replaced(README_GRID, ["lambda0"], 5)),
+    "batch_sizes-nested-list": ("analyze", replaced(README_GRID, ["batch_sizes"], [[1]])),
+    "q01-list": ("analyze", replaced(README_GRID, ["q01"], [1])),
+    "grid-number": ("analyze", 5),
+    "organization-number": ("simulate", replaced(EXAMPLE, ["organizations"], [5])),
+    "organizations-number": ("simulate", replaced(EXAMPLE, ["organizations"], 5)),
+    "tpfs-list": ("simulate", replaced(EXAMPLE, ["tpfs"], [])),
+    "crashed_orderers-number": (
+        "simulate", replaced(EXAMPLE, ["ordering"], {"crashed_orderers": 5})),
+    "roles-number": ("simulate", replaced(EXAMPLE, ["vehicles", 0, "roles"], 5)),
+    "org-name-list": ("simulate", replaced(EXAMPLE, ["organizations", 0, "name"], ["x"])),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_ERRORS))
+def test_malformed_document_is_config_error(case, tmp_path, capsys):
+    """A list, object or number where the parser reads another JSON type
+    used to end in a TypeError or AttributeError traceback."""
+    command, doc = SHAPE_ERRORS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: malformed config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def value_paths(doc, path=()):
+    """The path of doc itself and of every value nested in it."""
+    yield list(path)
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from value_paths(value, path + (key,))
+
+
+def json_values(integers):
+    scalars = (st.none() | st.booleans() | integers | st.text(max_size=6)
+               | st.floats(-1e3, 1e3) | st.sampled_from([math.nan, math.inf, -math.inf]))
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                    max_size=3),
+        max_leaves=6,
+    )
+
+
+# The scenario's integers stay small: the parser lists every endorsing
+# peer id, so a huge endorsing_peers exhausts memory instead of raising.
+PARSERS = {
+    "scenario": (parse_scenario_config, EXAMPLE, json_values(st.integers(-1000, 1000))),
+    "grid": (lambda doc: _parse_grid(doc, None), README_GRID, json_values(st.integers())),
+}
+
+
+@pytest.mark.parametrize("parser", list(PARSERS))
+@given(data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_property_one_replaced_value_parses_or_is_config_error(parser, data):
+    """Whatever JSON value replaces one value of the example scenario or
+    of the README analyze grid, the parser returns or raises
+    ScenarioConfigError, never another exception."""
+    parse, base, values = PARSERS[parser]
+    path = data.draw(st.sampled_from(list(value_paths(base))), label="path")
+    doc = replaced(base, path, data.draw(values, label="value"))
+    try:
+        parse(doc)
+    except ScenarioConfigError:
+        pass
 
 
 def test_simulate_and_verify_roundtrip(scenario_path, tmp_path):

@@ -124,12 +124,33 @@ def test_endorse_missing_org_fails_policy():
 
 
 def test_endorse_deterministic_result_hash():
-    _, peers, client, _ = make_network()
+    _, peers, client, policy = make_network()
     prop = propose("qa_request", payload("k", "v"), client, 0.0)
-    a = endorse(prop, None, peers, {})
-    b = endorse(prop, None, peers, {})
-    assert a.endorsements[0].result_hash == b.endorsements[0].result_hash
+    a = endorse(prop, policy, peers, {})
+    b = endorse(prop, policy, peers, {})
+    assert a.endorsements[0].sig == b.endorsements[0].sig
+    rh = _result_hash(a.read_set, a.write_set)
+    assert rh == _result_hash(b.read_set, b.write_set)
+    assert verify_sig(a.endorsements[0].endorser, (prop.tx_id + rh).encode(),
+                      a.endorsements[0].sig)
     assert a.read_set == b.read_set and a.write_set == b.write_set
+
+
+def test_endorsements_moved_to_another_tx_fail_policy():
+    """An endorsement signs one transaction's id and result: tx A's
+    endorsements on tx B (same write, other nonce) seal B as a policy
+    failure, and the chain that records it audits clean."""
+    _, peers, client, policy = make_network()
+    led = ChainLedger()
+    tx_a = endorse_tx(client, peers, led, "k", "v", nonce=1)
+    tx_b = endorse_tx(client, peers, led, "k", "v", nonce=2)
+    assert tx_a.write_set == tx_b.write_set and tx_a.tx_id != tx_b.tx_id
+    forged = dataclasses.replace(tx_b, endorsements=tx_a.endorsements)
+    assert not check_policy(forged, policy)
+    blk = commit(led, policy, [forged])
+    assert blk.validity == ((False, "policy"),)
+    assert "k" not in led.world_state
+    assert verify_chain(led, policy) is None
 
 
 def test_endorse_insufficient_peer_set_fails_policy():
@@ -158,20 +179,19 @@ def make_txs(n, start_nonce=0):
 
 
 def check_policy_count_all(tx, policy):
-    """Reference policy check: count every endorsement with the right
-    result hash and a valid signature, per org, then compare."""
+    """Reference policy check: count every endorsement with a valid
+    signature over the transaction's own id and result, per org, then
+    compare."""
+    msg = (tx.tx_id + _result_hash(tx.read_set, tx.write_set)).encode()
     counts = Counter()
     for e in tx.endorsements:
-        if e.result_hash != _result_hash(tx.read_set, tx.write_set):
-            continue
-        if not verify_sig(e.endorser, (e.tx_id + e.result_hash).encode(), e.sig):
-            continue
-        counts[e.endorser.org] += 1
+        if verify_sig(e.endorser, msg, e.sig):
+            counts[e.endorser.org] += 1
     return all(counts[org] >= policy.threshold for org in policy.required_orgs)
 
 
 POLICY_ORGS = ("org1", "org2", "org3", "org4")  # org4 is never required
-FLAWS = ("none", "bad_sig", "wrong_result_hash", "relabelled_result_hash")
+FLAWS = ("none", "bad_sig", "wrong_result_hash", "other_tx")
 
 
 @given(
@@ -183,23 +203,25 @@ FLAWS = ("none", "bad_sig", "wrong_result_hash", "relabelled_result_hash")
 @settings(deadline=None, max_examples=300)
 def test_property_check_policy_matches_count_all(required, threshold, picks):
     """The early-stopping policy check gives the count-all answer for any
-    mix of good, badly signed, wrong-result, non-required and repeated
-    endorsements."""
+    mix of good, badly signed, wrong-result, other-transaction,
+    non-required and repeated endorsements."""
     _, peers, client, _ = make_network(orgs=POLICY_ORGS, endorsers_per_org=3)
     policy = EndorsementPolicy(frozenset(required), threshold)
+    every_org = EndorsementPolicy(frozenset(POLICY_ORGS))
     prop = propose("qa_request", payload("k", "v"), client, 0.0)
-    full = endorse(prop, None, peers, {})
+    full = endorse(prop, every_org, peers, {})
+    msg = (prop.tx_id + _result_hash(full.read_set, full.write_set)).encode()
+    other = endorse(propose("qa_request", payload("k", "v"), client, 0.0, nonce=1),
+                    every_org, peers, {})
     endorsements = []
     for idx, flaw in picks:
         e = full.endorsements[idx]
         if flaw == "bad_sig":  # signed with another peer's key
-            e = dataclasses.replace(
-                e, sig=sign(peers[(idx + 1) % len(peers)], (e.tx_id + e.result_hash).encode()))
+            e = dataclasses.replace(e, sig=sign(peers[(idx + 1) % len(peers)], msg))
         elif flaw == "wrong_result_hash":  # a validly signed different result
-            rh = "0" * 64
-            e = dataclasses.replace(e, result_hash=rh, sig=sign(e.endorser, (e.tx_id + rh).encode()))
-        elif flaw == "relabelled_result_hash":  # signature still over the true result
-            e = dataclasses.replace(e, result_hash="0" * 64)
+            e = dataclasses.replace(e, sig=sign(e.endorser, (prop.tx_id + "0" * 64).encode()))
+        elif flaw == "other_tx":  # a valid signature over another transaction's id
+            e = other.endorsements[idx]
         endorsements.append(e)
     tx = dataclasses.replace(full, endorsements=tuple(endorsements))
     assert check_policy(tx, policy) == check_policy_count_all(tx, policy)
@@ -402,6 +424,22 @@ def test_tampered_block_caught_by_audit_and_sync(tamper):
         sync_peer(lagging, source, policy)
 
 
+def test_failed_sync_peer_leaves_lagging_ledger_unchanged():
+    """A replay that fails at block 7 leaves the peer at block 5: no
+    replayed block, world-state write or seen tx id survives the error."""
+    source, policy = build_chain(9)
+    lagging = replay_prefix(source, policy, 5)
+    before = ([b.header() for b in lagging.blocks], dict(lagging.world_state))
+    source.blocks[7] = flip_first_flag(source.blocks[7])
+    with pytest.raises(IntegrityError, match="block 7"):
+        sync_peer(lagging, source, policy)
+    assert lagging.tip.number == 5
+    assert ([b.header() for b in lagging.blocks], lagging.world_state) == before
+    assert verify_chain(lagging, policy) is None
+    sync_peer(lagging, replay_prefix(source, policy, 6), policy)  # still catches up
+    assert lagging.tip.header() == source.blocks[6].header()
+
+
 def with_structure_seal(n_blocks=6, at=3):
     """A chain whose block `at` seals one transaction as "structure": its
     nonce was changed after proposing, so its id no longer matches."""
@@ -421,7 +459,6 @@ def with_structure_seal(n_blocks=6, at=3):
 def test_structure_seal_audits_clean_and_syncs():
     led, policy = with_structure_seal()
     assert verify_chain(led, policy) is None
-    assert verify_chain(led) is None
     lagging = replay_prefix(led, policy, 1)
     sync_peer(lagging, led, policy)
     assert ledgers_equal(lagging, led)
@@ -433,12 +470,10 @@ def test_structure_seal_audits_clean_and_syncs():
     with_payload,
 ], ids=["structure-relabelled", "flag-dropped", "payload"])
 def test_digest_audit_pins_structure_seals(tamper):
-    """Without a policy the audit still flags a structure seal given
-    another reason, a missing flag, and a payload changed under a valid
-    seal; with a policy the replay flags the same block."""
+    """The audit flags a structure seal given another reason, a missing
+    flag, and a payload changed under a valid seal, at their block."""
     led, policy = with_structure_seal()
     led.blocks[3] = tamper(led.blocks[3])
-    assert verify_chain(led) == 3
     assert verify_chain(led, policy) == 3
 
 
@@ -451,11 +486,11 @@ def test_verify_chain_reports_tampered_payload():
     led, policy = build_chain(6)
     tamper_payload(led, 3)
     assert verify_chain(led, policy) == 3
-    assert verify_chain(led) == 3  # digest check alone suffices
 
 
 def test_verify_chain_genesis_only_ok():
-    assert verify_chain(ChainLedger()) is None
+    _, _, _, policy = make_network()
+    assert verify_chain(ChainLedger(), policy) is None
 
 
 def test_verify_chain_detects_world_state_tamper():

@@ -1,11 +1,19 @@
 """Pipeline simulator vs the closed forms (moderate-n versions; the full
 1e6-transaction oracle run lives in the acceptance suite)."""
 
-import pytest
+from collections import deque
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rcchain.ledger import OrderingConfig, PendingTx, order_batch
 from rcchain.pipeline_des import (
+    BATCH_TIMEOUT_S,
     BLOCK_FEED,
     STAGE_FEED,
+    _cut_batches,
     deviation_table,
     simulate_pipeline,
 )
@@ -56,17 +64,62 @@ def test_deterministic_given_seed():
 def test_timeout_cuts_partial_blocks():
     # trickle arrivals: the timeout, not the batch size, drives every cut
     cfg = QueueNetworkConfig(lambda0=1.0, batch_size=100)
-    stats = simulate_pipeline(cfg, 2_000, seed=2, batch_timeout_s=2.0)
+    stats = simulate_pipeline(cfg, 2_000, seed=2)
     assert stats.n_routed == pytest.approx(2_000 * cfg.q01, rel=0.1)
     # ordering delay is dominated by the 2s timeout window, not batch fill
     assert stats.d1_mean < 60.0
 
 
-def test_no_timeout_drops_incomplete_tail():
-    cfg = QueueNetworkConfig(lambda0=50.0, batch_size=10)
-    stats = simulate_pipeline(cfg, 5_000, seed=4, batch_timeout_s=None)
-    assert stats.n_routed <= 5_000
-    assert stats.n_routed % cfg.batch_size == 0
+def test_batch_timeout_is_the_ledger_default():
+    assert BATCH_TIMEOUT_S == OrderingConfig().batch_timeout_s
+
+
+def order_batch_cuts(times, batch_size):
+    """(cut instants, member indices) that the ledger's order_batch cuts
+    from arrivals at the given sorted, distinct times: it runs after each
+    arrival and again at each oldest-pending deadline, where an arrival at
+    the deadline instant is queued before the deadline check."""
+    cfg = OrderingConfig(batch_size=batch_size, batch_timeout_s=BATCH_TIMEOUT_S)
+    pending, cuts, members = deque(), [], []
+
+    def cut(now):
+        while (batch := order_batch(pending, cfg, now)) is not None:
+            cuts.append(now)
+            members.append(batch)
+
+    for k, t in enumerate(times):
+        while pending and pending[0].submitted_at + BATCH_TIMEOUT_S < t:
+            cut(pending[0].submitted_at + BATCH_TIMEOUT_S)
+        pending.append(PendingTx(t, k))
+        cut(t)
+    while pending:
+        cut(pending[0].submitted_at + BATCH_TIMEOUT_S)
+    return cuts, members
+
+
+@given(
+    # distinct instants (the DES's continuous arrival times never tie) on a
+    # 1/64 s grid, where (a + 2.0) - a == 2.0 holds exactly
+    ticks=st.lists(st.integers(min_value=0, max_value=64 * 30), unique=True, max_size=60),
+    batch_size=st.integers(min_value=1, max_value=12),
+)
+@settings(deadline=None, max_examples=300)
+def test_property_cutter_matches_order_batch(ticks, batch_size):
+    times = np.sort(np.asarray(ticks, dtype=np.float64)) / 64.0
+    cut_times, block_of = _cut_batches(times, batch_size)
+    cuts, members = order_batch_cuts(times.tolist(), batch_size)
+    assert cut_times.tolist() == cuts
+    assert block_of.tolist() == [b for b, batch in enumerate(members) for _ in batch]
+    assert [k for batch in members for k in batch] == list(range(len(times)))
+
+
+@pytest.mark.parametrize("feed", [STAGE_FEED, BLOCK_FEED])
+def test_no_routed_transaction_gives_empty_ordering_stats(feed):
+    cfg = QueueNetworkConfig(lambda0=10.0, q01=1e-6)
+    stats = simulate_pipeline(cfg, 3, seed=0, commit_feed=feed)
+    assert stats.n_routed == stats.n_valid == 0
+    assert np.isnan([stats.d1_mean, stats.d2_mean, stats.confirmation_mean]).all()
+    assert stats.throughput_valid == 0.0 and stats.d0_mean > 0.0
 
 
 def test_deviation_table_shape():

@@ -30,6 +30,7 @@ from rcchain.reputation import (
 )
 
 P = TpfsParams()
+P_DEVIATION = P.with_overrides(similarity_weighting="deviation")
 
 
 def rate(ledger, rater, ratee, positive, t):
@@ -192,8 +193,9 @@ def test_similarity_symmetric_and_weighted():
     make_profiles(led, "x", "q1", 1, 4)   # extra rater fuels the deviation weights
     make_profiles(led, "x", "q2", 2, 0)
     for weighting in ("uniform", "deviation"):
-        a = feedback_similarity("i", "j", led, P, weighting)
-        b = feedback_similarity("j", "i", led, P, weighting)
+        params = P.with_overrides(similarity_weighting=weighting)
+        a = feedback_similarity("i", "j", led, params)
+        b = feedback_similarity("j", "i", led, params)
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -201,7 +203,7 @@ def test_similarity_deviation_uniform_fallback():
     led = ReputationLedger()
     make_profiles(led, "i", "q1", 2, 0)
     make_profiles(led, "j", "q1", 2, 0)  # single dispersion source, std=0
-    got = feedback_similarity("i", "j", led, P, "deviation")
+    got = feedback_similarity("i", "j", led, P_DEVIATION)
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
@@ -455,5 +457,5 @@ def test_similarity_deviation_weighted_hand_oracle():
     make_profiles(led, "j", "q1", 5, 5)   # F = 0
     make_profiles(led, "i", "q2", 4, 0)   # F = 1
     make_profiles(led, "j", "q2", 2, 0)   # F = 1
-    got = feedback_similarity("i", "j", led, P, "deviation")
+    got = feedback_similarity("i", "j", led, P_DEVIATION)
     assert got == pytest.approx(0.5, abs=1e-12)

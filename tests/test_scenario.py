@@ -128,7 +128,8 @@ def test_reputation_traceable_from_chain():
         report.chain, report.reputation.params, mode=ReputationMode.TPFS
     )
     live = report.reputation
-    assert replayed.ratings == live.ratings
+    for pair in live.direct:  # every pair's ratings, in the order recorded
+        assert replayed.pair_events(*pair) == live.pair_events(*pair)
     assert replayed.direct == live.direct
     assert dict(replayed.trade_count) == dict(live.trade_count)
     assert replayed.status == live.status
@@ -256,19 +257,28 @@ BAD_INPUTS = {
     "mission-t_min-list": (_set("t_min", [1.0], lambda d: d["arrivals"]["missions"][0]), "t_min"),
     "batch_size-object": (_set("batch_size", {}, lambda d: d["ordering"]), "batch_size"),
     "threshold-infinity": (_set("policy", {"threshold": float("inf")}), "threshold"),
+    "switch_at-list": (
+        _set("profile", {"kind": "p_type", "switch_at": [1]}, lambda d: d["vehicles"][1]),
+        "switch_at"),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
-def test_config_rejects_inputs_that_crashed_or_ran_silently(case):
+def test_config_rejects_inputs_that_crashed_or_ran_silently(case, tmp_path):
     """Missing keys and non-numeric model parameters used to escape as
-    KeyError/TypeError; zero peers, an unreachable policy threshold and
-    unknown fault targets used to run with every mission abandoned."""
+    KeyError/TypeError (a list switch_at only mid-run); zero peers, an
+    unreachable policy threshold and unknown fault targets used to run
+    with every mission abandoned. Each exits 2 before writing anything."""
     edit, match = BAD_INPUTS[case]
     doc = base_config()
     edit(doc)
     with pytest.raises(ScenarioConfigError, match=match):
         parse_scenario_config(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_example_config_matches_schema_and_parses():
