@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -32,7 +31,7 @@ from .queueing import (
     sweep,
 )
 from .reputation import ReputationMode
-from .scenario import (ScenarioConfigError, _check_keys, _require, _shape_checked,
+from .scenario import (ScenarioConfigError, _check_keys, _number, _require, _shape_checked,
                        load_scenario_config, run_scenario)
 from .ledger import verify_export_lines
 
@@ -64,10 +63,11 @@ def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
     lam = doc.get("lambda0", {"start": 10, "stop": 110, "step": 10})
     if isinstance(lam, dict):
         _check_keys(lam, {"start", "stop", "step"}, "lambda0")
-        start, stop = (float(_require(lam, key, "lambda0")) for key in ("start", "stop"))
-        step = float(lam.get("step", 10))
-        if not (all(map(math.isfinite, (start, stop, step))) and step > 0):
-            raise ScenarioConfigError("lambda0 start, stop and step must be finite, step > 0")
+        start, stop = (_number(_require(lam, key, "lambda0"), f"lambda0.{key}")
+                       for key in ("start", "stop"))
+        step = _number(lam.get("step", 10), "lambda0.step")
+        if step <= 0:
+            raise ScenarioConfigError("lambda0 step must be > 0")
         if (stop - start) / step >= MAX_GRID_POINTS:
             raise ScenarioConfigError(f"lambda0 range exceeds {MAX_GRID_POINTS} points")
         lambdas = []
@@ -76,14 +76,14 @@ def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
             lambdas.append(v)
             v += step
     else:
-        lambdas = [float(x) for x in lam]
-    batch_sizes = [int(m) for m in doc.get("batch_sizes", [10, 50, 100])]
+        lambdas = [_number(x, "lambda0") for x in lam]
+    batch_sizes = [_number(m, "batch_sizes", int) for m in doc.get("batch_sizes", [10, 50, 100])]
     base = QueueNetworkConfig(
         lambda0=lambdas[0] if lambdas else 1.0,
-        q01=float(doc.get("q01", 0.9)),
-        q23=float(doc.get("q23", 0.95)),
-        mu0=float(doc.get("mu0", 150.0)),
-        mu2=float(doc.get("mu2", 150.0)),
+        q01=_number(doc.get("q01", 0.9), "q01"),
+        q23=_number(doc.get("q23", 0.95), "q23"),
+        mu0=_number(doc.get("mu0", 150.0), "mu0"),
+        mu2=_number(doc.get("mu2", 150.0), "mu2"),
         orderer_mode=orderer_mode_override or doc.get("orderer_mode", "block_granularity"),
     )
     if not lambdas or not batch_sizes:
@@ -162,7 +162,7 @@ def cmd_ledger_verify(args) -> int:
         with open(args.path, "r", encoding="utf-8") as fh:
             lines = [line for line in fh.read().splitlines() if line]
         bad = verify_export_lines(lines)
-    except (OSError, ValueError, KeyError) as err:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
         print(f"cannot parse ledger export: {err}", file=sys.stderr)
         return EXIT_IO
     if bad is None:

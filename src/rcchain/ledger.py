@@ -4,7 +4,7 @@ Identities come from a certificate authority that never re-admits a
 revoked registration. Endorsing peers simulate chaincode execution
 deterministically and sign tx id + result hash, which binds an
 endorsement to its transaction; the ordering service cuts blocks by
-batch size or timeout while a majority of orderers is up; committing
+batch size or timeout (orderer faults are the scenario's); committing
 peers re-check policy, duplicates, and read-set versions (the MVCC check
 that kills double spends), apply valid writes to the world state, and
 seal every transaction into its block regardless of legality; the sealed
@@ -31,14 +31,12 @@ import hashlib
 import hmac
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 ZERO_HASH = bytes(32)
 
-ROLES = frozenset(
-    {"client", "endorsing_peer", "committing_peer", "leading_peer", "orderer", "ca"}
-)
+ROLES = frozenset({"client", "endorsing_peer", "orderer"})
 
 TX_KINDS = frozenset(
     {
@@ -104,9 +102,6 @@ class CertificateAuthority:
     def revoke(self, registration_info: str) -> None:
         self._revoked.add(registration_info)
         self._issued.pop(registration_info, None)
-
-    def lookup(self, registration_info: str) -> Optional[Identity]:
-        return self._issued.get(registration_info)
 
 
 @dataclass(frozen=True)
@@ -224,8 +219,8 @@ def endorse(
     policy's required orgs.
 
     Unreachable peers contribute nothing (execution timeout); whether
-    the result satisfies the policy is the caller's check_policy call —
-    an unsatisfied result means "resubmit", not an exception.
+    the result satisfies the policy is the caller's check_policy call,
+    not an exception.
     """
     if not proposal.digest_ok():
         raise ValueError("proposal content does not match its tx id")
@@ -260,22 +255,14 @@ def check_policy(tx: EndorsedTransaction, policy: EndorsementPolicy) -> bool:
 # ordering
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class OrderingConfig:
     batch_size: int = 10
     batch_timeout_s: float = 2.0
-    orderer_count: int = 3
-    crashed: set[str] = field(default_factory=set)
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.orderer_count < 1:
-            raise ValueError("orderer_count must be >= 1")
-
-    def majority_up(self) -> bool:
-        up = self.orderer_count - len(self.crashed)
-        return 2 * up > self.orderer_count
 
 
 @dataclass(frozen=True)
@@ -288,9 +275,8 @@ def order_batch(
     pending: deque[PendingTx], cfg: OrderingConfig, now: float
 ) -> Optional[list[EndorsedTransaction]]:
     """Cut a batch: exactly batch_size oldest when over-full, everything
-    pending when the oldest has waited past the timeout, else nothing.
-    Stalls (returns None, queue untouched) without an orderer majority."""
-    if not cfg.majority_up() or not pending:
+    pending when the oldest has waited past the timeout, else nothing."""
+    if not pending:
         return None
     if len(pending) >= cfg.batch_size:
         return [pending.popleft().tx for _ in range(cfg.batch_size)]

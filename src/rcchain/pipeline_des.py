@@ -41,10 +41,8 @@ BATCH_TIMEOUT_S = 2.0  # OrderingConfig's default batch timeout
 
 @dataclass(frozen=True)
 class PipelineStats:
-    n_arrivals: int
     n_routed: int          # transactions that reached ordering and committed
     n_valid: int
-    horizon_s: float       # last commit instant
     d0_mean: float         # endorsement sojourn, all arrivals
     d1_mean: float         # ordering delay (fill + assembly + in-order holdup)
     d2_mean: float         # commitment sojourn
@@ -145,10 +143,8 @@ def simulate_pipeline(
     valid = rng.random(len(arrive1)) < cfg.q23
     horizon = float(d2_depart[-1]) if len(d2_depart) else float(d0_depart[-1])
     return PipelineStats(
-        n_arrivals=n_tx,
         n_routed=len(arrive1),
         n_valid=int(valid.sum()),
-        horizon_s=horizon,
         d0_mean=float(sojourn0.mean()),
         d1_mean=float(d1.mean()) if len(d1) else float("nan"),
         d2_mean=float(sojourn2.mean()) if len(sojourn2) else float("nan"),

@@ -42,7 +42,7 @@ from .ledger import (
     propose,
     validate_and_commit,
 )
-from .pipeline_des import BLOCK_FEED, DEVIATION_COLUMNS, deviation_table, simulate_pipeline
+from .pipeline_des import DEVIATION_COLUMNS, STAGE_FEED, deviation_table, simulate_pipeline
 from .queueing import QueueNetworkConfig, performance
 from .reputation import (
     RatingEvent,
@@ -372,12 +372,12 @@ def preset_queueing_validation(
     n_tx: int = 300_000,
     seed: int = 20260809,
 ) -> PresetResult:
-    """Poisson arrivals through the batch-cut pipeline simulator, tabulated
-    against the closed forms; asserts flow-balance throughput and (at the
-    validated batch-10 operating envelope) the confirmation-time band."""
+    """Poisson arrivals through the pipeline simulator's stage feed, which
+    the closed forms describe, tabulated against them; asserts flow-balance
+    throughput and (at the validated batch-10 envelope) the confirmation band."""
     cfg = QueueNetworkConfig(lambda0=lambda0, batch_size=batch_size)
     closed = performance(cfg)  # refuses an unstable point before simulating
-    stats = simulate_pipeline(cfg, n_tx, seed, commit_feed=BLOCK_FEED)
+    stats = simulate_pipeline(cfg, n_tx, seed, commit_feed=STAGE_FEED)
     table = deviation_table(cfg, stats)
 
     a = []

@@ -77,8 +77,8 @@ class TpfsParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0,1]")
-        if not self.simf_floor > 0.0:
-            raise ValueError("simf_floor must be positive")
+        if not 0.0 < self.simf_floor <= 1.0:
+            raise ValueError("simf_floor must be in (0,1]")
         if not 0.0 < self.decay_per_minute <= 1.0:
             raise ValueError("decay_per_minute must be in (0,1]")
         if self.negative_penalty < 1.0:

@@ -16,12 +16,13 @@ exports.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import heapq
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Optional
 
@@ -56,6 +57,7 @@ from .reputation import (
 )
 
 SECONDS_PER_MINUTE = 60.0
+MAX_ENDORSING_PEERS = 100  # per organization; the engine registers and asks every one
 PROFILE_KINDS = ("honest", "malicious", "p_type", "untruthful_rater")
 MISSION_KINDS = ("qa", "data_share")
 
@@ -103,8 +105,9 @@ class OrgSpec:
     endorsing_peers: int = 2
 
     def __post_init__(self):
-        if self.endorsing_peers < 1:
-            raise ScenarioConfigError(f"organization {self.name!r} needs endorsing_peers >= 1")
+        if not 1 <= self.endorsing_peers <= MAX_ENDORSING_PEERS:
+            raise ScenarioConfigError(f"organization {self.name!r} needs endorsing_peers "
+                                      f"in [1, {MAX_ENDORSING_PEERS}]")
 
     def peer_ids(self) -> list[str]:
         return [f"{self.name}/peer{k}" for k in range(self.endorsing_peers)]
@@ -148,7 +151,9 @@ class ScenarioConfig:
     rsus: tuple[RsuSpec, ...]
     vehicles: tuple[VehicleSpec, ...]
     tpfs: TpfsParams = TpfsParams()
-    ordering: OrderingConfig = field(default_factory=OrderingConfig)
+    ordering: OrderingConfig = OrderingConfig()
+    orderer_count: int = 3
+    crashed_orderers: frozenset[str] = frozenset()  # RSU ids, down for the whole run
     policy_orgs: tuple[str, ...] = ()          # empty = every organization
     policy_threshold: int = 1
     arrivals: ArrivalSpec = ArrivalSpec()
@@ -168,11 +173,29 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _number(value, where: str, kind=float):
+def _number(value, where: str, kind=float, minimum=None):
+    """A finite JSON number as kind, integral for an int field and at
+    least minimum when one is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{where} must be a number, got {value!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioConfigError(f"{where} must be a number, got {value!r}") from None
+        number = kind(value)
+        finite = number == value if kind is int else math.isfinite(number)
+    except (OverflowError, ValueError):  # NaN or an infinity as int, a huge int as float
+        finite = False
+    if not finite:
+        raise ScenarioConfigError(f"{where} must be a finite {kind.__name__}, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ScenarioConfigError(f"{where} must be >= {minimum}, got {value!r}")
+    return number
+
+
+def _known_ids(doc: dict, key: str, known: set[str], where: str) -> frozenset[str]:
+    """The ids listed under key, each of which must be in known."""
+    ids = frozenset(doc.get(key, []))
+    if ids - known:
+        raise ScenarioConfigError(f"{where}.{key} names unknown ids {sorted(ids - known)}")
+    return ids
 
 
 def _shape_checked(parse):
@@ -202,11 +225,9 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         "scenario",
     )
     duration = _number(_require(doc, "duration_min", "scenario"), "duration_min")
-    if not (duration > 0 and math.isfinite(duration)):
-        raise ScenarioConfigError("duration_min must be positive and finite")
-    seed = _require(doc, "seed", "scenario")
-    if not isinstance(seed, int):
-        raise ScenarioConfigError("seed must be an integer")
+    if duration <= 0:
+        raise ScenarioConfigError("duration_min must be positive")
+    seed = _number(_require(doc, "seed", "scenario"), "seed", int)
 
     orgs = []
     for rec in _require(doc, "organizations", "scenario"):
@@ -252,19 +273,12 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         raise ScenarioConfigError("duplicate agent ids")
 
     tpfs_doc = doc.get("tpfs", {})
-    _check_keys(
-        tpfs_doc,
-        {
-            "t_low", "t_high", "t_service", "t_revoke", "t_trades", "q_select",
-            "gamma", "eta", "theta", "simf_floor", "decay_per_minute",
-            "negative_penalty", "similarity_weighting",
-        },
-        "tpfs",
-    )
-    for key, value in tpfs_doc.items():
-        if key != "similarity_weighting" and not isinstance(value, (int, float)):
-            raise ScenarioConfigError(f"tpfs.{key} must be a number")
-    tpfs = TpfsParams(**tpfs_doc)
+    kinds = {f.name: {"int": int, "float": float}.get(f.type)
+             for f in dataclasses.fields(TpfsParams)}
+    _check_keys(tpfs_doc, set(kinds), "tpfs")
+    tpfs = TpfsParams(**{key: value if kinds[key] is None else
+                         _number(value, f"tpfs.{key}", kinds[key])
+                         for key, value in tpfs_doc.items()})
 
     ord_doc = doc.get("ordering", {})
     _check_keys(
@@ -274,10 +288,12 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
     )
     ordering = OrderingConfig(
         batch_size=_number(ord_doc.get("batch_size", 10), "ordering.batch_size", int),
-        batch_timeout_s=_number(ord_doc.get("batch_timeout_s", 2.0), "ordering.batch_timeout_s"),
-        orderer_count=_number(ord_doc.get("orderer_count", 3), "ordering.orderer_count", int),
-        crashed=set(ord_doc.get("crashed_orderers", [])),
+        batch_timeout_s=_number(ord_doc.get("batch_timeout_s", 2.0),
+                                "ordering.batch_timeout_s", minimum=0),
     )
+    orderer_count = _number(ord_doc.get("orderer_count", 3), "ordering.orderer_count", int,
+                            minimum=1)
+    crashed = _known_ids(ord_doc, "crashed_orderers", {r.id for r in rsus}, "ordering")
 
     pol_doc = doc.get("policy", {})
     _check_keys(pol_doc, {"required_orgs", "threshold"}, "policy")
@@ -302,7 +318,8 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
     requester_ids = {v.id for v in vehicles if "requester" in v.roles}
     for rec in arr_doc.get("missions", []):
         _check_keys(rec, {"t_min", "requester", "kind"}, "missions[]")
-        m = ScriptedMission(_number(_require(rec, "t_min", "missions[]"), "missions[].t_min"),
+        m = ScriptedMission(_number(_require(rec, "t_min", "missions[]"), "missions[].t_min",
+                                    minimum=0),
                             _require(rec, "requester", "missions[]"), rec.get("kind", "qa"))
         if m.requester not in vehicle_ids:
             raise ScenarioConfigError(f"scripted mission references unknown vehicle {m.requester!r}")
@@ -311,12 +328,10 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         if m.kind not in MISSION_KINDS:
             raise ScenarioConfigError(f"unknown mission kind {m.kind!r}")
         missions.append(m)
-    rate = _number(arr_doc.get("rate_per_min", 1.0), "arrivals.rate_per_min")
-    if not (rate >= 0 and math.isfinite(rate)):
-        raise ScenarioConfigError("arrivals.rate_per_min must be finite and >= 0")
     arrivals = ArrivalSpec(
         kind=arr_kind,
-        rate_per_min=rate,
+        rate_per_min=_number(arr_doc.get("rate_per_min", 1.0), "arrivals.rate_per_min",
+                             minimum=0),
         missions=tuple(sorted(missions, key=lambda m: (m.t_min, m.requester))),
     )
 
@@ -328,11 +343,8 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
 
     faults_doc = doc.get("faults", {})
     _check_keys(faults_doc, {"unreachable_peers"}, "faults")
-    unreachable = frozenset(faults_doc.get("unreachable_peers", []))
-    unknown_peers = unreachable - {pid for o in orgs for pid in o.peer_ids()}
-    if unknown_peers:
-        raise ScenarioConfigError(f"faults.unreachable_peers names unknown peers "
-                                  f"{sorted(unknown_peers)}")
+    unreachable = _known_ids(faults_doc, "unreachable_peers",
+                             {pid for o in orgs for pid in o.peer_ids()}, "faults")
 
     # every area with a requester-capable vehicle needs an RSU
     rsu_areas = {r.area for r in rsus}
@@ -348,6 +360,8 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
         vehicles=tuple(vehicles),
         tpfs=tpfs,
         ordering=ordering,
+        orderer_count=orderer_count,
+        crashed_orderers=crashed,
         policy_orgs=policy_orgs,
         policy_threshold=threshold,
         arrivals=arrivals,
@@ -473,6 +487,9 @@ class _Engine:
         self.clients: dict[str, Identity] = {}
         self.vehicle_by_id: dict[str, VehicleSpec] = {v.id: v for v in cfg.vehicles}
         self.pending: deque[PendingTx] = deque()
+        # faults are fixed for the run: with no orderer majority nothing is cut
+        up = cfg.orderer_count - len(cfg.crashed_orderers)
+        self.ordering_up = 2 * up > cfg.orderer_count
         self._nonce = 0
         self._rep_seq = 0
         self._tx_meta: dict[str, tuple] = {}
@@ -538,14 +555,11 @@ class _Engine:
         endorse_delay = self.rng.expovariate(150.0)
         prop = propose(kind, payload, client, t_arrive, self._nonce)
 
-        def do_endorse(attempt=1):
+        def do_endorse():
             tx = endorse(prop, self.policy, self.peers, self.chain.world_state,
                          unreachable=self.cfg.unreachable_peers)
-            if not check_policy(tx, self.policy):
-                if attempt == 1:  # client resubmits once
-                    self.schedule(self.now + 0.05, lambda: do_endorse(attempt=2))
-                else:
-                    on_commit(False, self.now)
+            if not check_policy(tx, self.policy):  # a resubmit would fail the same way
+                on_commit(False, self.now)
                 return
             self.pending.append(PendingTx(self.now, tx))
             self._tx_meta[tx.tx_id] = (t_arrive, self.now, on_commit)
@@ -559,10 +573,8 @@ class _Engine:
         self.schedule(t_arrive + endorse_delay, do_endorse)
 
     def _check_cut(self):
-        while True:
-            batch = order_batch(self.pending, self.cfg.ordering, self.now)
-            if batch is None:
-                return
+        while self.ordering_up and (
+                batch := order_batch(self.pending, self.cfg.ordering, self.now)) is not None:
             self._commit_batch(batch)
 
     def _commit_batch(self, batch: list[EndorsedTransaction]):

@@ -207,10 +207,8 @@ def json_values(integers):
     )
 
 
-# The scenario's integers stay small: the parser lists every endorsing
-# peer id, so a huge endorsing_peers exhausts memory instead of raising.
 PARSERS = {
-    "scenario": (parse_scenario_config, EXAMPLE, json_values(st.integers(-1000, 1000))),
+    "scenario": (parse_scenario_config, EXAMPLE, json_values(st.integers())),
     "grid": (lambda doc: _parse_grid(doc, None), README_GRID, json_values(st.integers())),
 }
 
@@ -265,6 +263,36 @@ def test_ledger_verify_unreadable_and_truncated(tmp_path):
     trunc = tmp_path / "trunc.jsonl"
     trunc.write_text('{"number": 0, "prev_hash": "00"')
     assert main(["ledger-verify", str(trunc)]) == EXIT_IO
+
+
+@pytest.mark.parametrize("record", [
+    {"number": 0, "prev_hash": 5, "body_hash": "00", "txs": []},
+    [1, 2],
+    {"number": 0, "prev_hash": "00", "body_hash": "00", "txs": [5]},
+    {"number": 0, "prev_hash": "00", "body_hash": "00", "txs": [{"tx_id": 5}]},
+], ids=["prev_hash-number", "record-list", "tx-number", "tx_id-number"])
+def test_ledger_verify_wrong_types_are_unreadable(record, tmp_path, capsys):
+    """Well-formed JSON of the wrong shape used to end in a traceback."""
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    assert main(["ledger-verify", str(path)]) == EXIT_IO
+    assert "cannot parse ledger export" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("batch_sizes", [10.5]),
+    ("batch_sizes", [True]),
+    ("q01", True),
+    ("lambda0", ["10"]),
+], ids=["batch_size-fraction", "batch_size-bool", "q01-bool", "lambda0-string"])
+def test_analyze_rejects_coerced_numbers(key, value, tmp_path):
+    """A fraction, boolean or string where the grid reads a number used
+    to be coerced and analyzed."""
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(replaced(README_GRID, [key], value)))
+    out = tmp_path / "never"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_ledger_export_writes_only_ledger(scenario_path, tmp_path):

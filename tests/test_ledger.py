@@ -120,7 +120,7 @@ def test_endorse_missing_org_fails_policy():
     prop = propose("qa_request", payload("k", "v"), client, 0.0)
     tx = endorse(prop, policy, peers, {}, unreachable=unreachable)
     assert len(tx.endorsements) == 4
-    assert not check_policy(tx, policy)  # resubmit signal
+    assert not check_policy(tx, policy)  # the engine abandons such a transaction
 
 
 def test_endorse_deterministic_result_hash():
@@ -256,15 +256,6 @@ def test_order_batch_timeout_takes_all_pending():
     assert order_batch(q, cfg, now=1.0) is None
     cut = order_batch(q, cfg, now=2.5)
     assert len(cut) == 3 and not q
-
-
-def test_order_batch_stalls_without_majority():
-    cfg = OrderingConfig(batch_size=2, orderer_count=3, crashed={"o1", "o2"})
-    q = pend(make_txs(5))
-    assert order_batch(q, cfg, now=100.0) is None
-    assert len(q) == 5  # keeps accumulating
-    cfg.crashed.remove("o2")  # one recovery restores the majority
-    assert len(order_batch(q, cfg, now=100.0)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -591,23 +582,3 @@ def test_property_replay_and_versions(batches):
             if ok:
                 assert check_policy(tx, policy)
 
-
-def test_minority_orderer_crash_preserves_committed_order():
-    # stopping and restarting a single orderer (minority of 3) never loses
-    # or reorders transactions
-    baseline_cfg = OrderingConfig(batch_size=3, orderer_count=3)
-    crash_cfg = OrderingConfig(batch_size=3, orderer_count=3, crashed={"o1"})
-    txs = make_txs(9)
-    committed_plain, committed_crash = [], []
-    for cfg, sink in ((baseline_cfg, committed_plain), (crash_cfg, committed_crash)):
-        q = pend(list(txs))
-        now = 0.0
-        while q:
-            if cfg is crash_cfg and len(sink) == 3:
-                cfg.crashed.clear()  # the crashed orderer restarts
-            cut = order_batch(q, cfg, now)
-            if cut is None:
-                now += 5.0
-                continue
-            sink.extend(tx.tx_id for tx in cut)
-    assert committed_plain == committed_crash == [tx.tx_id for tx in txs]

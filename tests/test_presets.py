@@ -76,6 +76,14 @@ def test_queueing_validation_deviation_table(results):
     assert 0.28 <= stats["confirmation_mean_s"] <= 0.35
 
 
+def test_queueing_validation_tracks_closed_forms(results):
+    """The preset simulates the stage feed the closed forms describe, so
+    every metric lands within 5 % of its closed form."""
+    lines = results["queueing-validation"].files["deviation.csv"].strip().splitlines()
+    deviations = {line.split(",")[0]: float(line.split(",")[4]) for line in lines[1:]}
+    assert all(d <= 0.05 for d in deviations.values()), deviations
+
+
 def test_queueing_validation_custom_point():
     res = run_preset("queueing-validation", lambda0=40.0, n_tx=100_000)
     assert res.all_passed

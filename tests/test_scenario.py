@@ -1,5 +1,6 @@
 """Scenario engine: lifecycle structure, determinism, traceability."""
 
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -10,6 +11,7 @@ from rcchain.cli import EXIT_CONFIG, main
 from rcchain.ledger import export_ledger_lines, verify_chain
 from rcchain.reputation import ReputationMode
 from rcchain.scenario import (
+    MAX_ENDORSING_PEERS,
     ScenarioConfigError,
     parse_scenario_config,
     reputation_from_chain,
@@ -260,6 +262,30 @@ BAD_INPUTS = {
     "switch_at-list": (
         _set("profile", {"kind": "p_type", "switch_at": [1]}, lambda d: d["vehicles"][1]),
         "switch_at"),
+    "batch_timeout-nan": (
+        _set("batch_timeout_s", float("nan"), lambda d: d["ordering"]), "batch_timeout_s"),
+    "batch_timeout-negative": (
+        _set("batch_timeout_s", -1.0, lambda d: d["ordering"]), "batch_timeout_s"),
+    "mission-t_min-negative": (
+        _set("t_min", -1.0, lambda d: d["arrivals"]["missions"][0]), "t_min"),
+    "simf_floor-above-one": (
+        _set("simf_floor", 2, lambda d: d.setdefault("tpfs", {})), "simf_floor"),
+    "negative_penalty-infinity": (
+        _set("negative_penalty", float("inf"), lambda d: d.setdefault("tpfs", {})),
+        "negative_penalty"),
+    "t_trades-fraction": (_set("t_trades", 2.5, lambda d: d.setdefault("tpfs", {})), "t_trades"),
+    "endorsing_peers-fraction": (
+        _set("endorsing_peers", 2.7, lambda d: d["organizations"][1]), "endorsing_peers"),
+    "endorsing_peers-bool": (
+        _set("endorsing_peers", True, lambda d: d["organizations"][1]), "endorsing_peers"),
+    "endorsing_peers-above-bound": (
+        _set("endorsing_peers", MAX_ENDORSING_PEERS + 1, lambda d: d["organizations"][1]),
+        "endorsing_peers"),
+    "duration-string": (_set("duration_min", "60"), "duration_min"),
+    "seed-bool": (_set("seed", True), "seed"),
+    "unknown-crashed-orderer": (
+        _set("crashed_orderers", ["no-such-1", "no-such-2"], lambda d: d["ordering"]),
+        "crashed_orderers"),
 }
 
 
@@ -268,7 +294,10 @@ def test_config_rejects_inputs_that_crashed_or_ran_silently(case, tmp_path):
     """Missing keys and non-numeric model parameters used to escape as
     KeyError/TypeError (a list switch_at only mid-run); zero peers, an
     unreachable policy threshold and unknown fault targets used to run
-    with every mission abandoned. Each exits 2 before writing anything."""
+    with every mission abandoned; a NaN timeout, a negative time and
+    out-of-range model weights failed mid-run; booleans, strings and
+    fractions where a number or an integer belongs were coerced. Each
+    exits 2 before writing anything."""
     edit, match = BAD_INPUTS[case]
     doc = base_config()
     edit(doc)
@@ -326,6 +355,35 @@ def test_crashed_orderer_majority_stalls_ordering():
     assert s["abandoned"] == s["missions_total"] == 1
 
 
+EXAMPLE = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "scenario.example.json").read_text())
+
+
+def example_with(section, key, value):
+    doc = copy.deepcopy(EXAMPLE)
+    doc.setdefault(section, {})[key] = value
+    return run_scenario(parse_scenario_config(doc))
+
+
+def test_orderer_majority_crash_commits_nothing():
+    """Two of the three orderers are down for the whole run, so the
+    ordering service never cuts: no block, every mission abandoned."""
+    report = example_with("ordering", "crashed_orderers", ["rsu-a1", "rsu-a2"])
+    s = report.summary
+    assert report.chain.tip.number == 0 and s["transactions"] == 0
+    assert s["missions_total"] > 0 and s["abandoned"] == s["missions_total"]
+
+
+def test_minority_orderer_crash_changes_no_output():
+    """One of the three orderers down still leaves a majority: the run
+    loses and reorders nothing, its outputs equal those of a run with no
+    crash byte for byte."""
+    plain = run_scenario(parse_scenario_config(EXAMPLE))
+    assert plain.summary["blocks"] > 0
+    crashed = example_with("ordering", "crashed_orderers", ["rsu-a1"])
+    assert crashed.output_files() == plain.output_files()
+
+
 def test_revocation_reaches_certificate_authority():
     vehicles = [
         {"id": "bad", "org": "org1", "area": "A", "roles": ["server"],
@@ -339,7 +397,6 @@ def test_revocation_reaches_certificate_authority():
                       arrivals={"kind": "poisson", "rate_per_min": 3.0})
     report = run_scenario(parse_scenario_config(doc))
     assert "bad" in report.summary["revoked_vehicles"]
-    assert report.ca.lookup("bad") is None  # certificate gone
     with pytest.raises(ValueError, match="revoked"):
         report.ca.register("org1", "client", "bad")  # and never re-admitted
 
