@@ -23,6 +23,7 @@ from statistics import pstdev
 from typing import Iterable, Optional
 
 VehicleId = str
+_NONE: frozenset = frozenset()  # what a vehicle with no ratings has rated or been rated by
 
 UNIFORM = "uniform"
 DEVIATION = "deviation"
@@ -143,6 +144,7 @@ class ReputationLedger:
         self.trade_count: dict[VehicleId, int] = defaultdict(int)
         self.status: dict[VehicleId, Status] = {}
         self._pair_events: dict[tuple[VehicleId, VehicleId], list[RatingEvent]] = defaultdict(list)
+        self._positives: dict[tuple[VehicleId, VehicleId], int] = defaultdict(int)
         self._rated_by: dict[VehicleId, set[VehicleId]] = defaultdict(set)
         self._raters_of: dict[VehicleId, set[VehicleId]] = defaultdict(set)
 
@@ -153,17 +155,15 @@ class ReputationLedger:
         return self._pair_events.get((rater, ratee), [])
 
     def common_ratees(self, i: VehicleId, j: VehicleId) -> set[VehicleId]:
-        return self._rated_by.get(i, set()) & self._rated_by.get(j, set())
+        return self._rated_by.get(i, _NONE) & self._rated_by.get(j, _NONE)
 
     def raters_of(self, q: VehicleId) -> set[VehicleId]:
-        return self._raters_of.get(q, set())
+        return self._raters_of.get(q, _NONE)
 
-    def profile(self, rater: VehicleId, ratee: VehicleId) -> Optional[FeedbackProfile]:
-        events = self._pair_events.get((rater, ratee))
-        if not events:
-            return None
-        pos = sum(1 for e in events if e.positive)
-        return FeedbackProfile(alpha=pos, beta=len(events) - pos)
+    def _feedback(self, rater: VehicleId, ratee: VehicleId) -> float:
+        """feedback_score of the pair's rating counts, read in O(1)."""
+        pos = self._positives[(rater, ratee)]
+        return _tendency(pos, len(self._pair_events[(rater, ratee)]) - pos)
 
     def direct_score(self, rater: VehicleId, ratee: VehicleId, now: float | None = None) -> float:
         events = self._pair_events.get((rater, ratee))
@@ -174,10 +174,11 @@ class ReputationLedger:
         return self._score_events(events, now)
 
     def _score_events(self, events, now):
+        decay = self.params.decay_per_minute
         alpha_eff = 0.0
         beta_eff = 0.0
         for e in events:
-            w = self.params.decay_per_minute ** (now - e.timestamp)
+            w = decay ** (now - e.timestamp)
             if e.positive:
                 alpha_eff += w
             else:
@@ -195,6 +196,7 @@ class ReputationLedger:
         if prior and event.timestamp < prior[-1].timestamp:
             raise ValueError("ratings for a pair must be appended in time order")
         self._pair_events[pair].append(event)
+        self._positives[pair] += event.positive
         self._rated_by[event.rater].add(event.ratee)
         self._raters_of[event.ratee].add(event.rater)
         score = self._score_events(self._pair_events[pair], now)
@@ -233,29 +235,42 @@ def indirect_reputation(
     over its members, the classes are weighted by their share of the
     opinion count, and the result is clamped to [0,1].
     """
-    opinions = list(opinions)
-    if not opinions:
+    rin = _indirect(((o.r_ij, o.r_jf) for o in opinions), params, force_full_confidence)
+    if rin is None:
         raise ValueError("no recommendations")
-    positive = [o for o in opinions if o.r_jf > params.t_low]
-    negative = [o for o in opinions if o.r_jf <= params.t_low]
+    return rin
 
-    def conf(o: Opinion) -> float:
-        return 1.0 if force_full_confidence else recommended_confidence(o.r_ij, params)
 
+def _indirect(scores, params: TpfsParams, force_full_confidence: bool) -> Optional[float]:
+    """indirect_reputation over (r_ij, r_jf) pairs; None when there are none."""
+    positive = []
+    negative = []
+    t_low = params.t_low
+    for r_ij, r_jf in scores:
+        if not (0.0 <= r_ij <= 1.0 and 0.0 <= r_jf <= 1.0):
+            raise ValueError("opinion scores must be in [0,1]")
+        conf = 1.0 if force_full_confidence else recommended_confidence(r_ij, params)
+        (positive if r_jf > t_low else negative).append(conf * r_ij * r_jf)
     a, b = len(positive), len(negative)
-    p = sum(conf(o) * o.r_ij * o.r_jf for o in positive) / a if a else 0.0
-    n = sum(conf(o) * o.r_ij * o.r_jf for o in negative) / b if b else 0.0
+    if not a + b:
+        return None
+    p = sum(positive) / a if a else 0.0
+    n = sum(negative) / b if b else 0.0
     c = a / (a + b)
     d = b / (a + b)
     return min(1.0, max(0.0, c * p - d * n))
 
 
-def feedback_score(profile: FeedbackProfile) -> float:
-    """Overall rating tendency in [-1,1]: (alpha^2 - beta^2) / (alpha+beta)^2."""
-    total = profile.alpha + profile.beta
+def _tendency(alpha: int, beta: int) -> float:
+    total = alpha + beta
     if total == 0:
         raise ValueError("no common history")
-    return (profile.alpha**2 - profile.beta**2) / total**2
+    return (alpha**2 - beta**2) / total**2
+
+
+def feedback_score(profile: FeedbackProfile) -> float:
+    """Overall rating tendency in [-1,1]: (alpha^2 - beta^2) / (alpha+beta)^2."""
+    return _tendency(profile.alpha, profile.beta)
 
 
 def feedback_similarity(
@@ -277,7 +292,7 @@ def feedback_similarity(
     if params.similarity_weighting == DEVIATION:
         raw = []
         for q in common:
-            scores = [feedback_score(ledger.profile(v, q)) for v in sorted(ledger.raters_of(q))]
+            scores = [ledger._feedback(v, q) for v in sorted(ledger.raters_of(q))]
             raw.append(pstdev(scores) if len(scores) > 1 else 0.0)
         total = sum(raw)
         weights = [w / total for w in raw] if total > 0 else [1.0 / len(common)] * len(common)
@@ -285,7 +300,7 @@ def feedback_similarity(
         weights = [1.0 / len(common)] * len(common)
     dispersion = 0.0
     for q, w in zip(common, weights):
-        diff = feedback_score(ledger.profile(i, q)) - feedback_score(ledger.profile(j, q))
+        diff = ledger._feedback(i, q) - ledger._feedback(j, q)
         dispersion += w * diff * diff
     return max(params.simf_floor, 1.0 - math.sqrt(dispersion))
 
@@ -322,17 +337,19 @@ def final_reputation(
     when i and f share no ratees); TP_only and TWSL_like pin r at theta,
     and TWSL_like additionally trusts every recommender fully.
     """
-    opinions = list(opinions)
+    rin = _indirect(((o.r_ij, o.r_jf) for o in opinions), params,
+                    mode is ReputationMode.TWSL_LIKE)
+    return _final(i, f, ledger, params, mode, now, rin)
+
+
+def _final(i, f, ledger: ReputationLedger, params: TpfsParams, mode: ReputationMode,
+           now: float | None, rin: Optional[float]) -> float:
+    """final_reputation given the indirect score (None without opinions)."""
     if mode is ReputationMode.TPFS:
         simf = feedback_similarity(i, f, ledger, params)
         r = params.theta if simf is None else local_confidence(simf, params)
     else:
         r = params.theta
-    rin = None
-    if opinions:
-        rin = indirect_reputation(
-            opinions, params, force_full_confidence=(mode is ReputationMode.TWSL_LIKE)
-        )
     if ledger.has_interaction(i, f):
         direct = ledger.direct_score(i, f, now)
         if rin is None:
@@ -354,17 +371,14 @@ def evaluate_pair(
     """Final score of rater about ratee with opinions gathered from every
     other vehicle that has rated the ratee. Pure given the ledger, so a
     chain replay reproduces it exactly."""
-    opinions = [
-        Opinion(
-            recommender=rec,
-            subject=ratee,
-            r_ij=ledger.direct_score(rater, rec, now_min),
-            r_jf=ledger.direct_score(rec, ratee, now_min),
-        )
+    direct_score = ledger.direct_score
+    scores = (
+        (direct_score(rater, rec, now_min), direct_score(rec, ratee, now_min))
         for rec in sorted(ledger.raters_of(ratee))
-        if rec not in (rater, ratee)
-    ]
-    return final_reputation(rater, ratee, ledger, opinions, params, mode, now_min)
+        if rec != rater and rec != ratee
+    )
+    rin = _indirect(scores, params, mode is ReputationMode.TWSL_LIKE)
+    return _final(rater, ratee, ledger, params, mode, now_min, rin)
 
 
 def status_transition(current: Status, rfin: float, params: TpfsParams) -> Status:

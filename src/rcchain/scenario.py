@@ -21,7 +21,7 @@ import functools
 import heapq
 import json
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Optional
@@ -58,6 +58,7 @@ from .reputation import (
 
 SECONDS_PER_MINUTE = 60.0
 MAX_ENDORSING_PEERS = 100  # per organization; the engine registers and asks every one
+MAX_EXPECTED_MISSIONS = 1_000_000  # rate_per_min x duration_min; every arrival is queued up front
 PROFILE_KINDS = ("honest", "malicious", "p_type", "untruthful_rater")
 MISSION_KINDS = ("qa", "data_share")
 
@@ -173,6 +174,19 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _text(doc: dict, key: str, where: str) -> str:
+    value = _require(doc, key, where)
+    if not isinstance(value, str):
+        raise TypeError(f"{where}.{key} must be a string, got {value!r}")
+    return value
+
+
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{where} must be an array, got {value!r}")
+    return value
+
+
 def _number(value, where: str, kind=float, minimum=None):
     """A finite JSON number as kind, integral for an int field and at
     least minimum when one is given."""
@@ -192,7 +206,7 @@ def _number(value, where: str, kind=float, minimum=None):
 
 def _known_ids(doc: dict, key: str, known: set[str], where: str) -> frozenset[str]:
     """The ids listed under key, each of which must be in known."""
-    ids = frozenset(doc.get(key, []))
+    ids = frozenset(_array(doc.get(key, []), f"{where}.{key}"))
     if ids - known:
         raise ScenarioConfigError(f"{where}.{key} names unknown ids {sorted(ids - known)}")
     return ids
@@ -230,26 +244,26 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
     seed = _number(_require(doc, "seed", "scenario"), "seed", int)
 
     orgs = []
-    for rec in _require(doc, "organizations", "scenario"):
+    for rec in _array(_require(doc, "organizations", "scenario"), "organizations"):
         _check_keys(rec, {"name", "endorsing_peers"}, "organizations[]")
-        orgs.append(OrgSpec(_require(rec, "name", "organizations[]"),
+        orgs.append(OrgSpec(_text(rec, "name", "organizations[]"),
                             _number(rec.get("endorsing_peers", 2), "endorsing_peers", int)))
     org_names = {o.name for o in orgs}
     if len(org_names) != len(orgs):
         raise ScenarioConfigError("duplicate organization names")
 
     rsus = []
-    for rec in doc.get("rsus", []):
+    for rec in _array(doc.get("rsus", []), "rsus"):
         _check_keys(rec, {"id", "org", "area"}, "rsus[]")
-        rsu = RsuSpec(*(_require(rec, key, "rsus[]") for key in ("id", "org", "area")))
+        rsu = RsuSpec(*(_text(rec, key, "rsus[]") for key in ("id", "org", "area")))
         if rsu.org not in org_names:
             raise ScenarioConfigError(f"rsu {rsu.id!r} references unknown org")
         rsus.append(rsu)
 
     vehicles = []
-    for rec in doc.get("vehicles", []):
+    for rec in _array(doc.get("vehicles", []), "vehicles"):
         _check_keys(rec, {"id", "org", "area", "roles", "profile"}, "vehicles[]")
-        vid, org, area = (_require(rec, key, "vehicles[]") for key in ("id", "org", "area"))
+        vid, org, area = (_text(rec, key, "vehicles[]") for key in ("id", "org", "area"))
         if org not in org_names:
             raise ScenarioConfigError(f"vehicle {vid!r} references unknown org")
         prof_doc = rec.get("profile", {})
@@ -263,7 +277,7 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
                 prof_doc.get("fake_rate", 1.0 if kind in ("malicious", "p_type") else 0.0),
                 "profile.fake_rate"),
         )
-        roles = tuple(rec.get("roles", ["requester", "server"]))
+        roles = tuple(_array(rec.get("roles", ["requester", "server"]), "vehicles[].roles"))
         for role in roles:
             if role not in ("requester", "server", "idler"):
                 raise ScenarioConfigError(f"unknown vehicle role {role!r}")
@@ -297,11 +311,11 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
 
     pol_doc = doc.get("policy", {})
     _check_keys(pol_doc, {"required_orgs", "threshold"}, "policy")
-    policy_orgs = tuple(pol_doc.get("required_orgs", []))
+    policy_orgs = tuple(_array(pol_doc.get("required_orgs", []), "policy.required_orgs"))
     for org in policy_orgs:
         if org not in org_names:
             raise ScenarioConfigError(f"policy references unknown org {org!r}")
-    threshold = _number(pol_doc.get("threshold", 1), "policy.threshold", int)
+    threshold = _number(pol_doc.get("threshold", 1), "policy.threshold", int, minimum=1)
     for o in orgs:
         if (o.name in policy_orgs or not policy_orgs) and threshold > o.endorsing_peers:
             raise ScenarioConfigError(
@@ -316,7 +330,7 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
     missions = []
     vehicle_ids = {v.id for v in vehicles}
     requester_ids = {v.id for v in vehicles if "requester" in v.roles}
-    for rec in arr_doc.get("missions", []):
+    for rec in _array(arr_doc.get("missions", []), "arrivals.missions"):
         _check_keys(rec, {"t_min", "requester", "kind"}, "missions[]")
         m = ScriptedMission(_number(_require(rec, "t_min", "missions[]"), "missions[].t_min",
                                     minimum=0),
@@ -334,6 +348,10 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
                              minimum=0),
         missions=tuple(sorted(missions, key=lambda m: (m.t_min, m.requester))),
     )
+    if arr_kind == "poisson" and arrivals.rate_per_min * duration > MAX_EXPECTED_MISSIONS:
+        raise ScenarioConfigError(
+            f"arrivals.rate_per_min x duration_min expects more than {MAX_EXPECTED_MISSIONS} "
+            f"missions: {arrivals.rate_per_min} x {duration}")
 
     mode_name = doc.get("mode", "TPFS")
     try:
@@ -486,6 +504,15 @@ class _Engine:
         self.peers: list[Identity] = []
         self.clients: dict[str, Identity] = {}
         self.vehicle_by_id: dict[str, VehicleSpec] = {v.id: v for v in cfg.vehicles}
+        # candidate index, sorted once per run; missions only filter by status
+        self.requesters = sorted(v.id for v in cfg.vehicles if "requester" in v.roles)
+        self.servers_in: dict[str, list[str]] = defaultdict(list)
+        for v in sorted(cfg.vehicles, key=lambda v: v.id):
+            if "server" in v.roles:
+                self.servers_in[v.area].append(v.id)
+        self.rsus_in: dict[str, list[str]] = defaultdict(list)
+        for r in sorted(cfg.rsus, key=lambda r: r.id):
+            self.rsus_in[r.area].append(r.id)
         self.pending: deque[PendingTx] = deque()
         # faults are fixed for the run: with no orderer majority nothing is cut
         up = cfg.orderer_count - len(cfg.crashed_orderers)
@@ -524,9 +551,6 @@ class _Engine:
 
     def _generate_missions(self):
         arr = self.cfg.arrivals
-        requesters = sorted(
-            v.id for v in self.cfg.vehicles if "requester" in v.roles
-        )
         if arr.kind == "scripted":
             for m in arr.missions:
                 self.schedule(
@@ -534,7 +558,7 @@ class _Engine:
                     lambda m=m: self._start_mission(m.requester, m.kind),
                 )
             return
-        if not requesters or arr.rate_per_min <= 0:
+        if not self.requesters or arr.rate_per_min <= 0:
             return
         t_min = 0.0
         while True:
@@ -592,17 +616,13 @@ class _Engine:
     # -- mission lifecycle --
 
     def _start_mission(self, requester: Optional[str], kind: Optional[str]):
-        eligible = sorted(
-            v.id
-            for v in self.cfg.vehicles
-            if "requester" in v.roles
-            and self.reputation.get_status(v.id) is not Status.REVOKED
-        )
+        get_status = self.reputation.get_status
         if requester is None:
+            eligible = [v for v in self.requesters if get_status(v) is not Status.REVOKED]
             if not eligible:
                 return
             requester = eligible[self.rng.randrange(len(eligible))]
-        elif self.reputation.get_status(requester) is Status.REVOKED:
+        elif get_status(requester) is Status.REVOKED:
             return
         if kind is None:
             kind = MISSION_KINDS[self.rng.randrange(len(MISSION_KINDS))]
@@ -627,18 +647,14 @@ class _Engine:
             mission.outcome = "abandoned"
             return
         requester_area = self.vehicle_by_id[mission.requester].area
-        candidates = [
-            v.id
-            for v in self.cfg.vehicles
-            if "server" in v.roles
-            and v.id != mission.requester
-            and v.area == requester_area
-            and self.reputation.get_status(v.id) is not Status.REVOKED
-        ]
+        candidates = tuple(
+            v for v in self.servers_in.get(requester_area, ())
+            if v != mission.requester and self.reputation.get_status(v) is not Status.REVOKED
+        )
         if not candidates:
             mission.outcome = "abandoned"
             return
-        mission.candidates = tuple(sorted(candidates))
+        mission.candidates = candidates
         now_min = self.now / SECONDS_PER_MINUTE
         scored = [
             ServerCandidate(
@@ -651,7 +667,7 @@ class _Engine:
             )
             for c in mission.candidates
         ]
-        area_rsus = sorted(r.id for r in self.cfg.rsus if r.area == requester_area)
+        area_rsus = self.rsus_in[requester_area]
         followers = area_rsus[1:] or area_rsus[:1]
         nominations = [
             select_server(scored, self.cfg.tpfs, self.rng) for _ in followers

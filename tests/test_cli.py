@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,10 +26,11 @@ from rcchain.cli import (
     build_parser,
     main,
 )
-from rcchain.scenario import ScenarioConfigError, parse_scenario_config
+from rcchain.scenario import MAX_EXPECTED_MISSIONS, ScenarioConfigError, parse_scenario_config
 
-EXAMPLE = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "scenario.example.json").read_text())
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+EXAMPLE = json.loads((DOCS / "scenario.example.json").read_text())
+SCENARIO_SCHEMA = json.loads((DOCS / "scenario.schema.json").read_text())
 README_GRID = {"lambda0": {"start": 10, "stop": 110, "step": 10},
                "batch_sizes": [10, 50, 100],
                "mu0": 150, "mu2": 150, "q01": 0.9, "q23": 0.95}
@@ -98,6 +100,18 @@ def test_analyze_unparseable_json(tmp_path):
     assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
+def run_capped(*args):
+    """rcchain's CLI in a child process under a 1 GiB address-space cap and
+    a 10 s timeout."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(rcchain.__file__)))
+    return subprocess.run([sys.executable, "-m", "rcchain.cli", *args], env=env,
+                          preexec_fn=cap_memory, capture_output=True, text=True, timeout=10)
+
+
 @pytest.mark.parametrize("lambda0", [
     {"start": 10, "stop": 20, "step": 0},
     {"start": 10, "stop": 20, "step": -5},
@@ -112,19 +126,28 @@ def test_analyze_rejects_endless_grid(tmp_path, lambda0):
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"lambda0": lambda0, "batch_sizes": [10]}))
     out = tmp_path / "never"
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.path.dirname(os.path.dirname(rcchain.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rcchain.cli", "analyze", "--config", str(cfg),
-         "--out", str(out)],
-        env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=10,
-    )
+    proc = run_capped("analyze", "--config", str(cfg), "--out", str(out))
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "lambda0" in proc.stderr
+    assert not out.exists()
+
+
+def test_simulate_rejects_unbounded_poisson_arrivals(tmp_path):
+    """The example config at 10^7 missions/min for 60 min expects 6 x 10^8
+    arrivals, far above MAX_EXPECTED_MISSIONS; the engine queues every
+    arrival up front, so it must exit 2 before the run. The command runs
+    in a child process under a memory cap and a timeout, so a build that
+    starts queueing fails the test instead of swapping."""
+    doc = copy.deepcopy(EXAMPLE)
+    doc["arrivals"]["rate_per_min"] = 1e7
+    doc["duration_min"] = 60.0
+    assert doc["arrivals"]["kind"] == "poisson" and 1e7 * 60 > MAX_EXPECTED_MISSIONS
+    cfg = tmp_path / "flood.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    proc = run_capped("simulate", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "rate_per_min" in proc.stderr
     assert not out.exists()
 
 
@@ -208,8 +231,8 @@ def json_values(integers):
 
 
 PARSERS = {
-    "scenario": (parse_scenario_config, EXAMPLE, json_values(st.integers())),
-    "grid": (lambda doc: _parse_grid(doc, None), README_GRID, json_values(st.integers())),
+    "scenario": (parse_scenario_config, EXAMPLE, json_values(st.integers()), SCENARIO_SCHEMA),
+    "grid": (lambda doc: _parse_grid(doc, None), README_GRID, json_values(st.integers()), None),
 }
 
 
@@ -219,14 +242,18 @@ PARSERS = {
 def test_property_one_replaced_value_parses_or_is_config_error(parser, data):
     """Whatever JSON value replaces one value of the example scenario or
     of the README analyze grid, the parser returns or raises
-    ScenarioConfigError, never another exception."""
-    parse, base, values = PARSERS[parser]
+    ScenarioConfigError, never another exception. A scenario the parser
+    accepts also validates against docs/scenario.schema.json (the reverse
+    need not hold: the parser also checks cross-references)."""
+    parse, base, values, schema = PARSERS[parser]
     path = data.draw(st.sampled_from(list(value_paths(base))), label="path")
     doc = replaced(base, path, data.draw(values, label="value"))
     try:
         parse(doc)
     except ScenarioConfigError:
-        pass
+        return
+    if schema is not None:
+        jsonschema.validate(doc, schema)
 
 
 def test_simulate_and_verify_roundtrip(scenario_path, tmp_path):

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from random import Random
+from statistics import pstdev
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from rcchain.reputation import (
     TpfsParams,
     blend_reputation,
     classify_status,
+    evaluate_pair,
     feedback_score,
     feedback_similarity,
     final_reputation,
@@ -459,3 +461,189 @@ def test_similarity_deviation_weighted_hand_oracle():
     make_profiles(led, "j", "q2", 2, 0)   # F = 1
     got = feedback_similarity("i", "j", led, P_DEVIATION)
     assert got == pytest.approx(0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# evaluate_pair against the Opinion-list evaluator it replaced
+# ---------------------------------------------------------------------------
+# The reference below is the evaluator evaluate_pair used to be: it builds
+# Opinion objects, re-counts each rating profile from the pair's events and
+# rescans the events with the decay read per event. The lean evaluator keeps
+# the same floating-point operations in the same order, so the two must
+# agree bit for bit (==), and on the error they raise for a score outside
+# [0,1].
+
+def ref_score_events(events, now, params):
+    alpha_eff = 0.0
+    beta_eff = 0.0
+    for e in events:
+        w = params.decay_per_minute ** (now - e.timestamp)
+        if e.positive:
+            alpha_eff += w
+        else:
+            beta_eff += w
+    return (alpha_eff + 1.0) / (alpha_eff + params.negative_penalty * beta_eff + 2.0)
+
+
+def ref_profile(ledger, rater, ratee):
+    events = ledger.pair_events(rater, ratee)
+    if not events:
+        return None
+    pos = sum(1 for e in events if e.positive)
+    return FeedbackProfile(alpha=pos, beta=len(events) - pos)
+
+
+def ref_feedback_score(profile):
+    total = profile.alpha + profile.beta
+    if total == 0:
+        raise ValueError("no common history")
+    return (profile.alpha**2 - profile.beta**2) / total**2
+
+
+def ref_feedback_similarity(i, j, ledger, params):
+    common = sorted(ledger.common_ratees(i, j))
+    if not common:
+        return None
+    if params.similarity_weighting == "deviation":
+        raw = []
+        for q in common:
+            scores = [ref_feedback_score(ref_profile(ledger, v, q))
+                      for v in sorted(ledger.raters_of(q))]
+            raw.append(pstdev(scores) if len(scores) > 1 else 0.0)
+        total = sum(raw)
+        weights = [w / total for w in raw] if total > 0 else [1.0 / len(common)] * len(common)
+    else:
+        weights = [1.0 / len(common)] * len(common)
+    dispersion = 0.0
+    for q, w in zip(common, weights):
+        diff = (ref_feedback_score(ref_profile(ledger, i, q))
+                - ref_feedback_score(ref_profile(ledger, j, q)))
+        dispersion += w * diff * diff
+    return max(params.simf_floor, 1.0 - math.sqrt(dispersion))
+
+
+def ref_indirect_reputation(opinions, params, *, force_full_confidence=False):
+    opinions = list(opinions)
+    if not opinions:
+        raise ValueError("no recommendations")
+    positive = [o for o in opinions if o.r_jf > params.t_low]
+    negative = [o for o in opinions if o.r_jf <= params.t_low]
+
+    def conf(o):
+        return 1.0 if force_full_confidence else recommended_confidence(o.r_ij, params)
+
+    a, b = len(positive), len(negative)
+    p = sum(conf(o) * o.r_ij * o.r_jf for o in positive) / a if a else 0.0
+    n = sum(conf(o) * o.r_ij * o.r_jf for o in negative) / b if b else 0.0
+    c = a / (a + b)
+    d = b / (a + b)
+    return min(1.0, max(0.0, c * p - d * n))
+
+
+def ref_final_reputation(i, f, ledger, opinions, params, mode, now):
+    opinions = list(opinions)
+    if mode is ReputationMode.TPFS:
+        simf = ref_feedback_similarity(i, f, ledger, params)
+        r = params.theta if simf is None else local_confidence(simf, params)
+    else:
+        r = params.theta
+    rin = None
+    if opinions:
+        rin = ref_indirect_reputation(
+            opinions, params, force_full_confidence=(mode is ReputationMode.TWSL_LIKE))
+    if ledger.has_interaction(i, f):
+        direct = ledger.direct_score(i, f, now)
+        if rin is None:
+            return r * direct
+        return blend_reputation(r, direct, rin)
+    if rin is None:
+        return r * params.gamma
+    return blend_reputation(r, params.eta, rin)
+
+
+def ref_evaluate_pair(ledger, rater, ratee, params, mode, now_min):
+    opinions = [
+        Opinion(
+            recommender=rec,
+            subject=ratee,
+            r_ij=ledger.direct_score(rater, rec, now_min),
+            r_jf=ledger.direct_score(rec, ratee, now_min),
+        )
+        for rec in sorted(ledger.raters_of(ratee))
+        if rec not in (rater, ratee)
+    ]
+    return ref_final_reputation(rater, ratee, ledger, opinions, params, mode, now_min)
+
+
+class ScaledLedger(ReputationLedger):
+    """Reports every direct score times `scale`; above 1 some leave [0,1]."""
+
+    scale = 1.0
+
+    def direct_score(self, rater, ratee, now=None):
+        return super().direct_score(rater, ratee, now) * self.scale
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+@st.composite
+def rating_histories(draw):
+    """3-8 vehicles and up to 40 ratings of mixed sign on one clock that
+    never goes back, so each pair's timestamps are non-decreasing."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    names = [f"v{k}" for k in range(n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)).map(
+        lambda ab: (ab[0], ab[1] + (ab[1] >= ab[0])))
+    step = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 20.0)
+    t = 0.0
+    events = []
+    for (a, b), positive, dt in draw(st.lists(st.tuples(pair, st.booleans(), step),
+                                              max_size=40)):
+        t += dt
+        events.append(RatingEvent(names[a], names[b], positive, t))
+    return names, events
+
+
+@given(
+    history=rating_histories(),
+    weighting=st.sampled_from(["uniform", "deviation"]),
+    decay=st.sampled_from([0.98, 0.7, 1.0]),
+    penalty=st.sampled_from([2.0, 1.0]),
+    scale=st.sampled_from([1.0, 1.0, 1.6]),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=150)
+def test_property_evaluate_pair_matches_opinion_evaluator(
+        history, weighting, decay, penalty, scale, data):
+    names, events = history
+    params = P.with_overrides(similarity_weighting=weighting, decay_per_minute=decay,
+                              negative_penalty=penalty)
+    ledger = ScaledLedger(params)
+    for e in events:
+        ledger.record_rating(e, now=e.timestamp)
+    t_end = events[-1].timestamp if events else 0.0
+    # query times before, at and after pairs' last ratings
+    times = [t_end] + data.draw(st.lists(st.floats(0.0, t_end + 10.0), max_size=2),
+                                label="times")
+    for now in times:
+        for i in names:
+            for j in names:
+                if i == j:
+                    continue
+                assert ledger.direct_score(i, j, now) == (
+                    ref_score_events(ledger.pair_events(i, j), now, params)
+                    if ledger.has_interaction(i, j) else 0.5)
+    ledger.scale = scale
+    for mode in ReputationMode:
+        for now in times:
+            for i in names:
+                for j in names:
+                    if i != j:
+                        assert outcome(evaluate_pair, ledger, i, j, params, mode, now) == \
+                            outcome(ref_evaluate_pair, ledger, i, j, params, mode, now), \
+                            (mode, now, i, j)

@@ -12,6 +12,7 @@ from rcchain.ledger import export_ledger_lines, verify_chain
 from rcchain.reputation import ReputationMode
 from rcchain.scenario import (
     MAX_ENDORSING_PEERS,
+    MAX_EXPECTED_MISSIONS,
     ScenarioConfigError,
     parse_scenario_config,
     reputation_from_chain,
@@ -135,6 +136,44 @@ def test_reputation_traceable_from_chain():
     assert replayed.direct == live.direct
     assert dict(replayed.trade_count) == dict(live.trade_count)
     assert replayed.status == live.status
+
+
+def test_candidates_match_a_scan_of_the_config():
+    """The engine indexes requesters and per-area servers once per run.
+    With nobody revoked, every mission's candidates must equal a scan of
+    the config: servers in the requester's area other than the requester,
+    sorted by id. Ids are listed out of order, areas mix idlers and
+    requester-only, server-only and dual-role vehicles, and area D has a
+    requester but no server."""
+    roles = {"req": ["requester"], "srv": ["server"], "dual": ["requester", "server"],
+             "idle": ["idler"]}
+    layout = [("z-srv", "A"), ("b-dual", "B"), ("m-req", "A"), ("a-srv", "B"),
+              ("k-idle", "A"), ("c-dual", "A"), ("y-req", "B"), ("d-srv", "A"),
+              ("q-idle", "B"), ("e-srv", "C"), ("f-idle", "C"), ("g-req", "D")]
+    vehicles = [{"id": vid, "org": f"org{k % 3 + 1}", "area": area,
+                 "roles": roles[vid.split("-")[1]], "profile": {"kind": "honest"}}
+                for k, (vid, area) in enumerate(layout)]
+    doc = base_config(
+        duration_min=20.0,
+        vehicles=vehicles,
+        rsus=[{"id": "rsu-a2", "org": "org2", "area": "A"},
+              {"id": "rsu-b1", "org": "org1", "area": "B"},
+              {"id": "rsu-a1", "org": "org1", "area": "A"},
+              {"id": "rsu-d1", "org": "org3", "area": "D"}],
+        arrivals={"kind": "poisson", "rate_per_min": 6.0},
+    )
+    cfg = parse_scenario_config(doc)
+    report = run_scenario(cfg)
+    assert report.summary["revoked_vehicles"] == []
+    by_id = {v.id: v for v in cfg.vehicles}
+    assert ({m.requester for m in report.missions}
+            == {"m-req", "c-dual", "b-dual", "y-req", "g-req"})
+    for m in report.missions:
+        area = by_id[m.requester].area
+        expected = tuple(sorted(v.id for v in cfg.vehicles if "server" in v.roles
+                                and v.area == area and v.id != m.requester))
+        assert m.candidates == expected, m.mission_id
+        assert m.selected in expected if expected else m.outcome == "abandoned"
 
 
 def test_revoked_server_never_selected_after_revocation():
@@ -286,6 +325,17 @@ BAD_INPUTS = {
     "unknown-crashed-orderer": (
         _set("crashed_orderers", ["no-such-1", "no-such-2"], lambda d: d["ordering"]),
         "crashed_orderers"),
+    "vehicles-object": (
+        lambda d: d.update(vehicles={}, arrivals={"kind": "poisson", "rate_per_min": 2.0}),
+        "vehicles"),
+    "roles-string": (_set("roles", "", lambda d: d["vehicles"][1]), "roles"),
+    "vehicle-id-null": (_set("id", None, lambda d: d["vehicles"][1]), "id"),
+    "vehicle-area-null": (_set("area", None, lambda d: d["vehicles"][1]), "area"),
+    "rsu-id-null": (_set("id", None, lambda d: d["rsus"][1]), "id"),
+    "rsu-area-null": (_set("area", None, lambda d: d["rsus"][1]), "area"),
+    "threshold-zero": (_set("policy", {"threshold": 0}), "threshold"),
+    "required_orgs-string": (_set("policy", {"required_orgs": ""}), "required_orgs"),
+    "missions-object": (_set("missions", {}, lambda d: d["arrivals"]), "missions"),
 }
 
 
@@ -296,8 +346,10 @@ def test_config_rejects_inputs_that_crashed_or_ran_silently(case, tmp_path):
     unreachable policy threshold and unknown fault targets used to run
     with every mission abandoned; a NaN timeout, a negative time and
     out-of-range model weights failed mid-run; booleans, strings and
-    fractions where a number or an integer belongs were coerced. Each
-    exits 2 before writing anything."""
+    fractions where a number or an integer belongs were coerced; an
+    object or a string where the schema wants an array ran as an empty
+    list, and a null id or area or a zero threshold failed only in the
+    engine. Each exits 2 before writing anything."""
     edit, match = BAD_INPUTS[case]
     doc = base_config()
     edit(doc)
@@ -308,6 +360,21 @@ def test_config_rejects_inputs_that_crashed_or_ran_silently(case, tmp_path):
     out = tmp_path / "never"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_expected_poisson_missions_are_bounded():
+    """Every Poisson arrival goes on the event heap before the run starts,
+    so the expected count rate_per_min x duration_min is bounded."""
+    doc = base_config(arrivals={"kind": "poisson",
+                                "rate_per_min": MAX_EXPECTED_MISSIONS / 10.0})
+    assert doc["duration_min"] == 10.0
+    parse_scenario_config(doc)  # exactly at the bound
+    doc["arrivals"]["rate_per_min"] *= 1.0001
+    with pytest.raises(ScenarioConfigError, match="rate_per_min"):
+        parse_scenario_config(doc)
+    doc["arrivals"] = {"kind": "scripted", "rate_per_min": 1e9,
+                       "missions": [{"t_min": 1.0, "requester": "v-req"}]}
+    parse_scenario_config(doc)  # a scripted run draws no arrivals
 
 
 def test_example_config_matches_schema_and_parses():
