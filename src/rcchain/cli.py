@@ -173,11 +173,7 @@ def cmd_ledger_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = QueueNetworkConfig(
-        lambda0=args.lambda0,
-        batch_size=args.batch_size,
-        orderer_mode=args.orderer_mode or "block_granularity",
-    )
+    cfg = QueueNetworkConfig(lambda0=args.lambda0, batch_size=args.batch_size)
     performance(cfg)  # refuses an unstable or idle point before simulating
     stats = simulate_pipeline(cfg, args.n_tx, args.seed or 0, commit_feed=STAGE_FEED)
     table = deviation_table(cfg, stats)
@@ -229,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="ledger.jsonl export")
 
     p = command("compare", cmd_compare, "pipeline simulator vs closed forms",
-                "--out", "--seed", "--format", "--orderer-mode")
+                "--out", "--seed", "--format")
     p.add_argument("--lambda0", type=float, default=37.29)
     p.add_argument("--batch-size", type=int, default=10)
     p.add_argument("--n-tx", type=int, default=200_000)

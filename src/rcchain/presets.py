@@ -49,7 +49,6 @@ from .reputation import (
     ReputationLedger,
     ReputationMode,
     Status,
-    TpfsParams,
     evaluate_pair,
     status_transition,
 )
@@ -165,10 +164,9 @@ def _timeline_events() -> list[RatingEvent]:
 def preset_reputation_timeline(seed: int = 50) -> PresetResult:
     """Minute-by-minute final score of the observer about a target that is
     honest for 50 minutes, sends fakes for 30, then goes silent."""
-    params = TpfsParams()
     i, j = TIMELINE_OBSERVER, TIMELINE_TARGET
     events = _timeline_events()
-    ledger = ReputationLedger(params)
+    ledger = ReputationLedger()
     by_minute = {}
     for e in events:
         by_minute.setdefault(e.timestamp, []).append(e)
@@ -179,8 +177,8 @@ def preset_reputation_timeline(seed: int = 50) -> PresetResult:
     for t in range(1, 101):
         _record_all(ledger, by_minute.get(float(t), []))
         for mode in MODES:
-            rfin = evaluate_pair(ledger, i, j, params, mode, float(t))
-            statuses[mode] = status_transition(statuses[mode], rfin, params)
+            rfin = evaluate_pair(ledger, i, j, mode, float(t))
+            statuses[mode] = status_transition(statuses[mode], rfin, ledger.params)
             trajectory[mode].append(rfin)
             rows.append((float(t), i, j, mode.value, rfin, statuses[mode].value))
 
@@ -223,13 +221,12 @@ def preset_neighbor_sweep(seed: int = 60) -> PresetResult:
     """Final score of an unseen subject as the share of truthful
     recommenders sweeps 0..100% in steps of 10 (30 recommenders; the
     observer and subject never interact and share no ratees)."""
-    params = TpfsParams()
     i, j = "veh-i", "veh-j"
     recs = tuple(f"rec-{n:02d}" for n in range(30))
     curves: dict[ReputationMode, list[float]] = {m: [] for m in MODES}
     rows = []
     for k in range(11):
-        ledger = ReputationLedger(params)
+        ledger = ReputationLedger()
         truthful = set(recs[: 3 * k])
         for t in range(1, 61):
             tf = float(t)
@@ -242,7 +239,7 @@ def preset_neighbor_sweep(seed: int = 60) -> PresetResult:
                     # partial inversion: every third rating flipped
                     ledger.record_rating(RatingEvent(rec, j, t % 3 != 0, tf), tf)
         for mode in MODES:
-            rfin = evaluate_pair(ledger, i, j, params, mode, 60.0)
+            rfin = evaluate_pair(ledger, i, j, mode, 60.0)
             curves[mode].append(rfin)
             rows.append((10 * k, mode.value, rfin))
 
@@ -315,18 +312,17 @@ def _ptype_events() -> list[RatingEvent]:
 def preset_ptype_field(seed: int = 70) -> PresetResult:
     """Final reputations of 15 servers after 100 interactions; server 1
     builds trust honestly for 50 minutes and then attacks."""
-    params = TpfsParams()
     i = "veh-i"
     servers = tuple(f"srv-{k:02d}" for k in range(1, 16))
     events = _ptype_events()
-    ledger = ReputationLedger(params)
+    ledger = ReputationLedger()
     _record_all(ledger, events)
 
     field: dict[ReputationMode, dict[str, float]] = {m: {} for m in MODES}
     rows = []
     for s in servers:
         for mode in MODES:
-            rfin = evaluate_pair(ledger, i, s, params, mode, 100.0)
+            rfin = evaluate_pair(ledger, i, s, mode, 100.0)
             field[mode][s] = rfin
             rows.append((s, mode.value, rfin))
 

@@ -62,19 +62,16 @@ class QueueNetworkConfig:
     orderer_mode: str = ORDERER_BLOCK
 
     def __post_init__(self):
-        if self.lambda0 < 0:
-            raise ValueError("lambda0 must be >= 0")
-        if self.mu0 <= 0 or self.mu2 <= 0:
-            raise ValueError("service rates must be positive")
+        if not 0.0 <= self.lambda0 < math.inf:  # also false for nan
+            raise ValueError("lambda0 must be finite and >= 0")
+        if not (0.0 < self.mu0 < math.inf and 0.0 < self.mu2 < math.inf):
+            raise ValueError("service rates must be finite and positive")
         if not (0.0 <= self.q01 <= 1.0 and 0.0 <= self.q23 <= 1.0):
             raise ValueError("routing probabilities must be in [0,1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.orderer_mode not in ORDERER_MODES:
             raise ValueError(f"unknown orderer mode {self.orderer_mode!r}")
-
-    def with_overrides(self, **kwargs) -> "QueueNetworkConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -202,7 +199,7 @@ def sweep(
     rows = []
     for lam in lambda0s:
         for m in batch_sizes:
-            cfg = base.with_overrides(lambda0=lam, batch_size=m)
+            cfg = replace(base, lambda0=lam, batch_size=m)
             r0, r1, r2, stable = utilizations(cfg)
             metrics = performance(cfg) if stable and cfg.q01 * lam > 0 else None
             rows.append(

@@ -10,13 +10,19 @@ fair server selection used by RSUs.
 Two reduced variants of the model are kept for comparison runs:
 ``TP_only`` (no feedback similarity; local confidence pinned at theta)
 and ``TWSL_like`` (additionally trusts every recommender fully).
+
+Each formula is one function on plain values: recommendations are
+``(r_ij, r_jf)`` score pairs, rating profiles are ``(alpha, beta)``
+counts and server candidates are ``(vehicle, rfin, trade_count)``
+tuples. A function that takes a ledger reads its params from
+``ledger.params``; only the functions without a ledger take ``params``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from statistics import pstdev
@@ -87,9 +93,6 @@ class TpfsParams:
         if self.similarity_weighting not in (UNIFORM, DEVIATION):
             raise ValueError(f"unknown similarity weighting {self.similarity_weighting!r}")
 
-    def with_overrides(self, **kwargs) -> "TpfsParams":
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class RatingEvent:
@@ -103,31 +106,6 @@ class RatingEvent:
             raise ValueError("a vehicle cannot rate itself")
         if self.timestamp < 0:
             raise ValueError("timestamp must be >= 0")
-
-
-@dataclass(frozen=True)
-class Opinion:
-    """A neighbor's recommendation: r_ij is the evaluator's score for the
-    recommender, r_jf the recommender's score for the subject."""
-
-    recommender: VehicleId
-    subject: VehicleId
-    r_ij: float
-    r_jf: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.r_ij <= 1.0 and 0.0 <= self.r_jf <= 1.0):
-            raise ValueError("opinion scores must be in [0,1]")
-
-
-@dataclass(frozen=True)
-class FeedbackProfile:
-    alpha: int  # positive ratings given
-    beta: int   # negative ratings given
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("rating counts must be >= 0")
 
 
 class ReputationLedger:
@@ -163,7 +141,7 @@ class ReputationLedger:
     def _feedback(self, rater: VehicleId, ratee: VehicleId) -> float:
         """feedback_score of the pair's rating counts, read in O(1)."""
         pos = self._positives[(rater, ratee)]
-        return _tendency(pos, len(self._pair_events[(rater, ratee)]) - pos)
+        return feedback_score(pos, len(self._pair_events[(rater, ratee)]) - pos)
 
     def direct_score(self, rater: VehicleId, ratee: VehicleId, now: float | None = None) -> float:
         events = self._pair_events.get((rater, ratee))
@@ -223,26 +201,21 @@ def recommended_confidence(r_ij: float, params: TpfsParams) -> float:
 
 
 def indirect_reputation(
-    opinions: Iterable[Opinion],
+    scores: Iterable[tuple[float, float]],
     params: TpfsParams,
     *,
     force_full_confidence: bool = False,
-) -> float:
+) -> Optional[float]:
     """Confidence-weighted blend of positive and negative recommendations.
 
-    Opinions with r_jf above t_low are positive, the rest (boundary
+    Each recommendation is a pair (r_ij, r_jf): the evaluator's score for
+    the recommender and the recommender's score for the subject, both in
+    [0,1]. Pairs with r_jf above t_low are positive, the rest (boundary
     included) negative. Each class aggregates C * r_ij * r_jf averaged
     over its members, the classes are weighted by their share of the
-    opinion count, and the result is clamped to [0,1].
+    pair count, and the result is clamped to [0,1]; None when there are
+    no recommendations.
     """
-    rin = _indirect(((o.r_ij, o.r_jf) for o in opinions), params, force_full_confidence)
-    if rin is None:
-        raise ValueError("no recommendations")
-    return rin
-
-
-def _indirect(scores, params: TpfsParams, force_full_confidence: bool) -> Optional[float]:
-    """indirect_reputation over (r_ij, r_jf) pairs; None when there are none."""
     positive = []
     negative = []
     t_low = params.t_low
@@ -261,31 +234,29 @@ def _indirect(scores, params: TpfsParams, force_full_confidence: bool) -> Option
     return min(1.0, max(0.0, c * p - d * n))
 
 
-def _tendency(alpha: int, beta: int) -> float:
+def feedback_score(alpha: int, beta: int) -> float:
+    """Rating tendency in [-1,1] of alpha positive and beta negative
+    ratings: (alpha^2 - beta^2) / (alpha+beta)^2."""
     total = alpha + beta
     if total == 0:
         raise ValueError("no common history")
     return (alpha**2 - beta**2) / total**2
 
 
-def feedback_score(profile: FeedbackProfile) -> float:
-    """Overall rating tendency in [-1,1]: (alpha^2 - beta^2) / (alpha+beta)^2."""
-    return _tendency(profile.alpha, profile.beta)
-
-
 def feedback_similarity(
     i: VehicleId,
     j: VehicleId,
     ledger: ReputationLedger,
-    params: TpfsParams,
 ) -> Optional[float]:
     """Weighted-Euclidean similarity of the two vehicles' rating profiles
     over the peers both have rated; None when they share no ratees.
 
-    Uniform params.similarity_weighting spreads weight equally; deviation
-    uses the population std of each shared ratee's received feedback
-    scores, normalized (falling back to uniform when all stds are zero).
+    Uniform ledger.params.similarity_weighting spreads weight equally;
+    deviation uses the population std of each shared ratee's received
+    feedback scores, normalized (falling back to uniform when all stds
+    are zero).
     """
+    params = ledger.params
     common = sorted(ledger.common_ratees(i, j))
     if not common:
         return None
@@ -324,29 +295,24 @@ def final_reputation(
     i: VehicleId,
     f: VehicleId,
     ledger: ReputationLedger,
-    opinions: Iterable[Opinion],
-    params: TpfsParams,
+    scores: Iterable[tuple[float, float]],
     mode: ReputationMode = ReputationMode.TPFS,
     now: float | None = None,
 ) -> float:
-    """Final score of i about f, dispatched on (direct history, opinions).
+    """Final score of i about f from the (r_ij, r_jf) recommendation
+    pairs, dispatched on (direct history, recommendations).
 
-    With neither: r*gamma. Opinions only: blend of eta and the indirect
-    score. History only: r times the direct score. Both: blend of the
-    direct and indirect scores. r comes from feedback similarity (theta
-    when i and f share no ratees); TP_only and TWSL_like pin r at theta,
-    and TWSL_like additionally trusts every recommender fully.
+    With neither: r*gamma. Recommendations only: blend of eta and the
+    indirect score. History only: r times the direct score. Both: blend
+    of the direct and indirect scores. r comes from feedback similarity
+    (theta when i and f share no ratees); TP_only and TWSL_like pin r at
+    theta, and TWSL_like additionally trusts every recommender fully.
     """
-    rin = _indirect(((o.r_ij, o.r_jf) for o in opinions), params,
-                    mode is ReputationMode.TWSL_LIKE)
-    return _final(i, f, ledger, params, mode, now, rin)
-
-
-def _final(i, f, ledger: ReputationLedger, params: TpfsParams, mode: ReputationMode,
-           now: float | None, rin: Optional[float]) -> float:
-    """final_reputation given the indirect score (None without opinions)."""
+    params = ledger.params
+    rin = indirect_reputation(scores, params,
+                              force_full_confidence=mode is ReputationMode.TWSL_LIKE)
     if mode is ReputationMode.TPFS:
-        simf = feedback_similarity(i, f, ledger, params)
+        simf = feedback_similarity(i, f, ledger)
         r = params.theta if simf is None else local_confidence(simf, params)
     else:
         r = params.theta
@@ -364,21 +330,19 @@ def evaluate_pair(
     ledger: ReputationLedger,
     rater: VehicleId,
     ratee: VehicleId,
-    params: TpfsParams,
     mode: ReputationMode,
     now_min: float,
 ) -> float:
-    """Final score of rater about ratee with opinions gathered from every
-    other vehicle that has rated the ratee. Pure given the ledger, so a
-    chain replay reproduces it exactly."""
+    """Final score of rater about ratee with recommendations gathered from
+    every other vehicle that has rated the ratee. Pure given the ledger,
+    so a chain replay reproduces it exactly."""
     direct_score = ledger.direct_score
     scores = (
         (direct_score(rater, rec, now_min), direct_score(rec, ratee, now_min))
         for rec in sorted(ledger.raters_of(ratee))
         if rec != rater and rec != ratee
     )
-    rin = _indirect(scores, params, mode is ReputationMode.TWSL_LIKE)
-    return _final(rater, ratee, ledger, params, mode, now_min, rin)
+    return final_reputation(rater, ratee, ledger, scores, mode, now_min)
 
 
 def status_transition(current: Status, rfin: float, params: TpfsParams) -> Status:
@@ -394,26 +358,18 @@ def status_transition(current: Status, rfin: float, params: TpfsParams) -> Statu
     return Status.NORMAL
 
 
-def classify_status(
-    vehicle: VehicleId, rfin: float, ledger: ReputationLedger, params: TpfsParams
-) -> Status:
+def classify_status(vehicle: VehicleId, rfin: float, ledger: ReputationLedger) -> Status:
     """Apply the status step to the ledger and return the new status."""
-    new = status_transition(ledger.get_status(vehicle), rfin, params)
+    new = status_transition(ledger.get_status(vehicle), rfin, ledger.params)
     ledger.status[vehicle] = new
     return new
 
 
-@dataclass(frozen=True)
-class ServerCandidate:
-    vehicle: VehicleId
-    rfin: float
-    trade_count: int
-
-
 def select_server(
-    candidates: list[ServerCandidate], params: TpfsParams, rng: Random
+    candidates: list[tuple[VehicleId, float, int]], params: TpfsParams, rng: Random
 ) -> VehicleId:
-    """Two-group fair pick among non-revoked candidates.
+    """Two-group fair pick among non-revoked (vehicle, rfin, trade_count)
+    candidates.
 
     If every candidate sits below the service threshold the pick is
     uniform. Otherwise a draw below q_select targets the old group
@@ -423,18 +379,18 @@ def select_server(
     """
     if not candidates:
         raise ValueError("no servers available")
-    if all(c.rfin < params.t_service for c in candidates):
-        return candidates[rng.randrange(len(candidates))].vehicle
-    old = [c for c in candidates if c.trade_count >= params.t_trades]
-    new = [c for c in candidates if c.trade_count < params.t_trades]
+    if all(rfin < params.t_service for _, rfin, _ in candidates):
+        return candidates[rng.randrange(len(candidates))][0]
+    old = [c for c in candidates if c[2] >= params.t_trades]
+    new = [c for c in candidates if c[2] < params.t_trades]
 
     def pick_old(group):
-        best = max(c.rfin for c in group)
-        top = [c for c in group if c.rfin == best]
-        return top[0].vehicle if len(top) == 1 else top[rng.randrange(len(top))].vehicle
+        best = max(rfin for _, rfin, _ in group)
+        top = [c for c in group if c[1] == best]
+        return top[0][0] if len(top) == 1 else top[rng.randrange(len(top))][0]
 
     def pick_new(group):
-        return group[rng.randrange(len(group))].vehicle
+        return group[rng.randrange(len(group))][0]
 
     if rng.random() < params.q_select:
         return pick_old(old) if old else pick_new(new)

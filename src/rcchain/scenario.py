@@ -48,7 +48,6 @@ from .reputation import (
     RatingEvent,
     ReputationLedger,
     ReputationMode,
-    ServerCandidate,
     Status,
     TpfsParams,
     classify_status,
@@ -657,14 +656,8 @@ class _Engine:
         mission.candidates = candidates
         now_min = self.now / SECONDS_PER_MINUTE
         scored = [
-            ServerCandidate(
-                vehicle=c,
-                rfin=evaluate_pair(
-                    self.reputation, mission.requester, c, self.cfg.tpfs,
-                    self.cfg.mode, now_min,
-                ),
-                trade_count=self.reputation.trade_count.get(c, 0),
-            )
+            (c, evaluate_pair(self.reputation, mission.requester, c, self.cfg.mode, now_min),
+             self.reputation.trade_count.get(c, 0))
             for c in mission.candidates
         ]
         area_rsus = self.rsus_in[requester_area]
@@ -717,9 +710,7 @@ class _Engine:
                               valid: bool, t_committed: float):
         if not valid:
             return
-        apply_reputation_update(
-            self.reputation, event, self.cfg.tpfs, self.cfg.mode, self.trajectories
-        )
+        apply_reputation_update(self.reputation, event, self.cfg.mode, self.trajectories)
         if self.reputation.get_status(event.ratee) is Status.REVOKED:
             self.ca.revoke(event.ratee)  # certificate out, re-registration barred
         mission.t_commit_min = t_committed / SECONDS_PER_MINUTE
@@ -744,7 +735,6 @@ def rating_from_payload(payload: bytes) -> RatingEvent:
 def apply_reputation_update(
     ledger: ReputationLedger,
     event: RatingEvent,
-    params: TpfsParams,
     mode: ReputationMode,
     trajectories: Optional[list] = None,
 ) -> float:
@@ -755,8 +745,8 @@ def apply_reputation_update(
     now_min = event.timestamp
     ledger.record_rating(event, now=now_min)
     ledger.record_trade(event.ratee)
-    rfin = evaluate_pair(ledger, event.rater, event.ratee, params, mode, now_min)
-    status = classify_status(event.ratee, rfin, ledger, params)
+    rfin = evaluate_pair(ledger, event.rater, event.ratee, mode, now_min)
+    status = classify_status(event.ratee, rfin, ledger)
     if trajectories is not None:
         trajectories.append(
             TrajectoryRecord(
@@ -780,8 +770,7 @@ def reputation_from_chain(
     for blk in chain.blocks:
         for tx, (valid, _reason) in zip(blk.txs, blk.validity):
             if valid and tx.kind == "reputation_update":
-                apply_reputation_update(ledger, rating_from_payload(tx.proposal.payload),
-                                        params, mode)
+                apply_reputation_update(ledger, rating_from_payload(tx.proposal.payload), mode)
     return ledger
 
 

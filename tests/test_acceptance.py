@@ -23,8 +23,6 @@ from rcchain.pipeline_des import BLOCK_FEED, STAGE_FEED, simulate_pipeline
 from rcchain.presets import run_preset
 from rcchain.queueing import QueueNetworkConfig, performance
 from rcchain.reputation import (
-    FeedbackProfile,
-    Opinion,
     RatingEvent,
     ReputationLedger,
     TpfsParams,
@@ -52,25 +50,25 @@ def test_criterion_1_equation_unit_suite():
     assert recommended_confidence(0.5, P) == 0.8
     assert recommended_confidence(0.9, P) == 1.0
     # indirect reputation
-    ops = [Opinion("a", "f", 0.9, 0.7), Opinion("b", "f", 0.5, 0.2)]
+    ops = [(0.9, 0.7), (0.5, 0.2)]  # (r_ij, r_jf) per recommender
     assert abs(indirect_reputation(ops, P) - 0.275) < tol
-    assert abs(indirect_reputation([Opinion("a", "f", 1.0, 1.0)], P) - 1.0) < tol
-    assert indirect_reputation([Opinion("a", "f", 1.0, 0.1)], P) == 0.0
+    assert abs(indirect_reputation([(1.0, 1.0)], P) - 1.0) < tol
+    assert indirect_reputation([(1.0, 0.1)], P) == 0.0
     # feedback score
-    assert abs(feedback_score(FeedbackProfile(5, 5))) < tol
-    assert abs(feedback_score(FeedbackProfile(4, 0)) - 1.0) < tol
-    assert abs(feedback_score(FeedbackProfile(3, 1)) - 0.5) < tol
+    assert abs(feedback_score(5, 5)) < tol
+    assert abs(feedback_score(4, 0) - 1.0) < tol
+    assert abs(feedback_score(3, 1) - 0.5) < tol
     # similarity and confidence
     led = ReputationLedger()
     for args in (("i", "q1", True), ("j", "q1", True)):
         led.record_rating(RatingEvent(args[0], args[1], args[2], 0.0), 0.0)
-    assert abs(feedback_similarity("i", "j", led, P) - 1.0) < tol
+    assert abs(feedback_similarity("i", "j", led) - 1.0) < tol
     assert abs(local_confidence(1.0, P) - 1.0) < tol
     assert abs(local_confidence(0.5, P) - math.exp(-1.0)) < tol
     # final reputation dispatch
     led2 = ReputationLedger()
-    assert abs(final_reputation("i", "f", led2, [], P) - 0.14) < tol
-    assert abs(final_reputation("i", "f", led2, ops, P) - 0.2225) < tol
+    assert abs(final_reputation("i", "f", led2, []) - 0.14) < tol
+    assert abs(final_reputation("i", "f", led2, ops) - 0.2225) < tol
     # direct-rating estimator
     led3 = ReputationLedger()
     for _ in range(10):
@@ -88,7 +86,7 @@ def test_criterion_1_equation_unit_suite():
             led4.record_rating(RatingEvent(rater, "q2", True, 0.0), 0.0)
         for _ in range(beta):
             led4.record_rating(RatingEvent(rater, "q2", False, 0.0), 0.0)
-    assert abs(feedback_similarity("i", "j", led4, P) - (1 - math.sqrt(0.5))) < tol
+    assert abs(feedback_similarity("i", "j", led4) - (1 - math.sqrt(0.5))) < tol
     # negative-penalty asymmetry
     led5 = ReputationLedger()
     for positive in [True] * 5 + [False] * 5:

@@ -366,11 +366,12 @@ def test_compare_default_point_tracks_closed_forms(tmp_path):
 
 
 @pytest.mark.parametrize("args,code", [
-    (["--lambda0", "40", "--orderer-mode", "literal_eq19", "--n-tx", "1000"], EXIT_UNSTABLE),
     (["--lambda0", "200", "--n-tx", "1000"], EXIT_UNSTABLE),
     (["--lambda0", "0", "--n-tx", "1000"], EXIT_CONFIG),
     (["--lambda0", "40", "--n-tx", "0"], EXIT_CONFIG),
-], ids=["literal-eq19", "saturated", "no-arrivals", "no-tx"])
+    (["--lambda0", "nan", "--n-tx", "1000"], EXIT_CONFIG),
+    (["--lambda0", "inf", "--n-tx", "1000"], EXIT_CONFIG),
+], ids=["saturated", "no-arrivals", "no-tx", "nan-rate", "infinite-rate"])
 def test_compare_unstable_point_refused(tmp_path, args, code):
     out = tmp_path / "u"
     assert main(["compare", "--out", str(out), *args]) == code
@@ -405,6 +406,7 @@ def test_simulate_mode_override(scenario_path, tmp_path):
     ["preset", "neighbor-sweep", "--mode", "TPFS"],
     ["preset", "neighbor-sweep", "--orderer-mode", "literal_eq19"],
     ["compare", "--mode", "TPFS"],
+    ["compare", "--orderer-mode", "literal_eq19"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 1e6-transaction oracle run lives in the acceptance suite)."""
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def test_throughput_flow_balance():
 def test_batch_size_ordering_in_des():
     confs = []
     for m in (10, 50, 100):
-        cfg = CFG40.with_overrides(batch_size=m)
+        cfg = replace(CFG40, batch_size=m)
         stats = simulate_pipeline(cfg, 80_000, seed=7, commit_feed=BLOCK_FEED)
         confs.append(stats.confirmation_mean)
     assert confs[0] < confs[1] < confs[2]

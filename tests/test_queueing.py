@@ -1,5 +1,8 @@
 """Closed-form queueing model: hand-derived examples and identities."""
 
+import math
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,13 +33,21 @@ def test_traffic_hand_example():
     assert solve_traffic(BASE) == (100.0, pytest.approx(90.0), pytest.approx(90.0))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("mu0", math.nan), ("mu0", math.inf), ("mu2", math.nan), ("mu2", math.inf),
+])
+def test_config_rejects_non_finite_service_rates(field, value):
+    with pytest.raises(ValueError):
+        replace(BASE, **{field: value})
+
+
 def test_traffic_all_rejected():
-    cfg = BASE.with_overrides(q01=0.0)
+    cfg = replace(BASE, q01=0.0)
     assert solve_traffic(cfg) == (100.0, 0.0, 0.0)
 
 
 def test_traffic_table_operating_point():
-    cfg = BASE.with_overrides(lambda0=37.29)
+    cfg = replace(BASE, lambda0=37.29)
     l0, l1, l2 = solve_traffic(cfg)
     assert l0 == pytest.approx(37.29, abs=1e-9)
     assert l1 == pytest.approx(33.561, abs=1e-9)
@@ -45,14 +56,14 @@ def test_traffic_table_operating_point():
 
 def test_orderer_rate_examples():
     assert orderer_service_rate(BASE) == pytest.approx(18.0, abs=1e-9)
-    assert orderer_service_rate(BASE.with_overrides(batch_size=1)) == pytest.approx(180.0, abs=1e-9)
-    cfg = BASE.with_overrides(lambda0=37.29)
+    assert orderer_service_rate(replace(BASE, batch_size=1)) == pytest.approx(180.0, abs=1e-9)
+    cfg = replace(BASE, lambda0=37.29)
     assert orderer_service_rate(cfg) == pytest.approx(6.7122, abs=1e-9)
 
 
 def test_orderer_rate_zero_traffic_signals():
     with pytest.raises(ValueError, match="Lambda1 = 0"):
-        orderer_service_rate(BASE.with_overrides(q01=0.0))
+        orderer_service_rate(replace(BASE, q01=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +79,14 @@ def test_utilizations_block_mode():
 
 
 def test_utilizations_literal_mode_unstable():
-    cfg = BASE.with_overrides(orderer_mode=ORDERER_LITERAL)
+    cfg = replace(BASE, orderer_mode=ORDERER_LITERAL)
     r0, r1, r2, stable = utilizations(cfg)
     assert r1 == 5.0
     assert not stable
 
 
 def test_utilizations_vanish_with_load():
-    cfg = BASE.with_overrides(lambda0=1e-9)
+    cfg = replace(BASE, lambda0=1e-9)
     r0, r1, r2, _ = utilizations(cfg)
     assert r0 < 1e-10 and r2 < 1e-10
 
@@ -133,7 +144,7 @@ def test_performance_worked_example():
 
 
 def test_performance_near_table_row_one():
-    cfg = BASE.with_overrides(lambda0=37.29)
+    cfg = replace(BASE, lambda0=37.29)
     m = performance(cfg)
     assert abs(m.confirmation_time - 0.303) <= 0.05  # measured row-1 value
     assert abs(m.confirmation_time - 0.299) <= 0.05  # stated theoretical value
@@ -141,24 +152,24 @@ def test_performance_near_table_row_one():
 
 
 def test_performance_batch_size_ordering():
-    cfg40 = BASE.with_overrides(lambda0=40.0)
+    cfg40 = replace(BASE, lambda0=40.0)
     d = [
-        performance(cfg40.with_overrides(batch_size=m)).confirmation_time
+        performance(replace(cfg40, batch_size=m)).confirmation_time
         for m in (10, 50, 100)
     ]
     assert d[0] < d[1] < d[2]
 
 
 def test_performance_literal_mode_refuses():
-    cfg = BASE.with_overrides(orderer_mode=ORDERER_LITERAL)
+    cfg = replace(BASE, orderer_mode=ORDERER_LITERAL)
     with pytest.raises(UnstableConfigError) as err:
         performance(cfg)
     assert err.value.node == 1
 
 
 def test_performance_literal_mode_m1_matches_block():
-    lit = performance(BASE.with_overrides(batch_size=1, orderer_mode=ORDERER_LITERAL))
-    blk = performance(BASE.with_overrides(batch_size=1))
+    lit = performance(replace(BASE, batch_size=1, orderer_mode=ORDERER_LITERAL))
+    blk = performance(replace(BASE, batch_size=1))
     assert lit.delays[1] == pytest.approx(blk.delays[1], abs=1e-12)
 
 
@@ -190,9 +201,7 @@ def test_delay_identity_nodes_0_and_2(cfg):
 
 @given(stable_cfgs)
 def test_scaling_leaves_utilization_halves_delays(cfg):
-    scaled = cfg.with_overrides(
-        lambda0=2 * cfg.lambda0, mu0=2 * cfg.mu0, mu2=2 * cfg.mu2
-    )
+    scaled = replace(cfg, lambda0=2 * cfg.lambda0, mu0=2 * cfg.mu0, mu2=2 * cfg.mu2)
     assert utilizations(scaled)[:3] == pytest.approx(utilizations(cfg)[:3], rel=1e-12)
     a, b = performance(cfg), performance(scaled)
     assert b.delays[0] == pytest.approx(a.delays[0] / 2, rel=1e-12)
@@ -226,7 +235,7 @@ def test_sweep_d1_nonincreasing_in_lambda():
 
 
 def test_sweep_flags_unstable_rows():
-    base = BASE.with_overrides(orderer_mode=ORDERER_LITERAL)
+    base = replace(BASE, orderer_mode=ORDERER_LITERAL)
     rows = sweep(base, (50.0,), (1, 10))
     assert rows[0].stable and rows[0].metrics is not None
     assert not rows[1].stable and rows[1].metrics is None

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import dataclass, replace
 from random import Random
 from statistics import pstdev
 
@@ -10,12 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcchain.reputation import (
-    FeedbackProfile,
-    Opinion,
     RatingEvent,
     ReputationLedger,
     ReputationMode,
-    ServerCandidate,
     Status,
     TpfsParams,
     blend_reputation,
@@ -32,7 +30,7 @@ from rcchain.reputation import (
 )
 
 P = TpfsParams()
-P_DEVIATION = P.with_overrides(similarity_weighting="deviation")
+P_DEVIATION = replace(P, similarity_weighting="deviation")
 
 
 def rate(ledger, rater, ratee, positive, t):
@@ -72,43 +70,39 @@ def test_confidence_monotone(x, y):
 # ---------------------------------------------------------------------------
 
 def test_indirect_hand_example():
-    ops = [Opinion("a", "f", 0.9, 0.7), Opinion("b", "f", 0.5, 0.2)]
+    ops = [(0.9, 0.7), (0.5, 0.2)]  # (r_ij, r_jf) per recommender
     assert indirect_reputation(ops, P) == pytest.approx(0.275, abs=1e-9)
 
 
 def test_indirect_single_perfect_opinion():
-    assert indirect_reputation([Opinion("a", "f", 1.0, 1.0)], P) == pytest.approx(1.0, abs=1e-9)
+    assert indirect_reputation([(1.0, 1.0)], P) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_indirect_clamps_at_zero():
-    ops = [Opinion("a", "f", 1.0, 0.1), Opinion("b", "f", 1.0, 0.2)]
+    ops = [(1.0, 0.1), (1.0, 0.2)]
     assert indirect_reputation(ops, P) == 0.0
 
 
-def test_indirect_empty_raises():
-    with pytest.raises(ValueError, match="no recommendations"):
-        indirect_reputation([], P)
+def test_indirect_empty_is_none():
+    assert indirect_reputation([], P) is None
 
 
 def test_indirect_boundary_opinion_is_negative():
     # r_jf exactly at t_low lands in the negative class
-    ops = [Opinion("a", "f", 1.0, P.t_low)]
+    ops = [(1.0, P.t_low)]
     assert indirect_reputation(ops, P) == 0.0
 
 
 def test_indirect_full_confidence_override():
-    ops = [Opinion("a", "f", 0.1, 0.9)]  # low-rep recommender: C=0 normally
+    ops = [(0.1, 0.9)]  # low-rep recommender: C=0 normally
     assert indirect_reputation(ops, P) == 0.0
     forced = indirect_reputation(ops, P, force_full_confidence=True)
     assert forced == pytest.approx(0.09, abs=1e-9)
 
 
-opinion_st = st.builds(
-    Opinion,
-    recommender=st.sampled_from(["a", "b", "c", "d"]),
-    subject=st.just("f"),
-    r_ij=st.floats(min_value=0.0, max_value=1.0),
-    r_jf=st.floats(min_value=0.0, max_value=1.0),
+opinion_st = st.tuples(
+    st.floats(min_value=0.0, max_value=1.0),  # r_ij
+    st.floats(min_value=0.0, max_value=1.0),  # r_jf
 )
 
 
@@ -123,23 +117,23 @@ def test_indirect_stays_in_range(ops, forced):
 # ---------------------------------------------------------------------------
 
 def test_feedback_score_examples():
-    assert feedback_score(FeedbackProfile(5, 5)) == pytest.approx(0.0, abs=1e-9)
-    assert feedback_score(FeedbackProfile(4, 0)) == pytest.approx(1.0, abs=1e-9)
-    assert feedback_score(FeedbackProfile(3, 1)) == pytest.approx(0.5, abs=1e-9)
+    assert feedback_score(5, 5) == pytest.approx(0.0, abs=1e-9)
+    assert feedback_score(4, 0) == pytest.approx(1.0, abs=1e-9)
+    assert feedback_score(3, 1) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_feedback_score_empty_raises():
     with pytest.raises(ValueError, match="no common history"):
-        feedback_score(FeedbackProfile(0, 0))
+        feedback_score(0, 0)
 
 
 @given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=60))
 def test_feedback_score_antisymmetric_and_bounded(a, b):
     if a + b == 0:
         return
-    f = feedback_score(FeedbackProfile(a, b))
+    f = feedback_score(a, b)
     assert abs(f) <= 1.0
-    assert f == pytest.approx(-feedback_score(FeedbackProfile(b, a)), abs=1e-12)
+    assert f == pytest.approx(-feedback_score(b, a), abs=1e-12)
     if b == 0:
         assert f == 1.0
 
@@ -159,7 +153,7 @@ def test_similarity_identical_profiles_is_one():
     led = ReputationLedger()
     make_profiles(led, "i", "q1", 3, 1)
     make_profiles(led, "j", "q1", 6, 2)  # same F=0.5 despite different counts
-    assert feedback_similarity("i", "j", led, P) == pytest.approx(1.0, abs=1e-12)
+    assert feedback_similarity("i", "j", led) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_similarity_hand_example():
@@ -168,7 +162,7 @@ def test_similarity_hand_example():
     make_profiles(led, "j", "q1", 3, 1)   # F=0.5
     make_profiles(led, "i", "q2", 4, 0)   # F=1
     make_profiles(led, "j", "q2", 5, 5)   # F=0
-    got = feedback_similarity("i", "j", led, P)
+    got = feedback_similarity("i", "j", led)
     assert got == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-9)
 
 
@@ -176,36 +170,35 @@ def test_similarity_clamps_to_floor():
     led = ReputationLedger()
     make_profiles(led, "i", "q", 4, 0)    # F=1
     make_profiles(led, "j", "q", 0, 4)    # F=-1
-    assert feedback_similarity("i", "j", led, P) == P.simf_floor
+    assert feedback_similarity("i", "j", led) == P.simf_floor
 
 
 def test_similarity_no_common_raters_is_none():
     led = ReputationLedger()
     make_profiles(led, "i", "q1", 1, 0)
     make_profiles(led, "j", "q2", 1, 0)
-    assert feedback_similarity("i", "j", led, P) is None
+    assert feedback_similarity("i", "j", led) is None
 
 
 def test_similarity_symmetric_and_weighted():
-    led = ReputationLedger()
-    make_profiles(led, "i", "q1", 5, 0)
-    make_profiles(led, "j", "q1", 2, 3)
-    make_profiles(led, "i", "q2", 1, 1)
-    make_profiles(led, "j", "q2", 4, 1)
-    make_profiles(led, "x", "q1", 1, 4)   # extra rater fuels the deviation weights
-    make_profiles(led, "x", "q2", 2, 0)
-    for weighting in ("uniform", "deviation"):
-        params = P.with_overrides(similarity_weighting=weighting)
-        a = feedback_similarity("i", "j", led, params)
-        b = feedback_similarity("j", "i", led, params)
+    for params in (P, P_DEVIATION):
+        led = ReputationLedger(params)
+        make_profiles(led, "i", "q1", 5, 0)
+        make_profiles(led, "j", "q1", 2, 3)
+        make_profiles(led, "i", "q2", 1, 1)
+        make_profiles(led, "j", "q2", 4, 1)
+        make_profiles(led, "x", "q1", 1, 4)   # extra rater fuels the deviation weights
+        make_profiles(led, "x", "q2", 2, 0)
+        a = feedback_similarity("i", "j", led)
+        b = feedback_similarity("j", "i", led)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_similarity_deviation_uniform_fallback():
-    led = ReputationLedger()
+    led = ReputationLedger(P_DEVIATION)
     make_profiles(led, "i", "q1", 2, 0)
     make_profiles(led, "j", "q1", 2, 0)  # single dispersion source, std=0
-    got = feedback_similarity("i", "j", led, P_DEVIATION)
+    got = feedback_similarity("i", "j", led)
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
@@ -242,18 +235,18 @@ def test_local_confidence_strictly_increasing(x, y):
 # final reputation
 # ---------------------------------------------------------------------------
 
-OPS_275 = [Opinion("a", "f", 0.9, 0.7), Opinion("b", "f", 0.5, 0.2)]
+OPS_275 = [(0.9, 0.7), (0.5, 0.2)]
 
 
 def test_final_no_history_no_opinions():
     led = ReputationLedger()
-    got = final_reputation("i", "f", led, [], P)
+    got = final_reputation("i", "f", led, [])
     assert got == pytest.approx(0.7 * 0.2, abs=1e-9)
 
 
 def test_final_opinions_only():
     led = ReputationLedger()
-    got = final_reputation("i", "f", led, OPS_275, P)
+    got = final_reputation("i", "f", led, OPS_275)
     assert got == pytest.approx(0.7 * 0.2 + 0.3 * 0.275, abs=1e-9)
 
 
@@ -264,7 +257,7 @@ def test_final_full_blend_hand_example():
     # shared ratee q gives F(i,q)=0.5 vs F(f,q)=0 -> simf exactly 0.5
     make_profiles(led, "i", "q", 3, 1)
     make_profiles(led, "f", "q", 5, 5)
-    got = final_reputation("i", "f", led, OPS_275, P, now=0.0)
+    got = final_reputation("i", "f", led, OPS_275, now=0.0)
     r = math.exp(-1.0)
     assert got == pytest.approx(r * 0.8 + (1 - r) * 0.275, abs=1e-9)
     assert got == pytest.approx(0.46814, abs=1e-5)
@@ -273,7 +266,7 @@ def test_final_full_blend_hand_example():
 def test_final_history_no_opinions_uses_caseplain_product():
     led = ReputationLedger()
     make_profiles(led, "i", "f", 27, 3)
-    got = final_reputation("i", "f", led, [], P, now=0.0)
+    got = final_reputation("i", "f", led, [], now=0.0)
     # no common raters -> r = theta
     assert got == pytest.approx(0.7 * 0.8, abs=1e-9)
 
@@ -283,9 +276,9 @@ def test_final_mode_pins_theta():
     make_profiles(led, "i", "f", 27, 3)
     make_profiles(led, "i", "q", 3, 1)
     make_profiles(led, "f", "q", 5, 5)
-    tp = final_reputation("i", "f", led, OPS_275, P, ReputationMode.TP_ONLY, now=0.0)
+    tp = final_reputation("i", "f", led, OPS_275, ReputationMode.TP_ONLY, now=0.0)
     assert tp == pytest.approx(0.7 * 0.8 + 0.3 * 0.275, abs=1e-9)
-    twsl = final_reputation("i", "f", led, OPS_275, P, ReputationMode.TWSL_LIKE, now=0.0)
+    twsl = final_reputation("i", "f", led, OPS_275, ReputationMode.TWSL_LIKE, now=0.0)
     # full confidence: P = mean(1*0.9*0.7)=0.63, N = 1*0.5*0.2=0.10
     assert twsl == pytest.approx(0.7 * 0.8 + 0.3 * (0.5 * 0.63 - 0.5 * 0.10), abs=1e-9)
 
@@ -361,15 +354,15 @@ def test_all_positive_history_converges_upward(n):
 
 def test_classify_status_bands():
     led = ReputationLedger()
-    assert classify_status("v", 0.9, led, P) is Status.NORMAL
-    assert classify_status("v", 0.3, led, P) is Status.WARNING
-    assert classify_status("v", 0.1, led, P) is Status.REVOKED
+    assert classify_status("v", 0.9, led) is Status.NORMAL
+    assert classify_status("v", 0.3, led) is Status.WARNING
+    assert classify_status("v", 0.1, led) is Status.REVOKED
 
 
 def test_revoked_is_absorbing():
     led = ReputationLedger()
-    classify_status("v", 0.1, led, P)
-    assert classify_status("v", 0.9, led, P) is Status.REVOKED
+    classify_status("v", 0.1, led)
+    assert classify_status("v", 0.9, led) is Status.REVOKED
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
@@ -386,12 +379,12 @@ def test_status_transition_total(rfin):
 # ---------------------------------------------------------------------------
 
 def test_select_singleton():
-    got = select_server([ServerCandidate("a", 0.9, 10)], P, Random(1))
+    got = select_server([("a", 0.9, 10)], P, Random(1))
     assert got == "a"
 
 
 def test_select_old_group_takes_max_rfin():
-    cands = [ServerCandidate("A", 0.9, 20), ServerCandidate("B", 0.6, 30)]
+    cands = [("A", 0.9, 20), ("B", 0.6, 30)]  # (vehicle, rfin, trade_count)
     # seed chosen so the first uniform draw is < q_select
     assert Random(1).random() < P.q_select
     assert select_server(cands, P, Random(1)) == "A"
@@ -403,7 +396,7 @@ def test_select_empty_raises():
 
 
 def test_select_below_threshold_uniform():
-    cands = [ServerCandidate(v, 0.1, 10) for v in ("a", "b", "c", "d")]
+    cands = [(v, 0.1, 10) for v in ("a", "b", "c", "d")]
     rng = Random(42)
     counts = Counter(select_server(cands, P, rng) for _ in range(100_000))
     for v in ("a", "b", "c", "d"):
@@ -411,7 +404,7 @@ def test_select_below_threshold_uniform():
 
 
 def test_select_deterministic_with_seed():
-    cands = [ServerCandidate(v, 0.2 + 0.1 * k, k) for k, v in enumerate("abcdefg")]
+    cands = [(v, 0.2 + 0.1 * k, k) for k, v in enumerate("abcdefg")]
     first = [select_server(cands, P, Random(7)) for _ in range(50)]
     second = [select_server(cands, P, Random(7)) for _ in range(50)]
     assert first == second
@@ -419,7 +412,7 @@ def test_select_deterministic_with_seed():
 
 def test_select_falls_back_when_target_group_empty():
     # all candidates new; draw below q_select targets old -> falls back uniform
-    cands = [ServerCandidate("a", 0.9, 0), ServerCandidate("b", 0.5, 1)]
+    cands = [("a", 0.9, 0), ("b", 0.5, 1)]
     got = select_server(cands, P, Random(0))
     assert got in ("a", "b")
 
@@ -446,32 +439,68 @@ def test_params_invariants_enforced():
 @settings(deadline=None)
 def test_final_reputation_always_in_range(ops, mode):
     led = ReputationLedger()
-    got = final_reputation("i", "f", led, ops, P, mode)
+    got = final_reputation("i", "f", led, ops, mode)
     assert 0.0 <= got <= 1.0
 
 
-def test_similarity_deviation_weighted_hand_oracle():
-    # q1 carries all the weight: its received scores {0.5, 0} have
-    # pstdev 0.25 while q2's {1, 1} have pstdev 0, so
-    # simf = 1 - sqrt(1.0 * (0.5 - 0)^2) = 0.5
-    led = ReputationLedger()
+def deviation_oracle_ledger(params):
+    # q1 carries all the deviation weight: its received scores {0.5, 0}
+    # have pstdev 0.25 while q2's {1, 1} have pstdev 0, so
+    # simf = 1 - sqrt(1.0 * (0.5 - 0)^2) = 0.5; uniform weights give
+    # simf = 1 - sqrt(0.5 * 0.25 + 0.5 * 0) = 1 - sqrt(0.125)
+    led = ReputationLedger(params)
     make_profiles(led, "i", "q1", 3, 1)   # F = 0.5
     make_profiles(led, "j", "q1", 5, 5)   # F = 0
     make_profiles(led, "i", "q2", 4, 0)   # F = 1
     make_profiles(led, "j", "q2", 2, 0)   # F = 1
-    got = feedback_similarity("i", "j", led, P_DEVIATION)
+    return led
+
+
+def test_similarity_deviation_weighted_hand_oracle():
+    got = feedback_similarity("i", "j", deviation_oracle_ledger(P_DEVIATION))
     assert got == pytest.approx(0.5, abs=1e-12)
 
 
+def test_evaluate_pair_reads_weighting_from_ledger():
+    # i and j never rate each other and nobody rates j, so the score is
+    # r * gamma with r = local_confidence(simf) = exp(1 - 1/simf)
+    dev = evaluate_pair(deviation_oracle_ledger(P_DEVIATION), "i", "j", ReputationMode.TPFS, 0.0)
+    assert dev == pytest.approx(math.exp(1.0 - 1.0 / 0.5) * P.gamma, abs=1e-12)
+    uni = evaluate_pair(deviation_oracle_ledger(P), "i", "j", ReputationMode.TPFS, 0.0)
+    assert uni == pytest.approx(math.exp(1.0 - 1.0 / (1.0 - math.sqrt(0.125))) * P.gamma,
+                                abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
-# evaluate_pair against the Opinion-list evaluator it replaced
+# evaluate_pair against an opinion-record reference evaluator
 # ---------------------------------------------------------------------------
-# The reference below is the evaluator evaluate_pair used to be: it builds
-# Opinion objects, re-counts each rating profile from the pair's events and
-# rescans the events with the decay read per event. The lean evaluator keeps
-# the same floating-point operations in the same order, so the two must
-# agree bit for bit (==), and on the error they raise for a score outside
-# [0,1].
+# The reference below is an independent evaluator on its own record types:
+# it builds one RefOpinion per recommender, re-counts each rating profile
+# from the pair's events into a RefProfile and rescans the events with the
+# decay read per event. evaluate_pair keeps the same floating-point
+# operations in the same order, so the two must agree bit for bit (==),
+# and on the error they raise for a score outside [0,1].
+
+@dataclass(frozen=True)
+class RefOpinion:
+    """A neighbor's recommendation: r_ij is the evaluator's score for the
+    recommender, r_jf the recommender's score for the subject."""
+
+    recommender: str
+    subject: str
+    r_ij: float
+    r_jf: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.r_ij <= 1.0 and 0.0 <= self.r_jf <= 1.0):
+            raise ValueError("opinion scores must be in [0,1]")
+
+
+@dataclass(frozen=True)
+class RefProfile:
+    alpha: int  # positive ratings given
+    beta: int   # negative ratings given
+
 
 def ref_score_events(events, now, params):
     alpha_eff = 0.0
@@ -490,7 +519,7 @@ def ref_profile(ledger, rater, ratee):
     if not events:
         return None
     pos = sum(1 for e in events if e.positive)
-    return FeedbackProfile(alpha=pos, beta=len(events) - pos)
+    return RefProfile(alpha=pos, beta=len(events) - pos)
 
 
 def ref_feedback_score(profile):
@@ -563,7 +592,7 @@ def ref_final_reputation(i, f, ledger, opinions, params, mode, now):
 
 def ref_evaluate_pair(ledger, rater, ratee, params, mode, now_min):
     opinions = [
-        Opinion(
+        RefOpinion(
             recommender=rec,
             subject=ratee,
             r_ij=ledger.direct_score(rater, rec, now_min),
@@ -621,8 +650,8 @@ def rating_histories(draw):
 def test_property_evaluate_pair_matches_opinion_evaluator(
         history, weighting, decay, penalty, scale, data):
     names, events = history
-    params = P.with_overrides(similarity_weighting=weighting, decay_per_minute=decay,
-                              negative_penalty=penalty)
+    params = replace(P, similarity_weighting=weighting, decay_per_minute=decay,
+                     negative_penalty=penalty)
     ledger = ScaledLedger(params)
     for e in events:
         ledger.record_rating(e, now=e.timestamp)
@@ -644,6 +673,6 @@ def test_property_evaluate_pair_matches_opinion_evaluator(
             for i in names:
                 for j in names:
                     if i != j:
-                        assert outcome(evaluate_pair, ledger, i, j, params, mode, now) == \
+                        assert outcome(evaluate_pair, ledger, i, j, mode, now) == \
                             outcome(ref_evaluate_pair, ledger, i, j, params, mode, now), \
                             (mode, now, i, j)
