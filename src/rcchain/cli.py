@@ -27,13 +27,12 @@ from .queueing import (
     REPORT_COLUMNS,
     UnstableConfigError,
     performance,
-    report_rows,
     sweep,
 )
 from .reputation import ReputationMode
 from .scenario import (ScenarioConfigError, _check_keys, _number, _require, _shape_checked,
                        load_scenario_config, run_scenario)
-from .ledger import verify_export_lines
+from .ledger import export_files, verify_export_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,12 +103,11 @@ def cmd_analyze(args) -> int:
     doc = _load_json(args.config)
     base, lambdas, batch_sizes = _parse_grid(doc, args.orderer_mode)
     rows = sweep(base, lambdas, batch_sizes)
-    name, text = _report_file("queueing_report", args.format, REPORT_COLUMNS,
-                              report_rows(rows))
+    name, text = _report_file("queueing_report", args.format, REPORT_COLUMNS, rows)
     summary = {
         "rows": len(rows),
-        "stable_rows": sum(1 for r in rows if r.stable),
-        "unstable_rows": sum(1 for r in rows if not r.stable),
+        "stable_rows": sum(1 for r in rows if r["stable"]),
+        "unstable_rows": sum(1 for r in rows if not r["stable"]),
         "orderer_mode": base.orderer_mode,
     }
     paths = write_files(_out_dir(args),
@@ -127,8 +125,7 @@ def cmd_simulate(args, ledger_only: bool = False) -> int:
     report = run_scenario(cfg)
     out = _out_dir(args)
     if ledger_only:
-        files = report.output_files()
-        write_files(out, {name: files[name] for name in ("ledger.jsonl", "world_state.json")})
+        write_files(out, export_files(report.chain))
         print(f"wrote ledger export to {out} ({report.chain.tip.number} blocks)")
         return EXIT_OK
     report.write_outputs(out)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 ZERO_HASH = bytes(32)
+CA_SECRET = b"rcchain-ca"  # the certificate authority's key for every identity's key tag
 
 ROLES = frozenset({"client", "endorsing_peer", "orderer"})
 
@@ -78,8 +79,7 @@ def verify_sig(identity: Identity, message: bytes, sig: str) -> bool:
 class CertificateAuthority:
     """Issues identities bound to registration info; revocation is final."""
 
-    def __init__(self, secret: bytes = b"rcchain-ca"):
-        self._secret = secret
+    def __init__(self):
         self._issued: dict[str, Identity] = {}
         self._revoked: set[str] = set()
 
@@ -93,7 +93,7 @@ class CertificateAuthority:
         if registration_info in self._issued:
             raise ValueError(f"registration {registration_info!r} already bound")
         key_tag = hmac.digest(
-            self._secret, f"{org}|{role}|{registration_info}".encode(), "sha256"
+            CA_SECRET, f"{org}|{role}|{registration_info}".encode(), "sha256"
         ).hex()
         ident = Identity(id=registration_info, org=org, role=role, key_tag=key_tag)
         self._issued[registration_info] = ident
@@ -473,6 +473,14 @@ def export_world_state(ledger: ChainLedger) -> str:
         for key, (value, version) in sorted(ledger.world_state.items())
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def export_files(ledger: ChainLedger) -> dict[str, str]:
+    """A chain's two export files, name -> text."""
+    return {
+        "ledger.jsonl": "\n".join(export_ledger_lines(ledger)) + "\n",
+        "world_state.json": export_world_state(ledger),
+    }
 
 
 def verify_export_lines(lines: Iterable[str]) -> Optional[int]:

@@ -37,6 +37,7 @@ from .queueing import QueueNetworkConfig, performance, utilizations
 STAGE_FEED = "stage"
 BLOCK_FEED = "block"
 BATCH_TIMEOUT_S = 2.0  # OrderingConfig's default batch timeout
+MAX_N_TX = 10_000_000  # most arrivals one run may simulate; its arrays are allocated up front
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ def simulate_pipeline(
 ) -> PipelineStats:
     if commit_feed not in (STAGE_FEED, BLOCK_FEED):
         raise ValueError(f"unknown commit feed {commit_feed!r}")
-    if n_tx < 1:
-        raise ValueError("n_tx must be >= 1")
+    if not 1 <= n_tx <= MAX_N_TX:
+        raise ValueError(f"n_tx must be between 1 and {MAX_N_TX}")
     r0, _, r2, _ = utilizations(cfg)
     if r0 >= 1.0 or r2 >= 1.0:
         raise ValueError("endorsement or commitment station is saturated")

@@ -37,8 +37,7 @@ from .ledger import (
     ChainLedger,
     EndorsementPolicy,
     endorse,
-    export_ledger_lines,
-    export_world_state,
+    export_files,
     propose,
     validate_and_commit,
 )
@@ -99,7 +98,7 @@ def _check(assertions: list, name: str, passed: bool, detail: str = "") -> None:
 
 def _record_all(ledger: ReputationLedger, events: list[RatingEvent]) -> None:
     for e in events:
-        ledger.record_rating(e, now=e.timestamp)
+        ledger.record_rating(e)
 
 
 def _mirror_on_chain(events: list[RatingEvent], seed: int) -> ChainLedger:
@@ -207,8 +206,7 @@ def preset_reputation_timeline(seed: int = 50) -> PresetResult:
         "reputation.csv": csv_text(
             ["time_min", "rater", "ratee", "mode", "rfin", "status"], rows
         ),
-        "ledger.jsonl": "\n".join(export_ledger_lines(chain)) + "\n",
-        "world_state.json": export_world_state(chain),
+        **export_files(chain),
     }
     return PresetResult("reputation-timeline", files, a)
 
@@ -232,12 +230,12 @@ def preset_neighbor_sweep(seed: int = 60) -> PresetResult:
             tf = float(t)
             for rec in recs:
                 if rec in truthful:
-                    ledger.record_rating(RatingEvent(i, rec, True, tf), tf)
-                    ledger.record_rating(RatingEvent(rec, j, True, tf), tf)
+                    ledger.record_rating(RatingEvent(i, rec, True, tf))
+                    ledger.record_rating(RatingEvent(rec, j, True, tf))
                 else:
-                    ledger.record_rating(RatingEvent(i, rec, False, tf), tf)
+                    ledger.record_rating(RatingEvent(i, rec, False, tf))
                     # partial inversion: every third rating flipped
-                    ledger.record_rating(RatingEvent(rec, j, t % 3 != 0, tf), tf)
+                    ledger.record_rating(RatingEvent(rec, j, t % 3 != 0, tf))
         for mode in MODES:
             rfin = evaluate_pair(ledger, i, j, mode, 60.0)
             curves[mode].append(rfin)
@@ -352,8 +350,7 @@ def preset_ptype_field(seed: int = 70) -> PresetResult:
     chain = _mirror_on_chain(events, seed)
     files = {
         "ptype_field.csv": csv_text(["vehicle", "mode", "rfin"], rows),
-        "ledger.jsonl": "\n".join(export_ledger_lines(chain)) + "\n",
-        "world_state.json": export_world_state(chain),
+        **export_files(chain),
     }
     return PresetResult("ptype-field", files, a)
 
@@ -362,17 +359,13 @@ def preset_ptype_field(seed: int = 70) -> PresetResult:
 # queueing validation (DES vs closed form)
 # ---------------------------------------------------------------------------
 
-def preset_queueing_validation(
-    lambda0: float = 37.29,
-    batch_size: int = 10,
-    n_tx: int = 300_000,
-    seed: int = 20260809,
-) -> PresetResult:
+def preset_queueing_validation(seed: int = 20260809) -> PresetResult:
     """Poisson arrivals through the pipeline simulator's stage feed, which
     the closed forms describe, tabulated against them; asserts flow-balance
-    throughput and (at the validated batch-10 envelope) the confirmation band."""
-    cfg = QueueNetworkConfig(lambda0=lambda0, batch_size=batch_size)
-    closed = performance(cfg)  # refuses an unstable point before simulating
+    throughput, the endorsement delay and the confirmation band."""
+    cfg = QueueNetworkConfig(lambda0=37.29, batch_size=10)
+    n_tx = 300_000
+    closed = performance(cfg)
     stats = simulate_pipeline(cfg, n_tx, seed, commit_feed=STAGE_FEED)
     table = deviation_table(cfg, stats)
 
@@ -384,10 +377,9 @@ def preset_queueing_validation(
     _check(a, "endorsement_delay_matches_closed_form",
            abs(stats.d0_mean - closed.delays[0]) / closed.delays[0] <= 0.05,
            f"{stats.d0_mean:.5f} vs {closed.delays[0]:.5f} s")
-    if batch_size == 10 and 35.0 <= lambda0 <= 42.0:
-        _check(a, "confirmation_time_in_band",
-               0.28 <= stats.confirmation_mean <= 0.35,
-               f"mean confirmation {stats.confirmation_mean:.4f} s")
+    _check(a, "confirmation_time_in_band",
+           0.28 <= stats.confirmation_mean <= 0.35,
+           f"mean confirmation {stats.confirmation_mean:.4f} s")
 
     files = {
         "deviation.csv": csv_text(
@@ -396,8 +388,8 @@ def preset_queueing_validation(
         ),
         "pipeline_stats.json": json_text(
             {
-                "lambda0": lambda0,
-                "batch_size": batch_size,
+                "lambda0": cfg.lambda0,
+                "batch_size": cfg.batch_size,
                 "n_tx": n_tx,
                 "seed": seed,
                 "n_routed": stats.n_routed,
@@ -418,11 +410,9 @@ PRESETS: dict[str, Callable[..., PresetResult]] = {
 }
 
 
-def run_preset(name: str, seed: Optional[int] = None, **kwargs) -> PresetResult:
+def run_preset(name: str, seed: Optional[int] = None) -> PresetResult:
     if name not in PRESETS:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    if seed is not None:
-        kwargs["seed"] = seed
-    return PRESETS[name](**kwargs)
+    return PRESETS[name]() if seed is None else PRESETS[name](seed)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable
 
 ORDERER_LITERAL = "literal_eq19"
 ORDERER_BLOCK = "block_granularity"
@@ -77,7 +77,6 @@ class QueueNetworkConfig:
 @dataclass(frozen=True)
 class PerfMetrics:
     arrivals: tuple[float, float, float]          # Lambda per node, tx/s
-    utilizations: tuple[float, float, float]
     mean_counts: tuple[float, float, float]       # per node (node 1 in blocks)
     mean_count_total: float
     delays: tuple[float, float, float]            # seconds per node
@@ -164,7 +163,6 @@ def performance(cfg: QueueNetworkConfig) -> PerfMetrics:
     d_total = d0 + d1 + d2
     return PerfMetrics(
         arrivals=(l0, l1, l2),
-        utilizations=(r0, r1, r2),
         mean_counts=(n0, n1, n2),
         mean_count_total=n0 + n1 + n2,
         delays=(d0, d1, d2),
@@ -172,16 +170,6 @@ def performance(cfg: QueueNetworkConfig) -> PerfMetrics:
         throughput_eq31=n2 * cfg.q23 / d_total,
         throughput_flow=cfg.q23 * l2,
     )
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    lambda0: float
-    batch_size: int
-    orderer_mode: str
-    utilizations: tuple[float, float, float]
-    stable: bool
-    metrics: Optional[PerfMetrics]  # None when unstable
 
 
 REPORT_COLUMNS = [
@@ -194,43 +182,32 @@ def sweep(
     base: QueueNetworkConfig,
     lambda0s: Iterable[float],
     batch_sizes: Iterable[int],
-) -> list[SweepRow]:
-    """Grid evaluation; unstable rows are flagged, never dropped."""
+) -> list[dict]:
+    """Grid evaluation as report rows keyed by REPORT_COLUMNS; unstable
+    rows are flagged, never dropped, and their undefined metrics are None."""
     rows = []
     for lam in lambda0s:
         for m in batch_sizes:
             cfg = replace(base, lambda0=lam, batch_size=m)
             r0, r1, r2, stable = utilizations(cfg)
-            metrics = performance(cfg) if stable and cfg.q01 * lam > 0 else None
-            rows.append(
-                SweepRow(lam, m, cfg.orderer_mode, (r0, r1, r2), stable, metrics)
-            )
+            perf = performance(cfg) if stable and cfg.q01 * lam > 0 else None
+            rows.append({
+                "lambda0": lam,
+                "M": m,
+                "mode": cfg.orderer_mode,
+                "R0": r0,
+                "R1": r1,
+                "R2": r2,
+                "stable": stable,
+                "N0": perf.mean_counts[0] if perf else None,
+                "N1": perf.mean_counts[1] if perf else None,
+                "N2": perf.mean_counts[2] if perf else None,
+                "N": perf.mean_count_total if perf else None,
+                "D0": perf.delays[0] if perf else None,
+                "D1": perf.delays[1] if perf else None,
+                "D2": perf.delays[2] if perf else None,
+                "D": perf.confirmation_time if perf else None,
+                "H_eq31": perf.throughput_eq31 if perf else None,
+                "H_flow": perf.throughput_flow if perf else None,
+            })
     return rows
-
-
-def report_rows(rows: Iterable[SweepRow]) -> list[dict]:
-    """Rows as dicts keyed by REPORT_COLUMNS; undefined metrics are None."""
-    out = []
-    for row in rows:
-        m = row.metrics
-        rec = {
-            "lambda0": row.lambda0,
-            "M": row.batch_size,
-            "mode": row.orderer_mode,
-            "R0": row.utilizations[0],
-            "R1": row.utilizations[1],
-            "R2": row.utilizations[2],
-            "stable": row.stable,
-            "N0": m.mean_counts[0] if m else None,
-            "N1": m.mean_counts[1] if m else None,
-            "N2": m.mean_counts[2] if m else None,
-            "N": m.mean_count_total if m else None,
-            "D0": m.delays[0] if m else None,
-            "D1": m.delays[1] if m else None,
-            "D2": m.delays[2] if m else None,
-            "D": m.confirmation_time if m else None,
-            "H_eq31": m.throughput_eq31 if m else None,
-            "H_flow": m.throughput_flow if m else None,
-        }
-        out.append(rec)
-    return out

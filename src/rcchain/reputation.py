@@ -165,10 +165,9 @@ class ReputationLedger:
             alpha_eff + self.params.negative_penalty * beta_eff + 2.0
         )
 
-    def record_rating(self, event: RatingEvent, now: float) -> float:
-        """Append a rating and return the refreshed direct score of the pair."""
-        if event.timestamp > now:
-            raise ValueError("rating timestamp is in the future")
+    def record_rating(self, event: RatingEvent) -> None:
+        """Append a rating and refresh the pair's direct score at the
+        rating's own timestamp."""
         pair = (event.rater, event.ratee)
         prior = self._pair_events.get(pair)
         if prior and event.timestamp < prior[-1].timestamp:
@@ -177,9 +176,7 @@ class ReputationLedger:
         self._positives[pair] += event.positive
         self._rated_by[event.rater].add(event.ratee)
         self._raters_of[event.ratee].add(event.rater)
-        score = self._score_events(self._pair_events[pair], now)
-        self.direct[pair] = score
-        return score
+        self.direct[pair] = self._score_events(self._pair_events[pair], event.timestamp)
 
     def record_trade(self, vehicle: VehicleId) -> None:
         self.trade_count[vehicle] += 1

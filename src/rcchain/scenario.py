@@ -37,13 +37,13 @@ from .ledger import (
     PendingTx,
     check_policy,
     endorse,
-    export_ledger_lines,
-    export_world_state,
+    export_files,
     order_batch,
     propose,
     state_payload,
     validate_and_commit,
 )
+from .queueing import QueueNetworkConfig
 from .reputation import (
     RatingEvent,
     ReputationLedger,
@@ -430,7 +430,6 @@ class TrajectoryRecord:
 
 @dataclass
 class RunReport:
-    seed: int
     chain: ChainLedger
     reputation: ReputationLedger
     policy: EndorsementPolicy
@@ -472,8 +471,7 @@ class RunReport:
     def output_files(self) -> dict[str, str]:
         """Every output file of the run, name -> text."""
         return {
-            "ledger.jsonl": "\n".join(export_ledger_lines(self.chain)) + "\n",
-            "world_state.json": export_world_state(self.chain),
+            **export_files(self.chain),
             "reputation.csv": self.reputation_csv(),
             "missions.csv": self.missions_csv(),
             "perf.csv": self.perf_csv(),
@@ -575,7 +573,7 @@ class _Engine:
                 on_commit: Callable[[bool, float], None]):
         self._nonce += 1
         t_arrive = self.now
-        endorse_delay = self.rng.expovariate(150.0)
+        endorse_delay = self.rng.expovariate(QueueNetworkConfig.mu0)
         prop = propose(kind, payload, client, t_arrive, self._nonce)
 
         def do_endorse():
@@ -602,7 +600,7 @@ class _Engine:
 
     def _commit_batch(self, batch: list[EndorsedTransaction]):
         t_ordered = self.now
-        commit_delay = self.rng.expovariate(150.0)
+        commit_delay = self.rng.expovariate(QueueNetworkConfig.mu2)
         t_committed = t_ordered + commit_delay
         block = validate_and_commit(self.chain.next_proposal(batch), self.chain, self.policy)
         for tx, (valid, _reason) in zip(block.txs, block.validity):
@@ -743,7 +741,7 @@ def apply_reputation_update(
     timestamp. Shared verbatim by the live engine and the chain replay so
     both derive identical state."""
     now_min = event.timestamp
-    ledger.record_rating(event, now=now_min)
+    ledger.record_rating(event)
     ledger.record_trade(event.ratee)
     rfin = evaluate_pair(ledger, event.rater, event.ratee, mode, now_min)
     status = classify_status(event.ratee, rfin, ledger)
@@ -800,7 +798,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         ),
     }
     return RunReport(
-        seed=cfg.seed,
         chain=engine.chain,
         reputation=engine.reputation,
         policy=engine.policy,

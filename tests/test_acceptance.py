@@ -61,7 +61,7 @@ def test_criterion_1_equation_unit_suite():
     # similarity and confidence
     led = ReputationLedger()
     for args in (("i", "q1", True), ("j", "q1", True)):
-        led.record_rating(RatingEvent(args[0], args[1], args[2], 0.0), 0.0)
+        led.record_rating(RatingEvent(args[0], args[1], args[2], 0.0))
     assert abs(feedback_similarity("i", "j", led) - 1.0) < tol
     assert abs(local_confidence(1.0, P) - 1.0) < tol
     assert abs(local_confidence(0.5, P) - math.exp(-1.0)) < tol
@@ -72,25 +72,25 @@ def test_criterion_1_equation_unit_suite():
     # direct-rating estimator
     led3 = ReputationLedger()
     for _ in range(10):
-        led3.record_rating(RatingEvent("i", "j", True, 0.0), 0.0)
+        led3.record_rating(RatingEvent("i", "j", True, 0.0))
     assert abs(led3.direct_score("i", "j", 0.0) - 11 / 12) < tol
     # two-rater similarity hand example
     led4 = ReputationLedger()
     for rater, alpha, beta in (("i", 3, 1), ("j", 3, 1)):
         for _ in range(alpha):
-            led4.record_rating(RatingEvent(rater, "q1", True, 0.0), 0.0)
+            led4.record_rating(RatingEvent(rater, "q1", True, 0.0))
         for _ in range(beta):
-            led4.record_rating(RatingEvent(rater, "q1", False, 0.0), 0.0)
+            led4.record_rating(RatingEvent(rater, "q1", False, 0.0))
     for rater, alpha, beta in (("i", 4, 0), ("j", 5, 5)):
         for _ in range(alpha):
-            led4.record_rating(RatingEvent(rater, "q2", True, 0.0), 0.0)
+            led4.record_rating(RatingEvent(rater, "q2", True, 0.0))
         for _ in range(beta):
-            led4.record_rating(RatingEvent(rater, "q2", False, 0.0), 0.0)
+            led4.record_rating(RatingEvent(rater, "q2", False, 0.0))
     assert abs(feedback_similarity("i", "j", led4) - (1 - math.sqrt(0.5))) < tol
     # negative-penalty asymmetry
     led5 = ReputationLedger()
     for positive in [True] * 5 + [False] * 5:
-        led5.record_rating(RatingEvent("i", "j", positive, 0.0), 0.0)
+        led5.record_rating(RatingEvent("i", "j", positive, 0.0))
     assert abs(led5.direct_score("i", "j", 0.0) - 6 / 17) < tol
     # queueing closed forms
     cfg = QueueNetworkConfig(lambda0=100.0)

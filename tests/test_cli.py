@@ -26,6 +26,7 @@ from rcchain.cli import (
     build_parser,
     main,
 )
+from rcchain.pipeline_des import MAX_N_TX
 from rcchain.scenario import MAX_EXPECTED_MISSIONS, ScenarioConfigError, parse_scenario_config
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -268,21 +269,21 @@ def test_simulate_seed_override_is_deterministic(scenario_path, tmp_path):
     main(["simulate", "--config", scenario_path, "--out", out1, "--seed", "7"])
     main(["simulate", "--config", scenario_path, "--out", out2, "--seed", "7"])
     for name in ("ledger.jsonl", "reputation.csv", "missions.csv", "perf.csv"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(out1, name).read_bytes()
+        b = Path(out2, name).read_bytes()
         assert a == b, name
 
 
 def test_ledger_verify_detects_flip(scenario_path, tmp_path):
     out = str(tmp_path / "run")
     main(["simulate", "--config", scenario_path, "--out", out, "--seed", "3"])
-    path = os.path.join(out, "ledger.jsonl")
-    lines = open(path).read().splitlines()
+    path = Path(out, "ledger.jsonl")
+    lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
     rec["txs"][0]["tx_id"] = ("f" if rec["txs"][0]["tx_id"][0] != "f" else "0") + rec["txs"][0]["tx_id"][1:]
     lines[1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    open(path, "w").write("\n".join(lines) + "\n")
-    assert main(["ledger-verify", path]) == EXIT_INTEGRITY
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["ledger-verify", str(path)]) == EXIT_INTEGRITY
 
 
 def test_ledger_verify_unreadable_and_truncated(tmp_path):
@@ -338,8 +339,8 @@ def test_preset_runs_and_is_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "p1"), str(tmp_path / "p2")
     assert main(["preset", "neighbor-sweep", "--out", out1, "--seed", "7"]) == EXIT_OK
     assert main(["preset", "neighbor-sweep", "--out", out2, "--seed", "7"]) == EXIT_OK
-    a = open(os.path.join(out1, "neighbor_sweep.csv"), "rb").read()
-    b = open(os.path.join(out2, "neighbor_sweep.csv"), "rb").read()
+    a = Path(out1, "neighbor_sweep.csv").read_bytes()
+    b = Path(out2, "neighbor_sweep.csv").read_bytes()
     assert a == b
 
 
@@ -375,6 +376,19 @@ def test_compare_default_point_tracks_closed_forms(tmp_path):
 def test_compare_unstable_point_refused(tmp_path, args, code):
     out = tmp_path / "u"
     assert main(["compare", "--out", str(out), *args]) == code
+    assert not out.exists()
+
+
+def test_compare_refuses_n_tx_above_bound_before_allocating(tmp_path, monkeypatch, capsys):
+    """The simulator allocates its arrays up front, so a huge --n-tx used
+    to end in a numpy memory-error traceback."""
+    def no_draws(seed):
+        raise AssertionError("simulate_pipeline drew arrivals")
+    monkeypatch.setattr(rcchain.pipeline_des.np.random, "default_rng", no_draws)
+    out = tmp_path / "big"
+    args = ["compare", "--out", str(out), "--n-tx", str(MAX_N_TX + 1)]
+    assert main(args) == EXIT_CONFIG
+    assert "n_tx" in capsys.readouterr().err
     assert not out.exists()
 
 

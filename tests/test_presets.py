@@ -84,11 +84,6 @@ def test_queueing_validation_tracks_closed_forms(results):
     assert all(d <= 0.05 for d in deviations.values()), deviations
 
 
-def test_queueing_validation_custom_point():
-    res = run_preset("queueing-validation", lambda0=40.0, n_tx=100_000)
-    assert res.all_passed
-
-
 def test_unknown_preset_lists_available():
     with pytest.raises(KeyError, match="neighbor-sweep"):
         run_preset("nope")

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from rcchain.queueing import (
     ORDERER_LITERAL,
     QueueNetworkConfig,
+    REPORT_COLUMNS,
     UnstableConfigError,
     marginal_probability,
     orderer_service_rate,
     performance,
-    report_rows,
     solve_traffic,
     state_probability,
     sweep,
@@ -225,26 +225,23 @@ def test_little_law_per_node(cfg):
 def test_sweep_paper_grid_cardinality():
     rows = sweep(BASE, range(10, 111, 10), (10, 50, 100))
     assert len(rows) == 33
-    assert all(r.stable for r in rows)
+    assert all(r["stable"] for r in rows)
 
 
 def test_sweep_d1_nonincreasing_in_lambda():
     rows = sweep(BASE, range(10, 111, 10), (10,))
-    d1s = [r.metrics.delays[1] for r in rows]
+    d1s = [r["D1"] for r in rows]
     assert all(a >= b for a, b in zip(d1s, d1s[1:]))
 
 
 def test_sweep_flags_unstable_rows():
     base = replace(BASE, orderer_mode=ORDERER_LITERAL)
     rows = sweep(base, (50.0,), (1, 10))
-    assert rows[0].stable and rows[0].metrics is not None
-    assert not rows[1].stable and rows[1].metrics is None
-    recs = report_rows(rows)
-    assert recs[1]["D"] is None and recs[1]["stable"] is False
+    assert rows[0]["stable"] is True and rows[0]["D"] is not None
+    assert rows[1]["stable"] is False
+    assert all(rows[1][c] is None for c in REPORT_COLUMNS[7:])
 
 
 def test_report_rows_columns():
-    from rcchain.queueing import REPORT_COLUMNS
-
-    recs = report_rows(sweep(BASE, (100.0,), (10,)))
-    assert list(recs[0].keys()) == REPORT_COLUMNS
+    rows = sweep(BASE, (100.0,), (10,))
+    assert list(rows[0].keys()) == REPORT_COLUMNS

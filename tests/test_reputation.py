@@ -34,7 +34,7 @@ P_DEVIATION = replace(P, similarity_weighting="deviation")
 
 
 def rate(ledger, rater, ratee, positive, t):
-    ledger.record_rating(RatingEvent(rater, ratee, positive, t), now=t)
+    ledger.record_rating(RatingEvent(rater, ratee, positive, t))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +326,19 @@ def test_record_rating_rejects_self_rating():
         RatingEvent("i", "i", True, 0.0)
 
 
+def test_record_rating_rejects_out_of_order_pair_and_leaves_it_unchanged():
+    led = ReputationLedger()
+    rate(led, "i", "j", True, 5.0)
+    events, score = list(led.pair_events("i", "j")), led.direct[("i", "j")]
+    with pytest.raises(ValueError, match="appended in time order"):
+        rate(led, "i", "j", True, 3.0)
+    assert led.pair_events("i", "j") == events
+    assert led._positives[("i", "j")] == 1
+    assert led.direct[("i", "j")] == score
+    rate(led, "i", "k", True, 3.0)  # the order is per pair
+    assert led.has_interaction("i", "k")
+
+
 def test_record_rating_revoked_ratee_still_recorded():
     led = ReputationLedger()
     led.status["j"] = Status.REVOKED
@@ -340,12 +353,13 @@ def test_all_positive_history_converges_upward(n):
     led = ReputationLedger()
     prev = 0.5
     for k in range(n):
-        score = led.record_rating(RatingEvent("i", "j", True, 0.0), now=0.0)
+        led.record_rating(RatingEvent("i", "j", True, 0.0))
+        score = led.direct[("i", "j")]
         assert score > prev
         prev = score
     assert prev < 1.0
-    dropped = led.record_rating(RatingEvent("i", "j", False, 0.0), now=0.0)
-    assert dropped < prev
+    led.record_rating(RatingEvent("i", "j", False, 0.0))
+    assert led.direct[("i", "j")] < prev
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +668,7 @@ def test_property_evaluate_pair_matches_opinion_evaluator(
                      negative_penalty=penalty)
     ledger = ScaledLedger(params)
     for e in events:
-        ledger.record_rating(e, now=e.timestamp)
+        ledger.record_rating(e)
     t_end = events[-1].timestamp if events else 0.0
     # query times before, at and after pairs' last ratings
     times = [t_end] + data.draw(st.lists(st.floats(0.0, t_end + 10.0), max_size=2),
