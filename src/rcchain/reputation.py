@@ -118,13 +118,26 @@ class ReputationLedger:
 
     def __init__(self, params: TpfsParams | None = None):
         self.params = params or TpfsParams()
-        self.direct: dict[tuple[VehicleId, VehicleId], float] = {}
+        self._direct: dict[tuple[VehicleId, VehicleId], float] = {}
+        self._stale: dict[tuple[VehicleId, VehicleId], None] = {}  # rated since `direct` was read
+        self._spread: dict[VehicleId, float] = {}  # per ratee, until it is next rated
         self.trade_count: dict[VehicleId, int] = defaultdict(int)
         self.status: dict[VehicleId, Status] = {}
         self._pair_events: dict[tuple[VehicleId, VehicleId], list[RatingEvent]] = defaultdict(list)
         self._positives: dict[tuple[VehicleId, VehicleId], int] = defaultdict(int)
         self._rated_by: dict[VehicleId, set[VehicleId]] = defaultdict(set)
         self._raters_of: dict[VehicleId, set[VehicleId]] = defaultdict(set)
+
+    @property
+    def direct(self) -> dict[tuple[VehicleId, VehicleId], float]:
+        """Every rated pair's direct score at its last rating's timestamp,
+        in first-rating order. Pairs rated since the last read are rescored
+        here, once each; the same dict is returned every time."""
+        for pair in self._stale:
+            events = self._pair_events[pair]
+            self._direct[pair] = self._score_events(events, events[-1].timestamp)
+        self._stale.clear()
+        return self._direct
 
     def has_interaction(self, rater: VehicleId, ratee: VehicleId) -> bool:
         return (rater, ratee) in self._pair_events
@@ -142,6 +155,15 @@ class ReputationLedger:
         """feedback_score of the pair's rating counts, read in O(1)."""
         pos = self._positives[(rater, ratee)]
         return feedback_score(pos, len(self._pair_events[(rater, ratee)]) - pos)
+
+    def _feedback_spread(self, q: VehicleId) -> float:
+        """Population std of the feedback scores q has received (0 with
+        fewer than two raters), kept until q is next rated."""
+        spread = self._spread.get(q)
+        if spread is None:
+            scores = [self._feedback(v, q) for v in sorted(self.raters_of(q))]
+            spread = self._spread[q] = pstdev(scores) if len(scores) > 1 else 0.0
+        return spread
 
     def direct_score(self, rater: VehicleId, ratee: VehicleId, now: float | None = None) -> float:
         events = self._pair_events.get((rater, ratee))
@@ -166,8 +188,8 @@ class ReputationLedger:
         )
 
     def record_rating(self, event: RatingEvent) -> None:
-        """Append a rating and refresh the pair's direct score at the
-        rating's own timestamp."""
+        """Append a rating; the pair's direct score is refreshed at the
+        rating's own timestamp when `direct` is next read."""
         pair = (event.rater, event.ratee)
         prior = self._pair_events.get(pair)
         if prior and event.timestamp < prior[-1].timestamp:
@@ -176,7 +198,8 @@ class ReputationLedger:
         self._positives[pair] += event.positive
         self._rated_by[event.rater].add(event.ratee)
         self._raters_of[event.ratee].add(event.rater)
-        self.direct[pair] = self._score_events(self._pair_events[pair], event.timestamp)
+        self._stale[pair] = None
+        self._spread.pop(event.ratee, None)
 
     def record_trade(self, vehicle: VehicleId) -> None:
         self.trade_count[vehicle] += 1
@@ -258,10 +281,7 @@ def feedback_similarity(
     if not common:
         return None
     if params.similarity_weighting == DEVIATION:
-        raw = []
-        for q in common:
-            scores = [ledger._feedback(v, q) for v in sorted(ledger.raters_of(q))]
-            raw.append(pstdev(scores) if len(scores) > 1 else 0.0)
+        raw = [ledger._feedback_spread(q) for q in common]
         total = sum(raw)
         weights = [w / total for w in raw] if total > 0 else [1.0 / len(common)] * len(common)
     else:

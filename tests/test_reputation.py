@@ -475,6 +475,21 @@ def test_similarity_deviation_weighted_hand_oracle():
     assert got == pytest.approx(0.5, abs=1e-12)
 
 
+def test_similarity_deviation_weight_follows_a_rating_after_a_read():
+    # x's negative rating of q2 makes q2's received scores {1, 1, -1},
+    # with pstdev sqrt(8)/3, so q2 takes a share of the weight after the
+    # spreads were first read
+    led = deviation_oracle_ledger(P_DEVIATION)
+    assert feedback_similarity("i", "j", led) == pytest.approx(0.5, abs=1e-12)
+    rate(led, "x", "q2", False, 1.0)
+    w1 = 0.25 / (0.25 + math.sqrt(8) / 3)
+    got = feedback_similarity("i", "j", led)
+    assert got == pytest.approx(1.0 - math.sqrt(w1 * 0.25), abs=1e-12)
+    unread = deviation_oracle_ledger(P_DEVIATION)
+    rate(unread, "x", "q2", False, 1.0)
+    assert feedback_similarity("i", "j", unread) == got
+
+
 def test_evaluate_pair_reads_weighting_from_ledger():
     # i and j never rate each other and nobody rates j, so the score is
     # r * gamma with r = local_confidence(simf) = exp(1 - 1/simf)
