@@ -3,26 +3,37 @@
 Identities come from a certificate authority that never re-admits a
 revoked registration. Endorsing peers simulate chaincode execution
 deterministically and sign tx id + result hash, which binds an
-endorsement to its transaction; the ordering service cuts blocks by
-batch size or timeout (orderer faults are the scenario's); committing
-peers re-check policy, duplicates, and read-set versions (the MVCC check
-that kills double spends), apply valid writes to the world state, and
-seal every transaction into its block regardless of legality; the sealed
-block is the commit result, and its validity flags are the only record
-of which transactions took effect; a tx whose id does not match its
-content is sealed "structure", the one place a digest may fail. Audits
-share the link walk (numbers, prev-hash links, body hashes from genesis)
-over chains and exported files, and the replay that validates recorded
+endorsement to its transaction; only the first `threshold` reachable
+peers of each required org, in the order given, are asked, since a
+policy needs no more. The ordering service cuts blocks by batch size or
+timeout (orderer faults are the scenario's); committing peers re-check
+policy, duplicates, and read-set versions (the MVCC check that kills
+double spends), apply valid writes to the world state, and seal every
+transaction into its block regardless of legality; the sealed block is
+the commit result, and its validity flags are the only record of which
+transactions took effect; a tx whose id does not match its content is
+sealed "structure", the one place a digest may fail. Audits share the
+link walk (numbers, prev-hash links, body hashes from genesis) over
+chains and exported files, and the replay that validates recorded
 blocks once more onto another ledger for peer catch-up and the full
-audit. Validation does each piece of work once: the replay's flag
-comparison is its only digest check, and a policy check hashes the
+audit. Validation does each piece of work once per role: the replay's
+flag comparison is its only digest check, and a policy check hashes the
 result once and stops verifying as soon as the policy is met.
 
-Signatures are HMAC tags keyed by each identity's key tag; transaction
-ids are content digests, so the tx-id-only body hash still pins every
-payload byte. Hashing is bit-exact: header = SHA-256(number as 8-byte
-big-endian || prev_hash || body_hash), body = SHA-256 of the
-concatenated tx ids, genesis prev_hash = 32 zero bytes.
+Signatures are HMAC-SHA256 tags keyed by each identity's key (the bytes
+of its hex key tag). Every digest hashes one framing: each field as its
+4-byte big-endian length, then its bytes. Hashing is bit-exact:
+- tx id = SHA-256 of the framed (kind, payload, client id,
+  repr(created_at), nonce); ids are content digests, so the body hash
+  pins every payload byte;
+- result hash = SHA-256 of the framed (read count, then key and version
+  per read, write count, then key and value per write), hex;
+- body hash = SHA-256 of the framed (tx id, kind, flags, reason) of
+  every transaction in block order, flags being one byte (bit 0 valid,
+  bit 1 a reason is present), so an export is tamper-evident down to
+  each validity flag and reason;
+- header = SHA-256(number as 8-byte big-endian || prev_hash ||
+  body_hash), genesis prev_hash = 32 zero bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ import hashlib
 import hmac
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 ZERO_HASH = bytes(32)
@@ -66,10 +77,14 @@ class Identity:
     org: str
     role: str
     key_tag: str  # hex; the HMAC signing key
+    key: bytes = field(init=False, repr=False, compare=False)  # key_tag's bytes
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", bytes.fromhex(self.key_tag))
 
 
 def sign(identity: Identity, message: bytes) -> str:
-    return hmac.digest(bytes.fromhex(identity.key_tag), message, "sha256").hex()
+    return hmac.digest(identity.key, message, "sha256").hex()
 
 
 def verify_sig(identity: Identity, message: bytes, sig: str) -> bool:
@@ -116,13 +131,20 @@ class EndorsementPolicy:
             raise ValueError("policy needs at least one required org")
 
 
+def _framed(parts: Iterable[bytes]) -> bytearray:
+    """Each part as its 4-byte big-endian length, then its bytes: the one
+    injective encoding every digest in this module hashes."""
+    buf = bytearray()
+    for part in parts:
+        buf += len(part).to_bytes(4, "big")
+        buf += part
+    return buf
+
+
 def _tx_digest(kind: str, payload: bytes, client_id: str, created_at: float, nonce: int) -> str:
-    h = hashlib.sha256()
-    for part in (kind.encode(), payload, client_id.encode(),
-                 repr(float(created_at)).encode(), str(nonce).encode()):
-        h.update(len(part).to_bytes(4, "big"))
-        h.update(part)
-    return h.hexdigest()
+    return hashlib.sha256(_framed((kind.encode(), payload, client_id.encode(),
+                                   repr(float(created_at)).encode(),
+                                   str(nonce).encode()))).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -203,9 +225,13 @@ def simulate_execution(
 
 
 def _result_hash(read_set, write_set) -> str:
-    canon = json.dumps({"reads": list(read_set), "writes": list(write_set)},
-                       sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    parts = [str(len(read_set)).encode()]
+    for key, version in read_set:
+        parts += (key.encode(), str(version).encode())
+    parts.append(str(len(write_set)).encode())
+    for key, value in write_set:
+        parts += (key.encode(), value.encode())
+    return hashlib.sha256(_framed(parts)).hexdigest()
 
 
 def endorse(
@@ -215,8 +241,8 @@ def endorse(
     world_state: dict[str, tuple[str, int]],
     unreachable: frozenset[str] = frozenset(),
 ) -> EndorsedTransaction:
-    """Collect endorsements from every reachable endorsing peer of the
-    policy's required orgs.
+    """Collect endorsements from the first policy.threshold reachable
+    endorsing peers of each required org, in peers order.
 
     Unreachable peers contribute nothing (execution timeout); whether
     the result satisfies the policy is the caller's check_policy call,
@@ -226,11 +252,13 @@ def endorse(
         raise ValueError("proposal content does not match its tx id")
     read_set, write_set = simulate_execution(proposal.kind, proposal.payload, world_state)
     msg = (proposal.tx_id + _result_hash(read_set, write_set)).encode()
+    wanted = dict.fromkeys(policy.required_orgs, policy.threshold)
     endorsements = []
     for peer in peers:
         if peer.role != "endorsing_peer":
             raise ValueError(f"{peer.id} is not an endorsing peer")
-        if peer.org in policy.required_orgs and peer.id not in unreachable:
+        if wanted.get(peer.org) and peer.id not in unreachable:
+            wanted[peer.org] -= 1
             endorsements.append(Endorsement(endorser=peer, sig=sign(peer, msg)))
     return EndorsedTransaction(
         proposal=proposal,
@@ -243,11 +271,15 @@ def endorse(
 def check_policy(tx: EndorsedTransaction, policy: EndorsementPolicy) -> bool:
     msg = (tx.tx_id + _result_hash(tx.read_set, tx.write_set)).encode()
     missing = dict.fromkeys(policy.required_orgs, policy.threshold)
+    short = len(missing)  # required orgs still below the threshold
     for e in tx.endorsements:
-        if missing.get(e.endorser.org) and verify_sig(e.endorser, msg, e.sig):
-            missing[e.endorser.org] -= 1
-            if not any(missing.values()):
-                return True
+        org = e.endorser.org
+        if missing.get(org) and verify_sig(e.endorser, msg, e.sig):
+            missing[org] -= 1
+            if not missing[org]:
+                short -= 1
+                if not short:
+                    return True
     return False
 
 
@@ -289,8 +321,21 @@ def order_batch(
 # blocks and the chain ledger
 # ---------------------------------------------------------------------------
 
-def body_hash(tx_ids: Iterable[str]) -> bytes:
-    return hashlib.sha256(b"".join(tx_id.encode() for tx_id in tx_ids)).digest()
+def body_hash(results: Iterable[tuple[str, str, bool, Optional[str]]]) -> bytes:
+    """SHA-256 of every transaction's framed (tx_id, kind, flags, reason),
+    in block order. flags is one byte: bit 0 is the validity flag and
+    bit 1 is set when there is a reason, so a missing reason and an empty
+    one hash apart."""
+    parts = []
+    for tx_id, kind, valid, reason in results:
+        flags = (valid is True) | (reason is not None) << 1
+        parts += (tx_id.encode(), kind.encode(), bytes((flags,)), (reason or "").encode())
+    return hashlib.sha256(_framed(parts)).digest()
+
+
+def _results(txs: Iterable[EndorsedTransaction], validity):
+    """The (tx_id, kind, valid, reason) records a block's body hash covers."""
+    return ((tx.tx_id, tx.kind, ok, reason) for tx, (ok, reason) in zip(txs, validity))
 
 
 def header_hash(number: int, prev_hash: bytes, body: bytes) -> bytes:
@@ -377,7 +422,7 @@ def validate_and_commit(
         ledger._seen_tx_ids.add(tx.tx_id)
         validity.append((reason is None, reason))
     block = Block(candidate.number, candidate.prev_hash, candidate.txs,
-                  body_hash(tx.tx_id for tx in candidate.txs), tuple(validity))
+                  body_hash(_results(candidate.txs, validity)), tuple(validity))
     ledger.blocks.append(block)
     return block
 
@@ -436,7 +481,7 @@ def verify_chain(ledger: ChainLedger, policy: EndorsementPolicy) -> Optional[int
     """Full audit: the link walk, then a replay of the validity flags and
     world state from genesis. None when clean, else the first bad block."""
     bad_link = _first_bad_link(
-        (b.number, b.prev_hash, b.body_hash, body_hash(tx.tx_id for tx in b.txs))
+        (b.number, b.prev_hash, b.body_hash, body_hash(_results(b.txs, b.validity)))
         for b in ledger.blocks
     )
     scratch = ChainLedger()
@@ -485,10 +530,11 @@ def export_files(ledger: ChainLedger) -> dict[str, str]:
 
 def verify_export_lines(lines: Iterable[str]) -> Optional[int]:
     """Link walk over an exported ledger file; the export is
-    self-verifiable because the body hash covers the tx ids. Returns
-    None when clean, else the first bad block number."""
+    self-verifiable because the body hash covers every exported field of
+    each transaction. Returns None when clean, else the first bad block
+    number."""
     return _first_bad_link(
         (r["number"], bytes.fromhex(r["prev_hash"]), bytes.fromhex(r["body_hash"]),
-         body_hash(tx["tx_id"] for tx in r["txs"]))
+         body_hash((tx["tx_id"], tx["kind"], tx["valid"], tx["reason"]) for tx in r["txs"]))
         for r in map(json.loads, lines)
     )

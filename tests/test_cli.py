@@ -286,6 +286,35 @@ def test_ledger_verify_detects_flip(scenario_path, tmp_path):
     assert main(["ledger-verify", str(path)]) == EXIT_INTEGRITY
 
 
+@pytest.fixture(scope="module")
+def example_ledger_lines(tmp_path_factory):
+    out = tmp_path_factory.mktemp("example")
+    assert main(["simulate", "--config", str(DOCS / "scenario.example.json"),
+                 "--out", str(out)]) == EXIT_OK
+    return (out / "ledger.jsonl").read_text().splitlines()
+
+
+@pytest.mark.parametrize("changes", [
+    {"valid": False},
+    {"reason": "policy"},
+    {"kind": "feedback"},
+    {"reason": ""},  # an empty reason is not a missing one
+    {"valid": False, "kind": "feedback", "reason": "policy"},
+], ids=["flag", "reason", "kind", "empty-reason", "all-three"])
+def test_ledger_verify_detects_result_field_edits(changes, example_ledger_lines, tmp_path):
+    """The body hash covers each transaction's kind, validity flag and
+    reason, so editing any of them in block 1's first transaction of the
+    example's export is an integrity failure at block 1."""
+    lines = list(example_ledger_lines)
+    rec = json.loads(lines[1])
+    assert rec["txs"][0]["valid"] is True and rec["txs"][0]["kind"] != "feedback"
+    rec["txs"][0].update(changes)
+    lines[1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    path = tmp_path / "ledger.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["ledger-verify", str(path)]) == EXIT_INTEGRITY
+
+
 def test_ledger_verify_unreadable_and_truncated(tmp_path):
     assert main(["ledger-verify", str(tmp_path / "missing.jsonl")]) == EXIT_IO
     trunc = tmp_path / "trunc.jsonl"

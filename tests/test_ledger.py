@@ -1,6 +1,7 @@
 """Unit and property tests for the transaction pipeline and chain ledger."""
 
 import dataclasses
+import hashlib
 import hmac
 import json
 from collections import Counter, deque
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcchain import ledger
 from rcchain.ledger import (
     BlockProposal,
     BlockRejected,
     CertificateAuthority,
     ChainLedger,
+    EndorsedTransaction,
+    Endorsement,
     EndorsementPolicy,
     Identity,
     IntegrityError,
@@ -21,6 +25,7 @@ from rcchain.ledger import (
     PendingTx,
     ZERO_HASH,
     _result_hash,
+    _tx_digest,
     check_policy,
     endorse,
     export_ledger_lines,
@@ -28,6 +33,7 @@ from rcchain.ledger import (
     order_batch,
     propose,
     sign,
+    simulate_execution,
     sync_peer,
     validate_and_commit,
     verify_chain,
@@ -107,10 +113,13 @@ def test_ca_rejects_bad_role_and_empty_info():
 # endorsement
 # ---------------------------------------------------------------------------
 
-def test_endorse_collects_all_reachable_peers():
+def test_endorse_signs_threshold_peers_per_org():
+    """A threshold-1 policy over three orgs of two peers gets three
+    endorsements, one per org, from each org's first peer."""
     _, peers, client, policy = make_network()
     tx = endorse_tx(client, peers, ChainLedger(), "k", "v")
-    assert len(tx.endorsements) == 6
+    assert [e.endorser.id for e in tx.endorsements] == [
+        "org1/peer0", "org2/peer0", "org3/peer0"]
     assert check_policy(tx, policy)
 
 
@@ -119,7 +128,7 @@ def test_endorse_missing_org_fails_policy():
     unreachable = frozenset(p.id for p in peers if p.org == "org2")
     prop = propose("qa_request", payload("k", "v"), client, 0.0)
     tx = endorse(prop, policy, peers, {}, unreachable=unreachable)
-    assert len(tx.endorsements) == 4
+    assert len(tx.endorsements) == 2  # one each from org1 and org3
     assert not check_policy(tx, policy)  # the engine abandons such a transaction
 
 
@@ -207,7 +216,7 @@ def test_property_check_policy_matches_count_all(required, threshold, picks):
     non-required and repeated endorsements."""
     _, peers, client, _ = make_network(orgs=POLICY_ORGS, endorsers_per_org=3)
     policy = EndorsementPolicy(frozenset(required), threshold)
-    every_org = EndorsementPolicy(frozenset(POLICY_ORGS))
+    every_org = EndorsementPolicy(frozenset(POLICY_ORGS), threshold=3)  # all 12 peers sign
     prop = propose("qa_request", payload("k", "v"), client, 0.0)
     full = endorse(prop, every_org, peers, {})
     msg = (prop.tx_id + _result_hash(full.read_set, full.write_set)).encode()
@@ -225,6 +234,101 @@ def test_property_check_policy_matches_count_all(required, threshold, picks):
         endorsements.append(e)
     tx = dataclasses.replace(full, endorsements=tuple(endorsements))
     assert check_policy(tx, policy) == check_policy_count_all(tx, policy)
+
+
+def endorse_collect_all(proposal, policy, peers, world_state, unreachable=frozenset()):
+    """Reference endorsement: every reachable endorsing peer of every
+    required org signs, however many the policy needs."""
+    read_set, write_set = simulate_execution(proposal.kind, proposal.payload, world_state)
+    msg = (proposal.tx_id + _result_hash(read_set, write_set)).encode()
+    endorsements = tuple(
+        Endorsement(endorser=peer, sig=sign(peer, msg))
+        for peer in peers
+        if peer.org in policy.required_orgs and peer.id not in unreachable
+    )
+    return EndorsedTransaction(proposal, read_set, write_set, endorsements)
+
+
+@given(
+    required=st.sets(st.sampled_from(POLICY_ORGS), min_size=1),
+    threshold=st.integers(min_value=1, max_value=4),
+    order=st.permutations(range(12)),
+    down=st.sets(st.integers(min_value=0, max_value=11)),
+)
+@settings(deadline=None, max_examples=200)
+def test_property_threshold_endorse_meets_policy_as_collect_all(required, threshold, order, down):
+    """Endorsing with the first threshold reachable peers per org, in
+    peers order, meets the policy exactly when collecting every reachable
+    peer does, whatever orgs are required and whichever peers are down."""
+    _, peers, client, _ = make_network(orgs=POLICY_ORGS, endorsers_per_org=3)
+    peers = [peers[k] for k in order]
+    unreachable = frozenset(peers[k].id for k in down)
+    policy = EndorsementPolicy(frozenset(required), threshold)
+    prop = propose("qa_request", payload("k", "v"), client, 0.0)
+    tx = endorse(prop, policy, peers, {}, unreachable=unreachable)
+    reference = endorse_collect_all(prop, policy, peers, {}, unreachable=unreachable)
+    assert check_policy(tx, policy) == check_policy(reference, policy)
+    taken = Counter()
+    expected = []
+    for p in peers:
+        if p.org in required and p.id not in unreachable and taken[p.org] < threshold:
+            taken[p.org] += 1
+            expected.append(p.id)
+    assert [e.endorser.id for e in tx.endorsements] == expected
+
+
+def tx_digest_reference(kind, payload, client_id, created_at, nonce):
+    """The streaming form: one update per length prefix and per part."""
+    h = hashlib.sha256()
+    for part in (kind.encode(), payload, client_id.encode(),
+                 repr(float(created_at)).encode(), str(nonce).encode()):
+        h.update(len(part).to_bytes(4, "big"))
+        h.update(part)
+    return h.hexdigest()
+
+
+@given(kind=st.text(), body=st.binary(), client_id=st.text(), created_at=st.floats(),
+       nonce=st.integers(min_value=-2**70, max_value=2**70))
+@settings(deadline=None, max_examples=200)
+def test_property_tx_digest_matches_streaming_reference(kind, body, client_id, created_at,
+                                                        nonce):
+    assert (_tx_digest(kind, body, client_id, created_at, nonce)
+            == tx_digest_reference(kind, body, client_id, created_at, nonce))
+
+
+def naive_concat(read_set, write_set):
+    return "".join(f"{k}{v}" for k, v in read_set) + "".join(k + v for k, v in write_set)
+
+
+@pytest.mark.parametrize("a,b", [
+    (((("k1", 2),), ()), ((("k", 12),), ())),                   # key/version boundary
+    (((("a", 1),), ()), ((), (("a", "1"),))),                   # read/write boundary
+    (((), (("ab", "c"),)), ((), (("a", "bc"),))),               # key/value boundary
+    (((), (("a", "b"), ("c", "d"))), ((), (("ab", "cd"),))),    # write count
+], ids=["version", "reads-writes", "key-value", "count"])
+def test_result_hash_separates_naive_collisions(a, b):
+    """Read and write sets that concatenate to the same string hash apart:
+    counts and every field are length-prefixed."""
+    assert naive_concat(*a) == naive_concat(*b)
+    assert _result_hash(*a) != _result_hash(*b)
+
+
+def test_sign_calls_per_transaction(monkeypatch):
+    """One transaction in a 3 x 2 network with a threshold-1 policy: the
+    client signs once, one peer per org endorses, and the committer
+    verifies the client's signature and the three endorsements."""
+    _, peers, client, policy = make_network()
+    calls = []
+    real_sign = ledger.sign
+    monkeypatch.setattr(ledger, "sign", lambda ident, msg: calls.append(1) or real_sign(ident, msg))
+    prop = propose("qa_request", payload("k", "v"), client, 0.0)
+    assert len(calls) == 1
+    tx = endorse(prop, policy, peers, {})
+    assert len(calls) == 1 + 3
+    led = ChainLedger()
+    blk = commit(led, policy, [tx])
+    assert blk.validity == ((True, None),)
+    assert len(calls) == 1 + 3 + 4
 
 
 def test_sign_is_hmac_sha256_hex():

@@ -1,6 +1,8 @@
 """Preset experiments: built-in assertions, determinism, outputs."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,24 @@ def test_ptype_outputs_fifteen_servers(results):
     assert len(rows) == 15 * 3
     vehicles = {r[0] for r in rows}
     assert len(vehicles) == 15
+
+
+# sha256 of the ptype-field preset's files at its default seed. Every file
+# except ledger.jsonl carries the hash it had before the body hash covered
+# each transaction's kind, validity flag and reason; the ledger.jsonl pin is
+# the hash after that change, which moved only body_hash and prev_hash.
+PTYPE_FIELD_PINS = {
+    "assertions.json": "f72084a7f5f00c85be46871b0d79f5557a388766b34ba4b3519600a115892ace",
+    "ledger.jsonl": "eba8d467c10a3cc43b85e976ed996bd715945039d29f3d2e9d1056cee1d172a2",
+    "ptype_field.csv": "8849d141119051326d98b72fd6962d7bec570ef3ffc2f33c89808005cdc70e82",
+    "world_state.json": "c9990900573db33b3ab152c3b4d42e8769a58527935aba1e4b9c09ae54095b3e",
+}
+
+
+def test_ptype_field_outputs_pinned(results, tmp_path):
+    paths = results["ptype-field"].write_outputs(str(tmp_path))
+    assert {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for name, path in paths.items()} == PTYPE_FIELD_PINS
 
 
 def test_queueing_validation_deviation_table(results):

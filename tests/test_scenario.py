@@ -138,6 +138,40 @@ def test_reputation_traceable_from_chain():
     assert replayed.status == live.status
 
 
+# sha256 of every file `rcchain simulate` writes for the example scenario.
+# Every file except ledger.jsonl carries the hash it had before the body
+# hash covered each transaction's kind, validity flag and reason; the
+# ledger.jsonl pins are the hashes after that change, which moved only the
+# body_hash and prev_hash fields.
+EXAMPLE_PINS = {
+    None: {
+        "ledger.jsonl": "d50653183b4fa461773dd7acdd861feaa2a7bf8e166a2fe174c77657dad129a7",
+        "missions.csv": "459ffb0ce4047ab388c9ba9d7515ec388e72e1459fa0bbe957722a46ba4ee3de",
+        "perf.csv": "9101a2a489b67dff003a985a135efed143669ee0babfcfaf49b34340f725528b",
+        "reputation.csv": "b6e42337c36aae3b60c39b30a0bfb32c41a0dcb3ec04bbb73dcdf726506cfe49",
+        "summary.json": "8f466da3d29d4b54b6bb56fa3de268efe61e13c81418529c199a9013c56d4e0c",
+        "world_state.json": "2936a24d99edbb07284f58fc335f8a5b65cb988a4a7ac2861bcde91e35843273",
+    },
+    7: {
+        "ledger.jsonl": "6c61c829fcd65f994865a9ac18fe9a67176348841f994c7868bcb738213de924",
+        "missions.csv": "94b5319dafefa235e8c406b3293f0760b5d3b0d62b3867dd74b08b2145a6fc2a",
+        "perf.csv": "7cdc3611e01568f3c98f97fa501551e8287e46c2516cfd6f96ff621c9842a657",
+        "reputation.csv": "335672ea5f81fe13a02bff40e26f849462904bcebede2591189ec2685dc5b0e5",
+        "summary.json": "0b947b677b976bfadd0ce1e90821a2a86b987cc0731cad1e34f9f2367dcd4f9a",
+        "world_state.json": "0a2c0614bc9f3a28815bee04eacbc899724215a4870cd35455f6d78963784608",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", list(EXAMPLE_PINS))
+def test_example_outputs_pinned(seed, tmp_path):
+    doc = Path(__file__).resolve().parent.parent / "docs" / "scenario.example.json"
+    argv = ["simulate", "--config", str(doc), "--out", str(tmp_path)]
+    assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == EXAMPLE_PINS[seed]
+
+
 def test_candidates_match_a_scan_of_the_config():
     """The engine indexes requesters and per-area servers once per run.
     With nobody revoked, every mission's candidates must equal a scan of
