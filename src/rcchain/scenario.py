@@ -4,10 +4,10 @@ Drives vehicles, RSUs, and organizations through the full flow:
 registration, on-chain request, service offers, reputation-based
 candidate nomination by the following RSUs with a random final pick by
 the leading RSU, on-chain service and delivery records, requester
-feedback, and an on-chain reputation update. Ratings touch the
-in-memory reputation ledger only when their reputation_update
-transaction commits as valid, so replaying the chain reproduces the
-reputation state exactly.
+feedback, and an on-chain reputation update. Endorsement and block
+commitment are FIFO stations, so blocks commit in chain order, and
+ratings reach the reputation ledger only through apply_block, which
+reputation_from_chain loops over: the live state replays the chain.
 
 All randomness flows from the scenario seed through one generator
 consumed in event order; identical config + seed gives byte-identical
@@ -28,6 +28,7 @@ from typing import Callable, Optional
 
 from .ioutil import csv_text, json_text, write_files
 from .ledger import (
+    Block,
     CertificateAuthority,
     ChainLedger,
     EndorsementPolicy,
@@ -515,6 +516,7 @@ class _Engine:
         up = cfg.orderer_count - len(cfg.crashed_orderers)
         self.ordering_up = 2 * up > cfg.orderer_count
         self._nonce = 0
+        self._endorse_free = self._commit_free = 0.0  # FIFO stations: instant next free
         self._rep_seq = 0
         self._tx_meta: dict[str, tuple] = {}
         self.missions: list[MissionRecord] = []
@@ -570,17 +572,18 @@ class _Engine:
     # -- transaction submission --
 
     def _submit(self, kind: str, payload: bytes, client: Identity,
-                on_commit: Callable[[bool, float], None]):
+                on_commit: Callable[[bool], None]):
         self._nonce += 1
         t_arrive = self.now
-        endorse_delay = self.rng.expovariate(QueueNetworkConfig.mu0)
+        self._endorse_free = t_endorsed = (max(t_arrive, self._endorse_free)
+                                           + self.rng.expovariate(QueueNetworkConfig.mu0))
         prop = propose(kind, payload, client, t_arrive, self._nonce)
 
         def do_endorse():
             tx = endorse(prop, self.policy, self.peers, self.chain.world_state,
                          unreachable=self.cfg.unreachable_peers)
             if not check_policy(tx, self.policy):  # a resubmit would fail the same way
-                on_commit(False, self.now)
+                on_commit(False)
                 return
             self.pending.append(PendingTx(self.now, tx))
             self._tx_meta[tx.tx_id] = (t_arrive, self.now, on_commit)
@@ -591,7 +594,7 @@ class _Engine:
                 self.now + self.cfg.ordering.batch_timeout_s + 1e-6, self._check_cut
             )
 
-        self.schedule(t_arrive + endorse_delay, do_endorse)
+        self.schedule(t_endorsed, do_endorse)
 
     def _check_cut(self):
         while self.ordering_up and (
@@ -600,15 +603,20 @@ class _Engine:
 
     def _commit_batch(self, batch: list[EndorsedTransaction]):
         t_ordered = self.now
-        commit_delay = self.rng.expovariate(QueueNetworkConfig.mu2)
-        t_committed = t_ordered + commit_delay
+        self._commit_free = t_committed = (max(t_ordered, self._commit_free)
+                                           + self.rng.expovariate(QueueNetworkConfig.mu2))
         block = validate_and_commit(self.chain.next_proposal(batch), self.chain, self.policy)
-        for tx, (valid, _reason) in zip(block.txs, block.validity):
-            t_arrive, t_endorsed, on_commit = self._tx_meta.pop(tx.tx_id)
-            self.perf.append(
-                PerfRecord(tx.tx_id, t_arrive, t_endorsed, t_ordered, t_committed, valid)
-            )
-            self.schedule(t_committed, lambda v=valid, cb=on_commit: cb(v, t_committed))
+
+        def do_commit():  # the block's ratings first, then its mission follow-ups
+            apply_block(self.reputation, block, self.cfg.mode, self.trajectories)
+            for tx, (valid, _reason) in zip(block.txs, block.validity):
+                t_arrive, t_endorsed, on_commit = self._tx_meta.pop(tx.tx_id)
+                self.perf.append(
+                    PerfRecord(tx.tx_id, t_arrive, t_endorsed, t_ordered, t_committed, valid)
+                )
+                on_commit(valid)
+
+        self.schedule(t_committed, do_commit)
 
     # -- mission lifecycle --
 
@@ -636,7 +644,7 @@ class _Engine:
                           json.dumps({"requester": requester, "kind": kind}, sort_keys=True,
                                      separators=(",", ":"))),
             self.clients[requester],
-            lambda valid, t: self._request_committed(mission, valid),
+            lambda valid: self._request_committed(mission, valid),
         )
 
     def _request_committed(self, mission: MissionRecord, valid: bool):
@@ -669,7 +677,7 @@ class _Engine:
             "service_proposal",
             state_payload(f"service/{mission.mission_id}", selected),
             self.clients[selected],
-            lambda valid, t: self._service_committed(mission, valid),
+            lambda valid: self._service_committed(mission, valid),
         )
 
     def _service_committed(self, mission: MissionRecord, valid: bool):
@@ -684,7 +692,7 @@ class _Engine:
             kind,
             state_payload(f"{key_prefix}/{mission.mission_id}", "delivered"),
             self.clients[mission.selected],
-            lambda valid, t: self._delivery_committed(mission, real, valid),
+            lambda valid: self._delivery_committed(mission, real, valid),
         )
 
     def _delivery_committed(self, mission: MissionRecord, real: bool, valid: bool):
@@ -701,17 +709,15 @@ class _Engine:
             "reputation_update",
             rating_payload(event, self._rep_seq),
             self.clients[mission.requester],
-            lambda valid, t: self._reputation_committed(mission, event, valid, t),
+            lambda valid: self._reputation_committed(mission, valid),
         )
 
-    def _reputation_committed(self, mission: MissionRecord, event: RatingEvent,
-                              valid: bool, t_committed: float):
-        if not valid:
+    def _reputation_committed(self, mission: MissionRecord, valid: bool):
+        if not valid:  # a valid rating is already applied: apply_block runs first
             return
-        apply_reputation_update(self.reputation, event, self.cfg.mode, self.trajectories)
-        if self.reputation.get_status(event.ratee) is Status.REVOKED:
-            self.ca.revoke(event.ratee)  # certificate out, re-registration barred
-        mission.t_commit_min = t_committed / SECONDS_PER_MINUTE
+        if self.reputation.get_status(mission.selected) is Status.REVOKED:
+            self.ca.revoke(mission.selected)  # certificate out, re-registration barred
+        mission.t_commit_min = self.now / SECONDS_PER_MINUTE
 
 
 def rating_payload(event: RatingEvent, seq: int) -> bytes:
@@ -735,11 +741,10 @@ def apply_reputation_update(
     event: RatingEvent,
     mode: ReputationMode,
     trajectories: Optional[list] = None,
-) -> float:
+) -> None:
     """Record a committed rating, bump the server's trade count, refresh
     the final score, and step the status machine, all at the rating's own
-    timestamp. Shared verbatim by the live engine and the chain replay so
-    both derive identical state."""
+    timestamp."""
     now_min = event.timestamp
     ledger.record_rating(event)
     ledger.record_trade(event.ratee)
@@ -756,19 +761,27 @@ def apply_reputation_update(
                 status=status.value,
             )
         )
-    return rfin
+
+
+def apply_block(ledger: ReputationLedger, block: Block, mode: ReputationMode,
+                trajectories: Optional[list] = None) -> None:
+    """Apply a committed block's valid reputation_update ratings in
+    transaction order; the engine and the chain replay apply ratings only here."""
+    for tx, (valid, _reason) in zip(block.txs, block.validity):
+        if valid and tx.kind == "reputation_update":
+            apply_reputation_update(ledger, rating_from_payload(tx.proposal.payload), mode,
+                                    trajectories)
 
 
 def reputation_from_chain(
     chain: ChainLedger, params: TpfsParams, mode: ReputationMode = ReputationMode.TPFS
 ) -> ReputationLedger:
-    """Rebuild the reputation ledger from the committed valid
-    reputation_update transactions alone."""
+    """Rebuild the reputation ledger by applying the chain's blocks in
+    order, as the engine did while it ran; the rows apply_block appends on
+    the way equal the run's trajectory."""
     ledger = ReputationLedger(params)
     for blk in chain.blocks:
-        for tx, (valid, _reason) in zip(blk.txs, blk.validity):
-            if valid and tx.kind == "reputation_update":
-                apply_reputation_update(ledger, rating_from_payload(tx.proposal.payload), mode)
+        apply_block(ledger, blk, mode)
     return ledger
 
 

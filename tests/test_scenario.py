@@ -1,6 +1,7 @@
 """Scenario engine: lifecycle structure, determinism, traceability."""
 
 import copy
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -9,11 +10,12 @@ import pytest
 
 from rcchain.cli import EXIT_CONFIG, main
 from rcchain.ledger import export_ledger_lines, verify_chain
-from rcchain.reputation import ReputationMode
+from rcchain.reputation import ReputationLedger, ReputationMode
 from rcchain.scenario import (
     MAX_ENDORSING_PEERS,
     MAX_EXPECTED_MISSIONS,
     ScenarioConfigError,
+    apply_block,
     parse_scenario_config,
     reputation_from_chain,
     run_scenario,
@@ -125,40 +127,105 @@ def test_mission_conservation_and_chain_integrity():
     assert verify_chain(report.chain, report.policy) is None
 
 
-def test_reputation_traceable_from_chain():
-    report = run_scenario(parse_scenario_config(poisson_doc(19)))
+def one_area_doc(n_vehicles, rate_per_min, duration_min, ordering, malicious=False):
+    """n_vehicles requester+server vehicles in one area with one RSU; with
+    malicious, every fifth vehicle fakes half of its services."""
+    vehicles = [
+        {"id": f"v{k:03d}", "org": f"org{k % 3 + 1}", "area": "A",
+         "roles": ["requester", "server"],
+         "profile": ({"kind": "malicious", "fake_rate": 0.5} if malicious and k % 5 == 0
+                     else {"kind": "honest"})}
+        for k in range(n_vehicles)
+    ]
+    return base_config(duration_min=duration_min, seed=7, vehicles=vehicles,
+                       rsus=[{"id": "rsu-a1", "org": "org1", "area": "A"}],
+                       ordering=ordering,
+                       arrivals={"kind": "poisson", "rate_per_min": rate_per_min})
+
+
+@functools.lru_cache(maxsize=None)
+def inversion_run(malicious):
+    """Blocks of one transaction at 600 missions/min among 200 vehicles.
+    When every transaction drew its own endorsement delay and every block
+    its own commit delay, 511 of the honest run's 4,924 blocks committed
+    before the block ahead of them, and the malicious variant crashed on
+    two ratings of one pair committing out of time order."""
+    doc = one_area_doc(200, 600.0, 2.0, {"batch_size": 1}, malicious)
+    return run_scenario(parse_scenario_config(doc))
+
+
+def test_load_crash_config_completes_and_verifies(tmp_path):
+    """The endorsement station is offered about 200 tx/s against mu0 =
+    150, so its queue grows for the whole run. With an independent delay
+    per transaction, simulate exited 2 on two ratings of one pair
+    committing out of time order, at 1 sim-min and at the 0.25 used here."""
+    doc = one_area_doc(20, 3000.0, 0.25, {"batch_timeout_s": 0.01})
+    path = tmp_path / "load.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["ledger-verify", str(out / "ledger.jsonl")]) == 0
+
+
+@pytest.mark.parametrize("malicious", [False, True], ids=["honest", "malicious"])
+def test_stations_are_fifo_and_blocks_commit_in_order(malicious):
+    report = inversion_run(malicious)
+    assert report.summary["blocks"] > 4000
+    committed = {p.tx_id: p.t_committed for p in report.perf}
+    per_block = [committed[blk.txs[0].tx_id] for blk in report.chain.blocks[1:]]
+    assert per_block == sorted(per_block)
+    nonce = {tx.tx_id: tx.proposal.nonce for blk in report.chain.blocks for tx in blk.txs}
+    endorsed = [p.t_endorsed for p in sorted(report.perf, key=lambda p: nonce[p.tx_id])]
+    assert endorsed == sorted(endorsed)
+
+
+def assert_chain_replays_run(report):
+    """The live trajectory is, row for row, what apply_block produces over
+    the chain's blocks, and the replayed ledger equals the live one."""
+    rows = []
+    ledger = ReputationLedger(report.reputation.params)
+    for blk in report.chain.blocks:
+        apply_block(ledger, blk, ReputationMode.TPFS, rows)
+    assert rows and rows == report.trajectories
     replayed = reputation_from_chain(
         report.chain, report.reputation.params, mode=ReputationMode.TPFS
     )
     live = report.reputation
-    for pair in live.direct:  # every pair's ratings, in the order recorded
-        assert replayed.pair_events(*pair) == live.pair_events(*pair)
     assert replayed.direct == live.direct
     assert dict(replayed.trade_count) == dict(live.trade_count)
     assert replayed.status == live.status
 
 
+def test_reputation_traceable_from_chain():
+    assert_chain_replays_run(run_scenario(parse_scenario_config(poisson_doc(19))))
+
+
+def test_reputation_traceable_from_chain_under_load():
+    assert_chain_replays_run(inversion_run(True))
+
+
 # sha256 of every file `rcchain simulate` writes for the example scenario.
-# Every file except ledger.jsonl carries the hash it had before the body
-# hash covered each transaction's kind, validity flag and reason; the
-# ledger.jsonl pins are the hashes after that change, which moved only the
-# body_hash and prev_hash fields.
+# Endorsement and block commitment are FIFO stations and a block's ratings
+# are applied when it commits, before its mission follow-ups run, so the
+# interleaving of missions, and with it every file but summary.json,
+# differs from the run with one independent delay per transaction and
+# per block; summary.json's counts came out the same for both seeds.
 EXAMPLE_PINS = {
     None: {
-        "ledger.jsonl": "d50653183b4fa461773dd7acdd861feaa2a7bf8e166a2fe174c77657dad129a7",
-        "missions.csv": "459ffb0ce4047ab388c9ba9d7515ec388e72e1459fa0bbe957722a46ba4ee3de",
-        "perf.csv": "9101a2a489b67dff003a985a135efed143669ee0babfcfaf49b34340f725528b",
-        "reputation.csv": "b6e42337c36aae3b60c39b30a0bfb32c41a0dcb3ec04bbb73dcdf726506cfe49",
+        "ledger.jsonl": "e5f426b1c1de9d0cef67bc9d0c232e7af36f532ee2b70f46ffe84535d2a42f31",
+        "missions.csv": "8917129f5f500e5f0e69125cb6e8e723f976eb1e61badc2f864a6b7d0d6b4278",
+        "perf.csv": "ba7ce3e2e20ef8a858e2795144e27dfd39144fedb5dfccd051bb67298dff1d36",
+        "reputation.csv": "ad6aaf73955d8ed478bacafaaf945d49d94437ee607073fdc356d5ce5e2c048a",
         "summary.json": "8f466da3d29d4b54b6bb56fa3de268efe61e13c81418529c199a9013c56d4e0c",
-        "world_state.json": "2936a24d99edbb07284f58fc335f8a5b65cb988a4a7ac2861bcde91e35843273",
+        "world_state.json": "4d58222f9f5b81b6df5ac4b4b9b8af2a18c88192fad2d70c4892c26cb4d510c2",
     },
     7: {
-        "ledger.jsonl": "6c61c829fcd65f994865a9ac18fe9a67176348841f994c7868bcb738213de924",
-        "missions.csv": "94b5319dafefa235e8c406b3293f0760b5d3b0d62b3867dd74b08b2145a6fc2a",
-        "perf.csv": "7cdc3611e01568f3c98f97fa501551e8287e46c2516cfd6f96ff621c9842a657",
-        "reputation.csv": "335672ea5f81fe13a02bff40e26f849462904bcebede2591189ec2685dc5b0e5",
+        "ledger.jsonl": "bea3d1a400839fe9ce07b08999c47b52b87906f4851a415942488d46c5e6adc8",
+        "missions.csv": "f414f62991f3f2b6f0ffddc449dbfa643af7f4aeb5109d3e41e638ef8f7df2d6",
+        "perf.csv": "3043edca7775f54ea7c590bccc9ee6a5afe16687c3a3846f0660b2d98d44027c",
+        "reputation.csv": "7e8f594b49e818e4d868170ca4355671ff492e2a1f6d04dd64feec0efbcaf881",
         "summary.json": "0b947b677b976bfadd0ce1e90821a2a86b987cc0731cad1e34f9f2367dcd4f9a",
-        "world_state.json": "0a2c0614bc9f3a28815bee04eacbc899724215a4870cd35455f6d78963784608",
+        "world_state.json": "33d35422e2d7516c9f803ff2fff73e7504327e3f7e04f996e9fe5a3994688f19",
     },
 }
 
