@@ -49,6 +49,7 @@ from .reputation import (
     ReputationMode,
     Status,
     evaluate_pair,
+    score_candidates,
     status_transition,
 )
 from .scenario import rating_payload
@@ -316,13 +317,8 @@ def preset_ptype_field(seed: int = 70) -> PresetResult:
     ledger = ReputationLedger()
     _record_all(ledger, events)
 
-    field: dict[ReputationMode, dict[str, float]] = {m: {} for m in MODES}
-    rows = []
-    for s in servers:
-        for mode in MODES:
-            rfin = evaluate_pair(ledger, i, s, mode, 100.0)
-            field[mode][s] = rfin
-            rows.append((s, mode.value, rfin))
+    field = {m: dict(zip(servers, score_candidates(ledger, i, servers, m, 100.0))) for m in MODES}
+    rows = [(s, mode.value, field[mode][s]) for s in servers for mode in MODES]
 
     a = []
     tpfs = field[ReputationMode.TPFS]

@@ -3,9 +3,9 @@
 Implements the TPFS trust model: confidence-weighted aggregation of
 neighbor recommendations into an indirect score, rating-profile
 similarity between two vehicles over the peers both have rated, and the
-blended final score. Also houses the decayed pairwise direct-reputation
-estimator, the warning/revocation status machine, and the two-group
-fair server selection used by RSUs.
+blended final score, which score_candidates computes for a mission's
+candidates in one pass over O(1) decayed per-pair state. Also houses the
+warning/revocation status machine and the two-group fair server selection.
 
 Two reduced variants of the model are kept for comparison runs:
 ``TP_only`` (no feedback similarity; local confidence pinned at theta)
@@ -29,7 +29,7 @@ from statistics import pstdev
 from typing import Iterable, Optional
 
 VehicleId = str
-_NONE: frozenset = frozenset()  # what a vehicle with no ratings has rated or been rated by
+_NONE: dict = {}  # never written: the records of a vehicle with no ratings
 
 UNIFORM = "uniform"
 DEVIATION = "deviation"
@@ -109,103 +109,96 @@ class RatingEvent:
 
 
 class ReputationLedger:
-    """Append-only rating history with derived per-pair scores.
+    """Rating state with derived per-pair scores.
 
-    Pairs with no history score 0.5. Revocation is absorbing: once a
-    vehicle is revoked its status never changes back, though ratings
-    about it are still recorded.
+    Each rated pair keeps one record [A, B, t_last, positives, total]:
+    its rating weights decayed to its last rating (Jøsang & Ismail's Beta
+    reputation), so a direct score at any time is O(1). Pairs with no
+    history score 0.5. Revocation is absorbing: once a vehicle is revoked
+    its status never changes back, though ratings about it are still recorded.
     """
 
     def __init__(self, params: TpfsParams | None = None):
         self.params = params or TpfsParams()
         self._direct: dict[tuple[VehicleId, VehicleId], float] = {}
-        self._stale: dict[tuple[VehicleId, VehicleId], None] = {}  # rated since `direct` was read
+        self._stale: dict[tuple[VehicleId, VehicleId], list] = {}  # rated since `direct` was read
         self._spread: dict[VehicleId, float] = {}  # per ratee, until it is next rated
         self.trade_count: dict[VehicleId, int] = defaultdict(int)
         self.status: dict[VehicleId, Status] = {}
-        self._pair_events: dict[tuple[VehicleId, VehicleId], list[RatingEvent]] = defaultdict(list)
-        self._positives: dict[tuple[VehicleId, VehicleId], int] = defaultdict(int)
-        self._rated_by: dict[VehicleId, set[VehicleId]] = defaultdict(set)
-        self._raters_of: dict[VehicleId, set[VehicleId]] = defaultdict(set)
+        self._rated: dict[VehicleId, dict[VehicleId, list]] = {}  # rater -> ratee -> record
+        self._received: dict[VehicleId, dict[VehicleId, list]] = {}  # by ratee, raters sorted
 
     @property
     def direct(self) -> dict[tuple[VehicleId, VehicleId], float]:
         """Every rated pair's direct score at its last rating's timestamp,
         in first-rating order. Pairs rated since the last read are rescored
         here, once each; the same dict is returned every time."""
-        for pair in self._stale:
-            events = self._pair_events[pair]
-            self._direct[pair] = self._score_events(events, events[-1].timestamp)
+        for pair, rec in self._stale.items():
+            self._direct[pair] = _beta_score(rec, rec[2], self.params)
         self._stale.clear()
         return self._direct
 
     def has_interaction(self, rater: VehicleId, ratee: VehicleId) -> bool:
-        return (rater, ratee) in self._pair_events
+        return ratee in self._rated.get(rater, _NONE)
 
-    def pair_events(self, rater: VehicleId, ratee: VehicleId) -> list[RatingEvent]:
-        return self._pair_events.get((rater, ratee), [])
-
-    def common_ratees(self, i: VehicleId, j: VehicleId) -> set[VehicleId]:
-        return self._rated_by.get(i, _NONE) & self._rated_by.get(j, _NONE)
-
-    def raters_of(self, q: VehicleId) -> set[VehicleId]:
-        return self._raters_of.get(q, _NONE)
+    def raters_of(self, q: VehicleId) -> dict[VehicleId, list]:
+        """q's raters in id order, each mapped to its record about q."""
+        return self._received.get(q, _NONE)
 
     def _feedback(self, rater: VehicleId, ratee: VehicleId) -> float:
         """feedback_score of the pair's rating counts, read in O(1)."""
-        pos = self._positives[(rater, ratee)]
-        return feedback_score(pos, len(self._pair_events[(rater, ratee)]) - pos)
+        rec = self._rated[rater][ratee]
+        return feedback_score(rec[3], rec[4] - rec[3])
 
     def _feedback_spread(self, q: VehicleId) -> float:
         """Population std of the feedback scores q has received (0 with
         fewer than two raters), kept until q is next rated."""
         spread = self._spread.get(q)
         if spread is None:
-            scores = [self._feedback(v, q) for v in sorted(self.raters_of(q))]
+            scores = [self._feedback(v, q) for v in self.raters_of(q)]
             spread = self._spread[q] = pstdev(scores) if len(scores) > 1 else 0.0
         return spread
 
     def direct_score(self, rater: VehicleId, ratee: VehicleId, now: float | None = None) -> float:
-        events = self._pair_events.get((rater, ratee))
-        if not events:
+        rec = self._rated.get(rater, _NONE).get(ratee)
+        if rec is None:
             return 0.5
-        if now is None:
-            now = events[-1].timestamp
-        return self._score_events(events, now)
-
-    def _score_events(self, events, now):
-        decay = self.params.decay_per_minute
-        alpha_eff = 0.0
-        beta_eff = 0.0
-        for e in events:
-            w = decay ** (now - e.timestamp)
-            if e.positive:
-                alpha_eff += w
-            else:
-                beta_eff += w
-        return (alpha_eff + 1.0) / (
-            alpha_eff + self.params.negative_penalty * beta_eff + 2.0
-        )
+        return _beta_score(rec, rec[2] if now is None else now, self.params)
 
     def record_rating(self, event: RatingEvent) -> None:
-        """Append a rating; the pair's direct score is refreshed at the
-        rating's own timestamp when `direct` is next read."""
-        pair = (event.rater, event.ratee)
-        prior = self._pair_events.get(pair)
-        if prior and event.timestamp < prior[-1].timestamp:
+        """Decay the pair's weights to the rating's timestamp and add it;
+        the pair's direct score is refreshed when `direct` is next read."""
+        rater, ratee, t = event.rater, event.ratee, event.timestamp
+        rec = self._rated.get(rater, _NONE).get(ratee)
+        if rec is None:
+            rec = self._rated.setdefault(rater, {})[ratee] = [0.0, 0.0, t, 0, 0]
+            raters = {**self._received.get(ratee, _NONE), rater: rec}
+            self._received[ratee] = dict(sorted(raters.items()))  # first ratings are rare
+        elif t < rec[2]:
             raise ValueError("ratings for a pair must be appended in time order")
-        self._pair_events[pair].append(event)
-        self._positives[pair] += event.positive
-        self._rated_by[event.rater].add(event.ratee)
-        self._raters_of[event.ratee].add(event.rater)
-        self._stale[pair] = None
-        self._spread.pop(event.ratee, None)
+        k = self.params.decay_per_minute ** (t - rec[2])
+        rec[0] *= k
+        rec[1] *= k
+        rec[0 if event.positive else 1] += 1.0
+        rec[2] = t
+        rec[3] += event.positive
+        rec[4] += 1
+        self._stale[(rater, ratee)] = rec
+        self._spread.pop(ratee, None)
 
     def record_trade(self, vehicle: VehicleId) -> None:
         self.trade_count[vehicle] += 1
 
     def get_status(self, vehicle: VehicleId) -> Status:
         return self.status.get(vehicle, Status.NORMAL)
+
+
+def _beta_score(rec: list, now: float, params: TpfsParams) -> float:
+    """Direct score (x+1)/(x+penalty*y+2) of a pair record whose weights
+    x, y are decayed to now; now may precede the pair's last rating."""
+    k = params.decay_per_minute ** (now - rec[2])
+    x = rec[0] * k
+    return (x + 1.0) / (x + params.negative_penalty * (rec[1] * k) + 2.0)
 
 
 def recommended_confidence(r_ij: float, params: TpfsParams) -> float:
@@ -244,11 +237,16 @@ def indirect_reputation(
             raise ValueError("opinion scores must be in [0,1]")
         conf = 1.0 if force_full_confidence else recommended_confidence(r_ij, params)
         (positive if r_jf > t_low else negative).append(conf * r_ij * r_jf)
-    a, b = len(positive), len(negative)
+    return _indirect(sum(positive), len(positive), sum(negative), len(negative))
+
+
+def _indirect(pos: float, a: int, neg: float, b: int) -> Optional[float]:
+    """The indirect score from the class sums and counts (see
+    indirect_reputation); None when both classes are empty."""
     if not a + b:
         return None
-    p = sum(positive) / a if a else 0.0
-    n = sum(negative) / b if b else 0.0
+    p = pos / a if a else 0.0
+    n = neg / b if b else 0.0
     c = a / (a + b)
     d = b / (a + b)
     return min(1.0, max(0.0, c * p - d * n))
@@ -277,7 +275,7 @@ def feedback_similarity(
     are zero).
     """
     params = ledger.params
-    common = sorted(ledger.common_ratees(i, j))
+    common = sorted(ledger._rated.get(i, _NONE).keys() & ledger._rated.get(j, _NONE).keys())
     if not common:
         return None
     if params.similarity_weighting == DEVIATION:
@@ -325,22 +323,65 @@ def final_reputation(
     (theta when i and f share no ratees); TP_only and TWSL_like pin r at
     theta, and TWSL_like additionally trusts every recommender fully.
     """
-    params = ledger.params
-    rin = indirect_reputation(scores, params,
+    rin = indirect_reputation(scores, ledger.params,
                               force_full_confidence=mode is ReputationMode.TWSL_LIKE)
-    if mode is ReputationMode.TPFS:
-        simf = feedback_similarity(i, f, ledger)
-        r = params.theta if simf is None else local_confidence(simf, params)
-    else:
-        r = params.theta
-    if ledger.has_interaction(i, f):
-        direct = ledger.direct_score(i, f, now)
-        if rin is None:
-            return r * direct
-        return blend_reputation(r, direct, rin)
-    if rin is None:
-        return r * params.gamma
-    return blend_reputation(r, params.eta, rin)
+    simf = feedback_similarity(i, f, ledger) if mode is ReputationMode.TPFS else None
+    direct = ledger.direct_score(i, f, now) if ledger.has_interaction(i, f) else None
+    return _final(ledger.params, simf, direct, rin)
+
+
+def _final(params: TpfsParams, simf: Optional[float], direct: Optional[float],
+           rin: Optional[float]) -> float:
+    """final_reputation's dispatch on the similarity, direct and indirect
+    scores, each None when there is nothing to compute it from."""
+    r = params.theta if simf is None else local_confidence(simf, params)
+    if direct is not None:
+        return r * direct if rin is None else blend_reputation(r, direct, rin)
+    return r * params.gamma if rin is None else blend_reputation(r, params.eta, rin)
+
+
+def score_candidates(
+    ledger: ReputationLedger,
+    rater: VehicleId,
+    candidates: Iterable[VehicleId],
+    mode: ReputationMode,
+    now: float,
+) -> list[float]:
+    """final_reputation of rater about each candidate at now, with
+    recommendations from every other vehicle that has rated it. The
+    rater's row of scores is built once; each candidate's class sums run
+    in recommender-id order. Pure, so equal inputs give equal bits."""
+    params = ledger.params
+    d, penalty, t_low = params.decay_per_minute, params.negative_penalty, params.t_low
+    weigh = (lambda r: r) if mode is ReputationMode.TWSL_LIKE else (
+        lambda r: recommended_confidence(r, params) * r)
+    mine = ledger._rated.get(rater, _NONE)
+    row = {j: weigh(_beta_score(rec, now, params)) for j, rec in mine.items()}  # conf * r_ij
+    unrated = weigh(0.5)
+    # only a vehicle that shares a ratee with the rater has a feedback similarity
+    tpfs = mode is ReputationMode.TPFS
+    shared = {v for q in mine for v in ledger.raters_of(q)} if tpfs else _NONE
+    out = []
+    for f in candidates:
+        pos = neg = 0.0
+        a = b = 0
+        for j, rec in ledger.raters_of(f).items():
+            if j == rater:
+                continue
+            cr = row.get(j, unrated)
+            k = d ** (now - rec[2])  # _beta_score, inlined
+            x = rec[0] * k
+            r_jf = (x + 1.0) / (x + penalty * (rec[1] * k) + 2.0)
+            if r_jf > t_low:
+                pos += cr * r_jf
+                a += 1
+            else:
+                neg += cr * r_jf
+                b += 1
+        simf = feedback_similarity(rater, f, ledger) if f in shared else None
+        direct = _beta_score(mine[f], now, params) if f in mine else None
+        out.append(_final(params, simf, direct, _indirect(pos, a, neg, b)))
+    return out
 
 
 def evaluate_pair(
@@ -350,16 +391,8 @@ def evaluate_pair(
     mode: ReputationMode,
     now_min: float,
 ) -> float:
-    """Final score of rater about ratee with recommendations gathered from
-    every other vehicle that has rated the ratee. Pure given the ledger,
-    so a chain replay reproduces it exactly."""
-    direct_score = ledger.direct_score
-    scores = (
-        (direct_score(rater, rec, now_min), direct_score(rec, ratee, now_min))
-        for rec in sorted(ledger.raters_of(ratee))
-        if rec != rater and rec != ratee
-    )
-    return final_reputation(rater, ratee, ledger, scores, mode, now_min)
+    """score_candidates for the single candidate ratee."""
+    return score_candidates(ledger, rater, (ratee,), mode, now_min)[0]
 
 
 def status_transition(current: Status, rfin: float, params: TpfsParams) -> Status:

@@ -53,6 +53,7 @@ from .reputation import (
     TpfsParams,
     classify_status,
     evaluate_pair,
+    score_candidates,
     select_server,
 )
 
@@ -660,12 +661,10 @@ class _Engine:
             mission.outcome = "abandoned"
             return
         mission.candidates = candidates
-        now_min = self.now / SECONDS_PER_MINUTE
-        scored = [
-            (c, evaluate_pair(self.reputation, mission.requester, c, self.cfg.mode, now_min),
-             self.reputation.trade_count.get(c, 0))
-            for c in mission.candidates
-        ]
+        scores = score_candidates(self.reputation, mission.requester, candidates,
+                                  self.cfg.mode, self.now / SECONDS_PER_MINUTE)
+        trades = self.reputation.trade_count
+        scored = [(c, rfin, trades.get(c, 0)) for c, rfin in zip(candidates, scores)]
         area_rsus = self.rsus_in[requester_area]
         followers = area_rsus[1:] or area_rsus[:1]
         nominations = [

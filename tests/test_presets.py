@@ -72,10 +72,12 @@ def test_ptype_outputs_fifteen_servers(results):
 # except ledger.jsonl carries the hash it had before the body hash covered
 # each transaction's kind, validity flag and reason; the ledger.jsonl pin is
 # the hash after that change, which moved only body_hash and prev_hash.
+# ptype_field.csv's pin moved when direct scores came from one decayed
+# state per pair instead of a rescan of its events (rfin by <= 2.8e-17).
 PTYPE_FIELD_PINS = {
     "assertions.json": "f72084a7f5f00c85be46871b0d79f5557a388766b34ba4b3519600a115892ace",
     "ledger.jsonl": "eba8d467c10a3cc43b85e976ed996bd715945039d29f3d2e9d1056cee1d172a2",
-    "ptype_field.csv": "8849d141119051326d98b72fd6962d7bec570ef3ffc2f33c89808005cdc70e82",
+    "ptype_field.csv": "fac50858c708e100802e7e6b72c7979612fdf320fceaeaf91a2678007fd4436f",
     "world_state.json": "c9990900573db33b3ab152c3b4d42e8769a58527935aba1e4b9c09ae54095b3e",
 }
 

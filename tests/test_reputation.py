@@ -1,8 +1,12 @@
 """Unit and property tests for the reputation model."""
 
+import csv
+import io
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from pathlib import Path
 from random import Random
 from statistics import pstdev
 
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcchain.scenario as scenario
 from rcchain.reputation import (
     RatingEvent,
     ReputationLedger,
@@ -25,9 +30,11 @@ from rcchain.reputation import (
     indirect_reputation,
     local_confidence,
     recommended_confidence,
+    score_candidates,
     select_server,
     status_transition,
 )
+from rcchain.scenario import parse_scenario_config, run_scenario
 
 P = TpfsParams()
 P_DEVIATION = replace(P, similarity_weighting="deviation")
@@ -321,6 +328,19 @@ def test_direct_score_decays_toward_prior():
     assert stale > 0.5  # decays toward the 0.5 prior, not below
 
 
+def test_direct_score_before_the_last_rating():
+    # a query at t=5 between ratings at t=0 and t=10 weighs the later one
+    # by d^(5-10) > 1, as a rescan of the events at t=5 would
+    led = ReputationLedger()
+    rate(led, "i", "j", True, 0.0)
+    rate(led, "i", "j", False, 10.0)
+    d = P.decay_per_minute
+    x, y = d ** 5.0, d ** -5.0
+    expected = (x + 1.0) / (x + P.negative_penalty * y + 2.0)
+    assert led.direct_score("i", "j", now=5.0) == pytest.approx(expected, abs=1e-12)
+    assert led.direct_score("i", "j", now=0.0) < expected < led.direct_score("i", "j", now=10.0)
+
+
 def test_record_rating_rejects_self_rating():
     with pytest.raises(ValueError):
         RatingEvent("i", "i", True, 0.0)
@@ -329,12 +349,16 @@ def test_record_rating_rejects_self_rating():
 def test_record_rating_rejects_out_of_order_pair_and_leaves_it_unchanged():
     led = ReputationLedger()
     rate(led, "i", "j", True, 5.0)
-    events, score = list(led.pair_events("i", "j")), led.direct[("i", "j")]
+
+    def seen():
+        return ([led.direct_score("i", "j", now) for now in (4.0, 9.0)],
+                led.direct[("i", "j")], led._feedback("i", "j"))
+
+    before = seen()
     with pytest.raises(ValueError, match="appended in time order"):
-        rate(led, "i", "j", True, 3.0)
-    assert led.pair_events("i", "j") == events
-    assert led._positives[("i", "j")] == 1
-    assert led.direct[("i", "j")] == score
+        rate(led, "i", "j", False, 3.0)
+    assert seen() == before
+    assert before[2] == 1.0  # the rejected negative rating would make it 0
     rate(led, "i", "k", True, 3.0)  # the order is per pair
     assert led.has_interaction("i", "k")
 
@@ -501,14 +525,30 @@ def test_evaluate_pair_reads_weighting_from_ledger():
 
 
 # ---------------------------------------------------------------------------
-# evaluate_pair against an opinion-record reference evaluator
+# evaluate_pair and score_candidates against an opinion-record reference
 # ---------------------------------------------------------------------------
 # The reference below is an independent evaluator on its own record types:
-# it builds one RefOpinion per recommender, re-counts each rating profile
-# from the pair's events into a RefProfile and rescans the events with the
-# decay read per event. evaluate_pair keeps the same floating-point
-# operations in the same order, so the two must agree bit for bit (==),
-# and on the error they raise for a score outside [0,1].
+# RefLedger keeps every pair's events as the test records them, and the
+# reference builds one RefOpinion per recommender, re-counts each rating
+# profile from the events into a RefProfile and rescans the events with
+# the decay read per event. The ledger instead decays one (A, B) state per
+# pair at each rating, so its floats may differ in the last bits; they
+# must agree within 1e-12.
+
+TOL = 1e-12
+
+
+class RefLedger(ReputationLedger):
+    """A ReputationLedger that also keeps each pair's events, in order."""
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.events = {}
+
+    def record_rating(self, event):
+        super().record_rating(event)
+        self.events.setdefault((event.rater, event.ratee), []).append(event)
+
 
 @dataclass(frozen=True)
 class RefOpinion:
@@ -543,10 +583,21 @@ def ref_score_events(events, now, params):
     return (alpha_eff + 1.0) / (alpha_eff + params.negative_penalty * beta_eff + 2.0)
 
 
+def ref_direct(ledger, rater, ratee, now):
+    events = ledger.events.get((rater, ratee))
+    return ref_score_events(events, now, ledger.params) if events else 0.5
+
+
+def ref_rated_by(ledger, v):
+    return {b for a, b in ledger.events if a == v}
+
+
+def ref_raters_of(ledger, q):
+    return {a for a, b in ledger.events if b == q}
+
+
 def ref_profile(ledger, rater, ratee):
-    events = ledger.pair_events(rater, ratee)
-    if not events:
-        return None
+    events = ledger.events[(rater, ratee)]
     pos = sum(1 for e in events if e.positive)
     return RefProfile(alpha=pos, beta=len(events) - pos)
 
@@ -558,15 +609,16 @@ def ref_feedback_score(profile):
     return (profile.alpha**2 - profile.beta**2) / total**2
 
 
-def ref_feedback_similarity(i, j, ledger, params):
-    common = sorted(ledger.common_ratees(i, j))
+def ref_feedback_similarity(i, j, ledger):
+    params = ledger.params
+    common = sorted(ref_rated_by(ledger, i) & ref_rated_by(ledger, j))
     if not common:
         return None
     if params.similarity_weighting == "deviation":
         raw = []
         for q in common:
             scores = [ref_feedback_score(ref_profile(ledger, v, q))
-                      for v in sorted(ledger.raters_of(q))]
+                      for v in sorted(ref_raters_of(ledger, q))]
             raw.append(pstdev(scores) if len(scores) > 1 else 0.0)
         total = sum(raw)
         weights = [w / total for w in raw] if total > 0 else [1.0 / len(common)] * len(common)
@@ -598,10 +650,11 @@ def ref_indirect_reputation(opinions, params, *, force_full_confidence=False):
     return min(1.0, max(0.0, c * p - d * n))
 
 
-def ref_final_reputation(i, f, ledger, opinions, params, mode, now):
+def ref_final_reputation(i, f, ledger, opinions, mode, now):
+    params = ledger.params
     opinions = list(opinions)
     if mode is ReputationMode.TPFS:
-        simf = ref_feedback_similarity(i, f, ledger, params)
+        simf = ref_feedback_similarity(i, f, ledger)
         r = params.theta if simf is None else local_confidence(simf, params)
     else:
         r = params.theta
@@ -609,8 +662,8 @@ def ref_final_reputation(i, f, ledger, opinions, params, mode, now):
     if opinions:
         rin = ref_indirect_reputation(
             opinions, params, force_full_confidence=(mode is ReputationMode.TWSL_LIKE))
-    if ledger.has_interaction(i, f):
-        direct = ledger.direct_score(i, f, now)
+    if (i, f) in ledger.events:
+        direct = ref_direct(ledger, i, f, now)
         if rin is None:
             return r * direct
         return blend_reputation(r, direct, rin)
@@ -619,34 +672,22 @@ def ref_final_reputation(i, f, ledger, opinions, params, mode, now):
     return blend_reputation(r, params.eta, rin)
 
 
-def ref_evaluate_pair(ledger, rater, ratee, params, mode, now_min):
+def ref_evaluate_pair(ledger, rater, ratee, mode, now_min):
     opinions = [
         RefOpinion(
             recommender=rec,
             subject=ratee,
-            r_ij=ledger.direct_score(rater, rec, now_min),
-            r_jf=ledger.direct_score(rec, ratee, now_min),
+            r_ij=ref_direct(ledger, rater, rec, now_min),
+            r_jf=ref_direct(ledger, rec, ratee, now_min),
         )
-        for rec in sorted(ledger.raters_of(ratee))
+        for rec in sorted(ref_raters_of(ledger, ratee))
         if rec not in (rater, ratee)
     ]
-    return ref_final_reputation(rater, ratee, ledger, opinions, params, mode, now_min)
+    return ref_final_reputation(rater, ratee, ledger, opinions, mode, now_min)
 
 
-class ScaledLedger(ReputationLedger):
-    """Reports every direct score times `scale`; above 1 some leave [0,1]."""
-
-    scale = 1.0
-
-    def direct_score(self, rater, ratee, now=None):
-        return super().direct_score(rater, ratee, now) * self.scale
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as err:
-        return ("ValueError", str(err))
+def ref_score_candidates(ledger, rater, candidates, mode, now):
+    return [ref_evaluate_pair(ledger, rater, c, mode, now) for c in candidates]
 
 
 @st.composite
@@ -667,41 +708,120 @@ def rating_histories(draw):
     return names, events
 
 
-@given(
-    history=rating_histories(),
-    weighting=st.sampled_from(["uniform", "deviation"]),
-    decay=st.sampled_from([0.98, 0.7, 1.0]),
-    penalty=st.sampled_from([2.0, 1.0]),
-    scale=st.sampled_from([1.0, 1.0, 1.6]),
-    data=st.data(),
-)
-@settings(deadline=None, max_examples=150)
-def test_property_evaluate_pair_matches_opinion_evaluator(
-        history, weighting, decay, penalty, scale, data):
-    names, events = history
-    params = replace(P, similarity_weighting=weighting, decay_per_minute=decay,
-                     negative_penalty=penalty)
-    ledger = ScaledLedger(params)
+@st.composite
+def recorded_histories(draw):
+    """A RefLedger holding a rating history under drawn params, its
+    vehicle names, and query times before, at and after the last ratings."""
+    names, events = draw(rating_histories())
+    params = replace(P, similarity_weighting=draw(st.sampled_from(["uniform", "deviation"])),
+                     decay_per_minute=draw(st.sampled_from([0.98, 0.7, 1.0])),
+                     negative_penalty=draw(st.sampled_from([2.0, 1.0])))
+    ledger = RefLedger(params)
     for e in events:
         ledger.record_rating(e)
     t_end = events[-1].timestamp if events else 0.0
-    # query times before, at and after pairs' last ratings
-    times = [t_end] + data.draw(st.lists(st.floats(0.0, t_end + 10.0), max_size=2),
-                                label="times")
+    times = [t_end] + draw(st.lists(st.floats(0.0, t_end + 10.0), max_size=2), label="times")
+    return ledger, names, times
+
+
+@given(recorded_histories())
+@settings(deadline=None, max_examples=150)
+def test_property_evaluate_pair_matches_opinion_evaluator(recorded):
+    ledger, names, times = recorded
+    pairs = [(i, j) for i in names for j in names if i != j]
+    for now in times:
+        for i, j in pairs:
+            assert abs(ledger.direct_score(i, j, now) - ref_direct(ledger, i, j, now)) <= TOL
+    for mode in ReputationMode:
+        for now in times:
+            for i, j in pairs:
+                got = evaluate_pair(ledger, i, j, mode, now)
+                want = ref_evaluate_pair(ledger, i, j, mode, now)
+                assert abs(got - want) <= TOL, (mode, now, i, j, got, want)
+
+
+@given(recorded_histories())
+@settings(deadline=None, max_examples=100)
+def test_property_scores_from_the_state_lie_in_the_unit_interval(recorded):
+    """score_candidates does not range-check the scores it reads from
+    the state: every direct score, hence every (r_ij, r_jf)
+    recommendation, lies in (0, 1], and every final score in [0, 1]. A
+    score reaches 1.0 only by rounding, when a query long before a
+    positive rating decays its weight back past 2^53."""
+    ledger, names, times = recorded
+    assert all(0.0 < s < 1.0 for s in ledger.direct.values())
     for now in times:
         for i in names:
             for j in names:
-                if i == j:
-                    continue
-                assert ledger.direct_score(i, j, now) == (
-                    ref_score_events(ledger.pair_events(i, j), now, params)
-                    if ledger.has_interaction(i, j) else 0.5)
-    ledger.scale = scale
-    for mode in ReputationMode:
-        for now in times:
+                if i != j:
+                    assert 0.0 < ledger.direct_score(i, j, now) <= 1.0
+        for mode in ReputationMode:
             for i in names:
-                for j in names:
-                    if i != j:
-                        assert outcome(evaluate_pair, ledger, i, j, mode, now) == \
-                            outcome(ref_evaluate_pair, ledger, i, j, params, mode, now), \
-                            (mode, now, i, j)
+                assert all(0.0 <= s <= 1.0 for s in
+                           score_candidates(ledger, i, [j for j in names if j != i], mode, now))
+
+
+@given(recorded_histories(), st.sampled_from(list(ReputationMode)))
+@settings(deadline=None, max_examples=100)
+def test_property_one_pass_equals_per_candidate_calls(recorded, mode):
+    ledger, names, times = recorded
+    for now in times:
+        for i in names:
+            others = [j for j in reversed(names) if j != i]
+            assert score_candidates(ledger, i, others, mode, now) == [
+                evaluate_pair(ledger, i, j, mode, now) for j in others]
+
+
+def test_identical_histories_score_bit_identical():
+    # c1 and c2 receive the same ratings from the same raters at the same
+    # times and rate the same ratees alike, so select_server's exact-tie
+    # rule must see one score for both, whether scored alone or together
+    for params in (P, P_DEVIATION, replace(P, decay_per_minute=0.7)):
+        led = ReputationLedger(params)
+        for t in range(1, 30):
+            tf = t * 0.37
+            for k, rec in enumerate(("r1", "r2", "r3", "r4")):
+                rate(led, "i", rec, (t + k) % 3 != 0, tf)
+                for c in ("c1", "c2"):
+                    rate(led, rec, c, (t + k) % 5 != 0, tf)
+                    rate(led, c, rec, t % 4 != 1, tf)
+            for c in ("c1", "c2"):
+                rate(led, "i", c, t % 2 == 0, tf)
+        for mode in ReputationMode:
+            for now in (5.0, 10.73, 20.0):
+                c1, c2, _ = score_candidates(led, "i", ("c1", "c2", "r1"), mode, now)
+                assert c1 == c2 == evaluate_pair(led, "i", "c2", mode, now)
+
+
+@pytest.mark.parametrize("seed", [None, 7, 11])
+def test_engine_outputs_match_the_reference_evaluator(seed, monkeypatch):
+    """The example scenario in every mode and under the deviation
+    weighting, run once on score_candidates and once with the reference
+    evaluator patched into the scenario module: every output is
+    byte-identical except reputation.csv, whose rfin may move by 1e-12."""
+    doc = json.loads((Path(__file__).resolve().parent.parent
+                      / "docs" / "scenario.example.json").read_text())
+    if seed is not None:
+        doc["seed"] = seed
+    variants = [{"mode": m.value} for m in ReputationMode]
+    variants.append({"tpfs": {"similarity_weighting": "deviation"}})
+    for variant in variants:
+        cfg = parse_scenario_config({**doc, **variant})
+        got = run_scenario(cfg).output_files()
+        with monkeypatch.context() as m:
+            m.setattr(scenario, "ReputationLedger", RefLedger)
+            m.setattr(scenario, "score_candidates", ref_score_candidates)
+            m.setattr(scenario, "evaluate_pair", ref_evaluate_pair)
+            ref = run_scenario(cfg)
+        assert isinstance(ref.reputation, RefLedger)
+        want = ref.output_files()
+        assert sorted(got) == sorted(want)
+        for name in got:
+            if name != "reputation.csv":
+                assert got[name] == want[name], (variant, name)
+        ours, theirs = (list(csv.DictReader(io.StringIO(f["reputation.csv"])))
+                        for f in (got, want))
+        assert len(ours) == len(theirs) > 0
+        for a, b in zip(ours, theirs):
+            assert abs(float(a.pop("rfin")) - float(b.pop("rfin"))) <= TOL
+            assert a == b

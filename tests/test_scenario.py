@@ -210,12 +210,14 @@ def test_reputation_traceable_from_chain_under_load():
 # interleaving of missions, and with it every file but summary.json,
 # differs from the run with one independent delay per transaction and
 # per block; summary.json's counts came out the same for both seeds.
+# reputation.csv's pins moved when direct scores came from one decayed
+# state per pair instead of a rescan of its events (rfin by <= 2.2e-16).
 EXAMPLE_PINS = {
     None: {
         "ledger.jsonl": "e5f426b1c1de9d0cef67bc9d0c232e7af36f532ee2b70f46ffe84535d2a42f31",
         "missions.csv": "8917129f5f500e5f0e69125cb6e8e723f976eb1e61badc2f864a6b7d0d6b4278",
         "perf.csv": "ba7ce3e2e20ef8a858e2795144e27dfd39144fedb5dfccd051bb67298dff1d36",
-        "reputation.csv": "ad6aaf73955d8ed478bacafaaf945d49d94437ee607073fdc356d5ce5e2c048a",
+        "reputation.csv": "7398fe321ddb2b78799f4f0e8f3cf0d10cf265d61377089641afad2fc1a9b08f",
         "summary.json": "8f466da3d29d4b54b6bb56fa3de268efe61e13c81418529c199a9013c56d4e0c",
         "world_state.json": "4d58222f9f5b81b6df5ac4b4b9b8af2a18c88192fad2d70c4892c26cb4d510c2",
     },
@@ -223,7 +225,7 @@ EXAMPLE_PINS = {
         "ledger.jsonl": "bea3d1a400839fe9ce07b08999c47b52b87906f4851a415942488d46c5e6adc8",
         "missions.csv": "f414f62991f3f2b6f0ffddc449dbfa643af7f4aeb5109d3e41e638ef8f7df2d6",
         "perf.csv": "3043edca7775f54ea7c590bccc9ee6a5afe16687c3a3846f0660b2d98d44027c",
-        "reputation.csv": "7e8f594b49e818e4d868170ca4355671ff492e2a1f6d04dd64feec0efbcaf881",
+        "reputation.csv": "2c5d18983905356215ccd19c73e7d4d20260e33682e0153e5d7988c6a7cb75c8",
         "summary.json": "0b947b677b976bfadd0ce1e90821a2a86b987cc0731cad1e34f9f2367dcd4f9a",
         "world_state.json": "33d35422e2d7516c9f803ff2fff73e7504327e3f7e04f996e9fe5a3994688f19",
     },
@@ -585,8 +587,7 @@ def test_untruthful_rater_inverts_feedback():
     report = run_scenario(parse_scenario_config(doc))
     # service was genuinely good, but the rating came back negative; with a
     # single server the slander revokes it and later missions find nobody
-    events = report.reputation.pair_events("liar", "srv")
-    assert events and all(not e.positive for e in events)
+    assert report.reputation._feedback("liar", "srv") == -1.0  # every rating negative
     assert report.reputation.direct_score("liar", "srv") < 0.5
     assert "srv" in report.summary["revoked_vehicles"]
     assert report.summary["completed_good"] >= 1
