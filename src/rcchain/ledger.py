@@ -20,9 +20,12 @@ audit. Validation does each piece of work once per role: the replay's
 flag comparison is its only digest check, and a policy check hashes the
 result once and stops verifying as soon as the policy is met.
 
-Signatures are HMAC-SHA256 tags keyed by each identity's key (the bytes
-of its hex key tag). Every digest hashes one framing: each field as its
-4-byte big-endian length, then its bytes. Hashing is bit-exact:
+Signatures are RFC 2104 HMAC-SHA256 tags keyed by each identity's key
+(the bytes of its hex key tag), computed from the identity's two pad
+states (SHA-256 over the key XOR ipad and XOR opad, derived once when
+the identity is built) and bit-equal to hmac.digest. Every digest
+hashes one framing: each field as its 4-byte big-endian length, then
+its bytes. Hashing is bit-exact:
 - tx id = SHA-256 of the framed (kind, payload, client id,
   repr(created_at), nonce); ids are content digests, so the body hash
   pins every payload byte;
@@ -43,7 +46,10 @@ import hmac
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
+
+from .ioutil import compact_json
 
 ZERO_HASH = bytes(32)
 CA_SECRET = b"rcchain-ca"  # the certificate authority's key for every identity's key tag
@@ -71,20 +77,44 @@ class BlockRejected(Exception):
     """Candidate block does not extend the current tip."""
 
 
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+def _hmac_pads(key: bytes):
+    """HMAC-SHA256's starting states (RFC 2104): SHA-256 over the key,
+    hashed first when longer than the 64-byte block and zero-padded to
+    it, XOR ipad and XOR opad."""
+    if len(key) > 64:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(64, b"\0")
+    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+
+
 @dataclass(frozen=True)
 class Identity:
     id: str
     org: str
     role: str
     key_tag: str  # hex; the HMAC signing key
-    key: bytes = field(init=False, repr=False, compare=False)  # key_tag's bytes
+    inner: object = field(init=False, repr=False, compare=False)  # the key's HMAC pad states
+    outer: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "key", bytes.fromhex(self.key_tag))
+        inner, outer = _hmac_pads(bytes.fromhex(self.key_tag))
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "outer", outer)
+
+    def __reduce__(self):  # hash states do not pickle: rebuild them from the fields
+        return Identity, (self.id, self.org, self.role, self.key_tag)
 
 
 def sign(identity: Identity, message: bytes) -> str:
-    return hmac.digest(identity.key, message, "sha256").hex()
+    inner = identity.inner.copy()
+    inner.update(message)
+    outer = identity.outer.copy()
+    outer.update(inner.digest())
+    return outer.hexdigest()
 
 
 def verify_sig(identity: Identity, message: bytes, sig: str) -> bool:
@@ -205,9 +235,7 @@ class EndorsedTransaction:
 def state_payload(key: str, value: str) -> bytes:
     """Canonical payload bytes of a write of value to the state key; the
     inverse of what simulate_execution reads."""
-    return json.dumps(
-        {"state_key": key, "state_value": value}, sort_keys=True, separators=(",", ":")
-    ).encode()
+    return compact_json({"state_key": key, "state_value": value}).encode()
 
 
 def simulate_execution(
@@ -508,16 +536,20 @@ def export_ledger_lines(ledger: ChainLedger) -> list[str]:
                 for tx, (ok, reason) in zip(blk.txs, blk.validity)
             ],
         }
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        lines.append(compact_json(record))
     return lines
 
 
 def export_world_state(ledger: ChainLedger) -> str:
-    doc = {
-        key: {"value": value, "version": version}
-        for key, (value, version) in sorted(ledger.world_state.items())
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """{key: {"value", "version"}} in json.dumps(sort_keys=True, indent=2)
+    layout, written with json's C string encoder; indent would select its
+    pure-Python encoder."""
+    if not ledger.world_state:
+        return "{}\n"
+    q = encode_basestring_ascii
+    entries = [f'  {q(key)}: {{\n    "value": {q(value)},\n    "version": {version}\n  }}'
+               for key, (value, version) in sorted(ledger.world_state.items())]
+    return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
 def export_files(ledger: ChainLedger) -> dict[str, str]:

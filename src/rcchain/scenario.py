@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Optional
 
-from .ioutil import csv_text, json_text, write_files
+from .ioutil import compact_json, csv_text, json_text, write_files
 from .ledger import (
     Block,
     CertificateAuthority,
@@ -622,13 +622,13 @@ class _Engine:
     # -- mission lifecycle --
 
     def _start_mission(self, requester: Optional[str], kind: Optional[str]):
-        get_status = self.reputation.get_status
+        status = self.reputation.status
         if requester is None:
-            eligible = [v for v in self.requesters if get_status(v) is not Status.REVOKED]
+            eligible = [v for v in self.requesters if status.get(v) is not Status.REVOKED]
             if not eligible:
                 return
             requester = eligible[self.rng.randrange(len(eligible))]
-        elif get_status(requester) is Status.REVOKED:
+        elif status.get(requester) is Status.REVOKED:
             return
         if kind is None:
             kind = MISSION_KINDS[self.rng.randrange(len(MISSION_KINDS))]
@@ -642,8 +642,7 @@ class _Engine:
         self._submit(
             "qa_request",
             state_payload(f"mission/{mission.mission_id}",
-                          json.dumps({"requester": requester, "kind": kind}, sort_keys=True,
-                                     separators=(",", ":"))),
+                          compact_json({"requester": requester, "kind": kind})),
             self.clients[requester],
             lambda valid: self._request_committed(mission, valid),
         )
@@ -653,9 +652,10 @@ class _Engine:
             mission.outcome = "abandoned"
             return
         requester_area = self.vehicle_by_id[mission.requester].area
+        status = self.reputation.status
         candidates = tuple(
             v for v in self.servers_in.get(requester_area, ())
-            if v != mission.requester and self.reputation.get_status(v) is not Status.REVOKED
+            if v != mission.requester and status.get(v) is not Status.REVOKED
         )
         if not candidates:
             mission.outcome = "abandoned"
@@ -724,8 +724,7 @@ def rating_payload(event: RatingEvent, seq: int) -> bytes:
     seq keeps the state keys of one pair's ratings apart."""
     rating = {"rater": event.rater, "ratee": event.ratee,
               "positive": event.positive, "t_min": event.timestamp}
-    return state_payload(f"rep/{event.rater}/{event.ratee}/{seq}",
-                         json.dumps(rating, sort_keys=True, separators=(",", ":")))
+    return state_payload(f"rep/{event.rater}/{event.ratee}/{seq}", compact_json(rating))
 
 
 def rating_from_payload(payload: bytes) -> RatingEvent:

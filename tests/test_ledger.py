@@ -1,9 +1,11 @@
 """Unit and property tests for the transaction pipeline and chain ledger."""
 
+import copy
 import dataclasses
 import hashlib
 import hmac
 import json
+import pickle
 from collections import Counter, deque
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcchain import ledger
+from rcchain.ioutil import compact_json
 from rcchain.ledger import (
     BlockProposal,
     BlockRejected,
@@ -34,6 +37,7 @@ from rcchain.ledger import (
     propose,
     sign,
     simulate_execution,
+    state_payload,
     sync_peer,
     validate_and_commit,
     verify_chain,
@@ -346,6 +350,44 @@ def test_sign_is_hmac_sha256_hex():
             bytes.fromhex(ident.key_tag), msg, "sha256").hexdigest()
 
 
+# key lengths around SHA-256's 64-byte block: empty, short, one short of,
+# at and past the block (a longer key is hashed before padding)
+KEY_LENGTHS = (0, 1, 32, 63, 64, 65, 200)
+
+
+@given(key=st.sampled_from(KEY_LENGTHS).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+       message=st.integers(0, 300).flatmap(lambda n: st.binary(min_size=n, max_size=n)))
+@settings(deadline=None, max_examples=300)
+def test_property_sign_equals_hmac_digest(key, message):
+    ident = Identity(id="i", org="org1", role="client", key_tag=key.hex())
+    tag = hmac.digest(key, message, "sha256").hex()
+    assert sign(ident, message) == tag
+    assert sign(ident, message) == tag  # the pad states are copied, never consumed
+    assert verify_sig(ident, message, tag)
+    assert not verify_sig(ident, message + b"x", tag)
+
+
+def test_replaced_identity_signs_with_the_new_key():
+    _, peers, client, _ = make_network()
+    other = peers[0].key_tag
+    moved = dataclasses.replace(client, key_tag=other)
+    msg = b"tx-id"
+    assert sign(moved, msg) == hmac.digest(bytes.fromhex(other), msg, "sha256").hex()
+    assert sign(client, msg) == hmac.digest(bytes.fromhex(client.key_tag), msg, "sha256").hex()
+    assert sign(moved, msg) != sign(client, msg)
+
+
+def test_identity_copies_and_pickles_sign_the_same():
+    _, _, client, _ = make_network()
+    msg = b"tx-id"
+    for twin in (copy.copy(client), copy.deepcopy(client),
+                 pickle.loads(pickle.dumps(client))):
+        assert twin == client and hash(twin) == hash(client)
+        assert repr(twin) == repr(client)
+        assert sign(twin, msg) == sign(client, msg)
+        assert verify_sig(client, msg, sign(twin, msg))
+
+
 def test_order_batch_cuts_at_batch_size():
     cfg = OrderingConfig(batch_size=10)
     q = pend(make_txs(12))
@@ -637,6 +679,47 @@ def test_export_world_state_sorted():
     assert list(doc) == sorted(doc)
     for entry in doc.values():
         assert set(entry) == {"value", "version"}
+
+
+def world_state_reference(state):
+    doc = {key: {"value": value, "version": version} for key, (value, version) in state.items()}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_export_world_state_matches_json_dumps():
+    led = ChainLedger()
+    assert export_world_state(led) == world_state_reference({}) == "{}\n"
+    led.world_state.update({
+        'say "hi"': ('"quoted"', 1),
+        "back\\slash": ("a\\b\\", 2),
+        "ctrl\x00\x01\t\n\r\x1f\x7f": ("\b\f\x0b", 3),
+        "caf\u00e9/\u8eca": ("\u00fcber \u2028\u2029", 4),
+        "\U0001F697": ("\U0001F6A8 \U00010000", 5),
+        "": ("", 0),
+    })
+    assert export_world_state(led) == world_state_reference(led.world_state)
+    led, _ = build_chain(4)
+    assert export_world_state(led) == world_state_reference(led.world_state)
+
+
+@given(st.dictionaries(st.text(), st.tuples(st.text(), st.integers(0, 10**9))))
+@settings(deadline=None, max_examples=200)
+def test_property_export_world_state_matches_json_dumps(state):
+    led = ChainLedger()
+    led.world_state.update(state)
+    assert export_world_state(led) == world_state_reference(state)
+
+
+def compact_reference(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+@given(key=st.text(), value=st.text())
+@settings(deadline=None, max_examples=200)
+def test_property_compact_json_matches_json_dumps_on_state_payloads(key, value):
+    doc = {"state_key": key, "state_value": value}
+    assert compact_json(doc) == compact_reference(doc)
+    assert state_payload(key, value) == compact_reference(doc).encode()
 
 
 # ---------------------------------------------------------------------------

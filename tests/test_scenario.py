@@ -10,13 +10,14 @@ import pytest
 
 from rcchain.cli import EXIT_CONFIG, main
 from rcchain.ledger import export_ledger_lines, verify_chain
-from rcchain.reputation import ReputationLedger, ReputationMode
+from rcchain.reputation import RatingEvent, ReputationLedger, ReputationMode
 from rcchain.scenario import (
     MAX_ENDORSING_PEERS,
     MAX_EXPECTED_MISSIONS,
     ScenarioConfigError,
     apply_block,
     parse_scenario_config,
+    rating_payload,
     reputation_from_chain,
     run_scenario,
 )
@@ -512,6 +513,31 @@ def test_write_outputs_roundtrip(tmp_path):
     assert summary == report.summary
     first_line = (tmp_path / "ledger.jsonl").read_text().splitlines()[0]
     assert json.loads(first_line)["number"] == 0
+
+
+def compact_reference(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def test_payloads_are_compact_canonical_json():
+    """Every payload on a run's chain, and the mission and rating documents
+    that qa_request and reputation_update payloads carry, equal json.dumps
+    with sorted keys and compact separators."""
+    report = run_scenario(parse_scenario_config(poisson_doc(11)))
+    nested = 0
+    for blk in report.chain.blocks:
+        for tx in blk.txs:
+            doc = json.loads(tx.proposal.payload)
+            assert tx.proposal.payload == compact_reference(doc).encode()
+            if tx.kind in ("qa_request", "reputation_update"):
+                assert doc["state_value"] == compact_reference(json.loads(doc["state_value"]))
+                nested += 1
+    assert nested > 10
+    rater, ratee = 'v"1\\', "v\u00e9\U0001F697"
+    rating = {"rater": rater, "ratee": ratee, "positive": False, "t_min": 0.1 + 0.2}
+    assert rating_payload(RatingEvent(rater, ratee, False, 0.1 + 0.2), 3) == compact_reference(
+        {"state_key": f"rep/{rater}/{ratee}/3", "state_value": compact_reference(rating)}
+    ).encode()
 
 
 def test_crashed_orderer_majority_stalls_ordering():
