@@ -1,5 +1,5 @@
-"""Deterministic output writers: canonical JSON (indented and compact),
-repr-float CSV, and atomic temp-then-rename file writes."""
+"""Deterministic output writers: canonical indented JSON, repr-float
+CSV, and atomic temp-then-rename file writes."""
 
 from __future__ import annotations
 
@@ -27,11 +27,6 @@ def csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
 
 def json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-# json.dumps(doc, sort_keys=True, separators=(",", ":")), from one encoder
-# built once instead of one per call
-compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def write_text_atomic(path: str, text: str) -> None:

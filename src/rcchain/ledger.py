@@ -24,8 +24,9 @@ Signatures are RFC 2104 HMAC-SHA256 tags keyed by each identity's key
 (the bytes of its hex key tag), computed from the identity's two pad
 states (SHA-256 over the key XOR ipad and XOR opad, derived once when
 the identity is built) and bit-equal to hmac.digest. Every digest
-hashes one framing: each field as its 4-byte big-endian length, then
-its bytes. Hashing is bit-exact:
+hashes one framing, written by one b"".join: each field as its 4-byte
+big-endian length (from a table below 256), then its bytes. Hashing is
+bit-exact:
 - tx id = SHA-256 of the framed (kind, payload, client id,
   repr(created_at), nonce); ids are content digests, so the body hash
   pins every payload byte;
@@ -48,8 +49,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
-
-from .ioutil import compact_json
 
 ZERO_HASH = bytes(32)
 CA_SECRET = b"rcchain-ca"  # the certificate authority's key for every identity's key tag
@@ -161,20 +160,24 @@ class EndorsementPolicy:
             raise ValueError("policy needs at least one required org")
 
 
-def _framed(parts: Iterable[bytes]) -> bytearray:
-    """Each part as its 4-byte big-endian length, then its bytes: the one
-    injective encoding every digest in this module hashes."""
-    buf = bytearray()
+_PREFIX = [n.to_bytes(4, "big") for n in range(256)]
+
+
+def _frame(parts: Iterable[bytes]) -> bytes:
+    """Each part as its 4-byte big-endian length, then its bytes, in one
+    join: the one injective encoding every digest in this module hashes."""
+    out = []
     for part in parts:
-        buf += len(part).to_bytes(4, "big")
-        buf += part
-    return buf
+        n = len(part)
+        out.append(_PREFIX[n] if n < 256 else n.to_bytes(4, "big"))
+        out.append(part)
+    return b"".join(out)
 
 
 def _tx_digest(kind: str, payload: bytes, client_id: str, created_at: float, nonce: int) -> str:
-    return hashlib.sha256(_framed((kind.encode(), payload, client_id.encode(),
-                                   repr(float(created_at)).encode(),
-                                   str(nonce).encode()))).hexdigest()
+    return hashlib.sha256(_frame((kind.encode(), payload, client_id.encode(),
+                                  repr(float(created_at)).encode(),
+                                  str(nonce).encode()))).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -233,9 +236,11 @@ class EndorsedTransaction:
 
 
 def state_payload(key: str, value: str) -> bytes:
-    """Canonical payload bytes of a write of value to the state key; the
+    """Canonical payload bytes of a write of value to the state key (the
+    bytes of json.dumps with sorted keys and compact separators); the
     inverse of what simulate_execution reads."""
-    return compact_json({"state_key": key, "state_value": value}).encode()
+    q = encode_basestring_ascii
+    return f'{{"state_key":{q(key)},"state_value":{q(value)}}}'.encode()
 
 
 def simulate_execution(
@@ -259,7 +264,7 @@ def _result_hash(read_set, write_set) -> str:
     parts.append(str(len(write_set)).encode())
     for key, value in write_set:
         parts += (key.encode(), value.encode())
-    return hashlib.sha256(_framed(parts)).hexdigest()
+    return hashlib.sha256(_frame(parts)).hexdigest()
 
 
 def endorse(
@@ -358,7 +363,7 @@ def body_hash(results: Iterable[tuple[str, str, bool, Optional[str]]]) -> bytes:
     for tx_id, kind, valid, reason in results:
         flags = (valid is True) | (reason is not None) << 1
         parts += (tx_id.encode(), kind.encode(), bytes((flags,)), (reason or "").encode())
-    return hashlib.sha256(_framed(parts)).digest()
+    return hashlib.sha256(_frame(parts)).digest()
 
 
 def _results(txs: Iterable[EndorsedTransaction], validity):
@@ -524,20 +529,19 @@ def verify_chain(ledger: ChainLedger, policy: EndorsementPolicy) -> Optional[int
 # ---------------------------------------------------------------------------
 
 def export_ledger_lines(ledger: ChainLedger) -> list[str]:
-    """One canonical-JSON record per block, in block order."""
-    lines = []
-    for blk in ledger.blocks:
-        record = {
-            "number": blk.number,
-            "prev_hash": blk.prev_hash.hex(),
-            "body_hash": blk.body_hash.hex(),
-            "txs": [
-                {"tx_id": tx.tx_id, "kind": tx.kind, "valid": ok, "reason": reason}
-                for tx, (ok, reason) in zip(blk.txs, blk.validity)
-            ],
-        }
-        lines.append(compact_json(record))
-    return lines
+    """One record per block, in block order, in the bytes of json.dumps
+    with sorted keys and compact separators: body_hash, number,
+    prev_hash, then txs of {kind, reason, tx_id, valid}."""
+    q = encode_basestring_ascii
+    return [
+        f'{{"body_hash":"{blk.body_hash.hex()}","number":{blk.number},'
+        f'"prev_hash":"{blk.prev_hash.hex()}","txs":['
+        + ",".join(f'{{"kind":{q(tx.kind)},"reason":{"null" if reason is None else q(reason)},'
+                   f'"tx_id":{q(tx.tx_id)},"valid":{"true" if ok else "false"}}}'
+                   for tx, (ok, reason) in zip(blk.txs, blk.validity))
+        + "]}"
+        for blk in ledger.blocks
+    ]
 
 
 def export_world_state(ledger: ChainLedger) -> str:

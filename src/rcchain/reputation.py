@@ -99,13 +99,17 @@ class RatingEvent:
     rater: VehicleId
     ratee: VehicleId
     positive: bool
-    timestamp: float  # minutes since scenario start
+    timestamp: float  # minutes since scenario start, stored as a float
 
     def __post_init__(self):
         if self.rater == self.ratee:
             raise ValueError("a vehicle cannot rate itself")
-        if self.timestamp < 0:
-            raise ValueError("timestamp must be >= 0")
+        if not isinstance(self.positive, bool):
+            raise TypeError(f"positive must be a bool, got {self.positive!r}")
+        t = float(self.timestamp)
+        if not 0.0 <= t < math.inf:  # also false for NaN
+            raise ValueError(f"timestamp must be finite and >= 0, got {t!r}")
+        object.__setattr__(self, "timestamp", t)
 
 
 class ReputationLedger:

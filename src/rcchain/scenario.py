@@ -23,10 +23,11 @@ import json
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from random import Random
 from typing import Callable, Optional
 
-from .ioutil import compact_json, csv_text, json_text, write_files
+from .ioutil import csv_text, json_text, write_files
 from .ledger import (
     Block,
     CertificateAuthority,
@@ -641,8 +642,7 @@ class _Engine:
         self.missions.append(mission)
         self._submit(
             "qa_request",
-            state_payload(f"mission/{mission.mission_id}",
-                          compact_json({"requester": requester, "kind": kind})),
+            mission_payload(mission.mission_id, requester, kind),
             self.clients[requester],
             lambda valid: self._request_committed(mission, valid),
         )
@@ -719,19 +719,28 @@ class _Engine:
         mission.t_commit_min = self.now / SECONDS_PER_MINUTE
 
 
+def mission_payload(mission_id: str, requester: str, kind: str) -> bytes:
+    """Payload of the qa_request transaction that opens a mission; its
+    state value is the compact canonical JSON of {kind, requester}."""
+    q = encode_basestring_ascii
+    return state_payload(f"mission/{mission_id}",
+                         f'{{"kind":{q(kind)},"requester":{q(requester)}}}')
+
+
 def rating_payload(event: RatingEvent, seq: int) -> bytes:
     """Payload of the reputation_update transaction that carries event;
-    seq keeps the state keys of one pair's ratings apart."""
-    rating = {"rater": event.rater, "ratee": event.ratee,
-              "positive": event.positive, "t_min": event.timestamp}
-    return state_payload(f"rep/{event.rater}/{event.ratee}/{seq}", compact_json(rating))
+    seq keeps the state keys of one pair's ratings apart. Its state value
+    is the compact canonical JSON of {positive, ratee, rater, t_min}."""
+    q = encode_basestring_ascii
+    rating = (f'{{"positive":{"true" if event.positive else "false"},"ratee":{q(event.ratee)},'
+              f'"rater":{q(event.rater)},"t_min":{event.timestamp!r}}}')
+    return state_payload(f"rep/{event.rater}/{event.ratee}/{seq}", rating)
 
 
 def rating_from_payload(payload: bytes) -> RatingEvent:
     """The rating a reputation_update payload carries; rating_payload's inverse."""
     rating = json.loads(json.loads(payload.decode())["state_value"])
-    return RatingEvent(rating["rater"], rating["ratee"], bool(rating["positive"]),
-                       float(rating["t_min"]))
+    return RatingEvent(rating["rater"], rating["ratee"], rating["positive"], rating["t_min"])
 
 
 def apply_reputation_update(

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcchain import ledger
-from rcchain.ioutil import compact_json
 from rcchain.ledger import (
+    Block,
     BlockProposal,
     BlockRejected,
     CertificateAuthority,
@@ -26,6 +26,7 @@ from rcchain.ledger import (
     IntegrityError,
     OrderingConfig,
     PendingTx,
+    TransactionProposal,
     ZERO_HASH,
     _result_hash,
     _tx_digest,
@@ -714,12 +715,82 @@ def compact_reference(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-@given(key=st.text(), value=st.text())
+# strings a JSON writer must escape exactly as json.dumps does: quotes,
+# backslashes, control characters, non-ASCII, U+2028/9, astral code points
+AWKWARD_TEXT = ("", 'say "hi"', "back\\slash\\", "ctrl\x00\x01\t\n\r\x1f\x7f\b\f",
+                "caf\u00e9/\u8eca", "\u2028\u2029", "\U0001F697 \U00010000\U0010FFFF")
+awkward_text = st.one_of(st.sampled_from(AWKWARD_TEXT), st.text())
+
+
+@given(key=awkward_text, value=awkward_text)
 @settings(deadline=None, max_examples=200)
 def test_property_compact_json_matches_json_dumps_on_state_payloads(key, value):
     doc = {"state_key": key, "state_value": value}
-    assert compact_json(doc) == compact_reference(doc)
+    assert state_payload(key, value).decode("ascii") == compact_reference(doc)
     assert state_payload(key, value) == compact_reference(doc).encode()
+
+
+def framed_reference(parts):
+    """The per-part loop the framing join replaced, kept as the reference."""
+    buf = bytearray()
+    for part in parts:
+        buf += len(part).to_bytes(4, "big")
+        buf += part
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("lengths", [(), (0,), (255,), (256,), (70_000,),
+                                     (0, 255, 256, 70_000, 1, 0)])
+def test_frame_matches_the_per_part_loop(lengths):
+    parts = [bytes((k % 251,)) * n for k, n in enumerate(lengths)]
+    assert ledger._frame(parts) == framed_reference(parts)
+    assert ledger._frame(iter(parts)) == framed_reference(parts)
+
+
+@given(st.lists(st.binary(max_size=600)))
+@settings(deadline=None, max_examples=200)
+def test_property_frame_matches_the_per_part_loop(parts):
+    assert ledger._frame(parts) == framed_reference(parts)
+
+
+def ledger_line_reference(blk):
+    return compact_reference({
+        "number": blk.number,
+        "prev_hash": blk.prev_hash.hex(),
+        "body_hash": blk.body_hash.hex(),
+        "txs": [{"tx_id": tx.tx_id, "kind": tx.kind, "valid": ok, "reason": reason}
+                for tx, (ok, reason) in zip(blk.txs, blk.validity)],
+    })
+
+
+def bare_tx(tx_id, kind, client):
+    proposal = TransactionProposal(tx_id, kind, b"", client, 0.0, 0, "")
+    return EndorsedTransaction(proposal, (), (), ())
+
+
+awkward_record = st.tuples(awkward_text, awkward_text, st.booleans(),
+                           st.one_of(st.none(), st.just(""), awkward_text))
+
+
+@given(st.lists(st.lists(awkward_record, max_size=4), max_size=4),
+       st.binary(min_size=32, max_size=32))
+@settings(deadline=None, max_examples=200)
+def test_property_export_ledger_lines_match_json_dumps(blocks, prev_hash):
+    _, _, client, _ = make_network()
+    led = ChainLedger()  # the genesis block has no transactions
+    for n, records in enumerate(blocks, start=1):
+        txs = tuple(bare_tx(tx_id, kind, client) for tx_id, kind, _, _ in records)
+        validity = tuple((ok, reason) for _, _, ok, reason in records)
+        led.blocks.append(Block(n, prev_hash, txs, ledger.body_hash(records), validity))
+    lines = export_ledger_lines(led)
+    assert lines == [ledger_line_reference(blk) for blk in led.blocks]
+    assert lines[0] == ('{"body_hash":"%s","number":0,"prev_hash":"%s","txs":[]}'
+                        % (hashlib.sha256(b"").hexdigest(), "00" * 32))
+
+
+def test_export_ledger_lines_match_json_dumps_on_a_committed_chain():
+    led, _ = build_chain(6)
+    assert export_ledger_lines(led) == [ledger_line_reference(blk) for blk in led.blocks]
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,21 @@ def test_record_rating_rejects_self_rating():
         RatingEvent("i", "i", True, 0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_rating_event_rejects_negative_and_non_finite_timestamps(t):
+    with pytest.raises(ValueError, match="timestamp"):
+        RatingEvent("i", "j", True, t)
+
+
+def test_rating_event_stores_a_float_timestamp_and_requires_a_bool_sign():
+    event = RatingEvent("i", "j", True, 3)
+    assert type(event.timestamp) is float and event.timestamp == 3.0
+    assert event == RatingEvent("i", "j", True, 3.0)
+    for positive in (1, 0, None, "yes"):
+        with pytest.raises(TypeError, match="positive"):
+            RatingEvent("i", "j", positive, 0.0)
+
+
 def test_record_rating_rejects_out_of_order_pair_and_leaves_it_unchanged():
     led = ReputationLedger()
     rate(led, "i", "j", True, 5.0)

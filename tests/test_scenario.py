@@ -7,6 +7,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rcchain.cli import EXIT_CONFIG, main
 from rcchain.ledger import export_ledger_lines, verify_chain
@@ -16,7 +18,9 @@ from rcchain.scenario import (
     MAX_EXPECTED_MISSIONS,
     ScenarioConfigError,
     apply_block,
+    mission_payload,
     parse_scenario_config,
+    rating_from_payload,
     rating_payload,
     reputation_from_chain,
     run_scenario,
@@ -538,6 +542,55 @@ def test_payloads_are_compact_canonical_json():
     assert rating_payload(RatingEvent(rater, ratee, False, 0.1 + 0.2), 3) == compact_reference(
         {"state_key": f"rep/{rater}/{ratee}/3", "state_value": compact_reference(rating)}
     ).encode()
+
+
+# strings a JSON writer must escape exactly as json.dumps does: quotes,
+# backslashes, control characters, non-ASCII, U+2028/9, astral code points
+AWKWARD_TEXT = ("", 'say "hi"', "back\\slash\\", "ctrl\x00\x01\t\n\r\x1f\x7f\b\f",
+                "caf\u00e9/\u8eca", "\u2028\u2029", "\U0001F697 \U00010000\U0010FFFF")
+awkward_text = st.one_of(st.sampled_from(AWKWARD_TEXT), st.text())
+EDGE_TIMES = (0.0, 5e-324, 0.1 + 0.2, 1e16, 1e22)
+
+
+def state_reference(key, value_doc):
+    return compact_reference({"state_key": key,
+                              "state_value": compact_reference(value_doc)}).encode()
+
+
+@given(rater=awkward_text, ratee=awkward_text, positive=st.booleans(), seq=st.integers(0, 10**9),
+       t=st.one_of(st.sampled_from(EDGE_TIMES),
+                   st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)))
+@settings(deadline=None, max_examples=300)
+def test_property_rating_payload_matches_json_dumps_and_round_trips(rater, ratee, positive,
+                                                                    seq, t):
+    assume(rater != ratee)
+    event = RatingEvent(rater, ratee, positive, t)
+    payload = rating_payload(event, seq)
+    assert payload == state_reference(
+        f"rep/{rater}/{ratee}/{seq}",
+        {"rater": rater, "ratee": ratee, "positive": positive, "t_min": t})
+    assert rating_from_payload(payload) == event
+    assert rating_payload(rating_from_payload(payload), seq) == payload
+
+
+@pytest.mark.parametrize("t", EDGE_TIMES)
+def test_rating_payload_writes_edge_timestamps_as_json_dumps(t):
+    payload = rating_payload(RatingEvent('v"1', "v\u2028", True, t), 0)
+    assert payload == state_reference(
+        "rep/v\"1/v\u2028/0", {"rater": 'v"1', "ratee": "v\u2028", "positive": True, "t_min": t})
+    assert rating_from_payload(payload).timestamp == t
+
+
+def test_rating_payload_of_an_int_timestamp_is_the_float_one():
+    assert rating_payload(RatingEvent("a", "b", False, 3), 1) == rating_payload(
+        RatingEvent("a", "b", False, 3.0), 1)
+
+
+@given(mission_id=awkward_text, requester=awkward_text, kind=awkward_text)
+@settings(deadline=None, max_examples=300)
+def test_property_mission_payload_matches_json_dumps(mission_id, requester, kind):
+    assert mission_payload(mission_id, requester, kind) == state_reference(
+        f"mission/{mission_id}", {"requester": requester, "kind": kind})
 
 
 def test_crashed_orderer_majority_stalls_ordering():
