@@ -7,7 +7,8 @@ outputs are written atomically, and a malformed config exits before any
 file is touched. RCCHAIN_OUT overrides --out when set.
 
 Exit codes: 0 success, 2 config error, 3 instability refusal,
-4 integrity failure, 5 preset assertion failure, 6 unreadable input.
+4 integrity failure, 5 preset assertion failure, 6 unreadable input or
+unwritable output. Only compare and preset load the numpy simulator.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import os
 import sys
 
 from .ioutil import csv_text, json_text, write_files
-from .pipeline_des import DEVIATION_COLUMNS, STAGE_FEED, deviation_table, simulate_pipeline
-from .presets import run_preset
 from .queueing import (
     ORDERER_MODES,
     QueueNetworkConfig,
@@ -139,6 +138,7 @@ def cmd_simulate(args, ledger_only: bool = False) -> int:
 
 
 def cmd_preset(args) -> int:
+    from .presets import run_preset
     try:
         result = run_preset(args.name, seed=args.seed)
     except KeyError as err:  # unknown preset name; the message lists the known ones
@@ -170,6 +170,7 @@ def cmd_ledger_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .pipeline_des import DEVIATION_COLUMNS, STAGE_FEED, deviation_table, simulate_pipeline
     cfg = QueueNetworkConfig(lambda0=args.lambda0, batch_size=args.batch_size)
     performance(cfg)  # refuses an unstable or idle point before simulating
     stats = simulate_pipeline(cfg, args.n_tx, args.seed or 0, commit_feed=STAGE_FEED)
@@ -238,8 +239,8 @@ def main(argv=None) -> int:
     except UnstableConfigError as err:
         print(f"unstable configuration: {err}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except FileNotFoundError as err:
-        print(f"cannot read input: {err}", file=sys.stderr)
+    except OSError as err:
+        print(f"cannot read input or write output: {err}", file=sys.stderr)
         return EXIT_IO
     except json.JSONDecodeError as err:
         print(f"config is not valid JSON: {err}", file=sys.stderr)

@@ -4,7 +4,9 @@ Drives vehicles, RSUs, and organizations through the full flow:
 registration, on-chain request, service offers, reputation-based
 candidate nomination by the following RSUs with a random final pick by
 the leading RSU, on-chain service and delivery records, requester
-feedback, and an on-chain reputation update. Endorsement and block
+feedback, and an on-chain reputation update. Each mission is one
+generator, _Engine._mission, that yields its transactions in turn and
+is resumed with each one's commit validity. Endorsement and block
 commitment are FIFO stations, so blocks commit in chain order, and
 ratings reach the reputation ledger only through apply_block, which
 reputation_from_chain loops over: the live state replays the chain.
@@ -25,7 +27,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 from .ioutil import csv_text, json_text, write_files
 from .ledger import (
@@ -60,7 +62,7 @@ from .reputation import (
 
 SECONDS_PER_MINUTE = 60.0
 MAX_ENDORSING_PEERS = 100  # per organization; the engine registers and asks every one
-MAX_EXPECTED_MISSIONS = 1_000_000  # rate_per_min x duration_min; every arrival is queued up front
+MAX_EXPECTED_MISSIONS = 1_000_000  # scripted, or rate_per_min x duration_min; all queued up front
 PROFILE_KINDS = ("honest", "malicious", "p_type", "untruthful_rater")
 MISSION_KINDS = ("qa", "data_share")
 
@@ -332,7 +334,11 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
     missions = []
     vehicle_ids = {v.id for v in vehicles}
     requester_ids = {v.id for v in vehicles if "requester" in v.roles}
-    for rec in _array(arr_doc.get("missions", []), "arrivals.missions"):
+    scripted = _array(arr_doc.get("missions", []), "arrivals.missions")
+    if len(scripted) > MAX_EXPECTED_MISSIONS:
+        raise ScenarioConfigError(f"arrivals.missions lists more than {MAX_EXPECTED_MISSIONS} "
+                                  f"missions: {len(scripted)}")
+    for rec in scripted:
         _check_keys(rec, {"t_min", "requester", "kind"}, "missions[]")
         m = ScriptedMission(_number(_require(rec, "t_min", "missions[]"), "missions[].t_min",
                                     minimum=0),
@@ -405,7 +411,7 @@ class MissionRecord:
     kind: str
     requester: str
     selected: Optional[str] = None
-    outcome: Optional[str] = None       # completed_good / completed_bad / abandoned
+    outcome: str = "abandoned"          # until the delivery commits: completed_good / _bad
     t_request_min: float = 0.0
     t_commit_min: Optional[float] = None
     candidates: tuple[str, ...] = ()
@@ -554,10 +560,8 @@ class _Engine:
         arr = self.cfg.arrivals
         if arr.kind == "scripted":
             for m in arr.missions:
-                self.schedule(
-                    m.t_min * SECONDS_PER_MINUTE,
-                    lambda m=m: self._start_mission(m.requester, m.kind),
-                )
+                self.schedule(m.t_min * SECONDS_PER_MINUTE,
+                              lambda m=m: self._advance(self._mission(m.requester, m.kind)))
             return
         if not self.requesters or arr.rate_per_min <= 0:
             return
@@ -566,29 +570,35 @@ class _Engine:
             t_min += self.rng.expovariate(arr.rate_per_min)
             if t_min >= self.cfg.duration_min:
                 break
-            self.schedule(
-                t_min * SECONDS_PER_MINUTE,
-                lambda: self._start_mission(None, None),
-            )
+            self.schedule(t_min * SECONDS_PER_MINUTE,
+                          lambda: self._advance(self._mission(None, None)))
 
     # -- transaction submission --
 
-    def _submit(self, kind: str, payload: bytes, client: Identity,
-                on_commit: Callable[[bool], None]):
+    def _advance(self, mission: Generator, valid: Optional[bool] = None):
+        """Resume mission with its last transaction's commit validity and
+        submit the next transaction it yields, if any."""
+        try:
+            kind, payload, submitter = mission.send(valid)
+        except StopIteration:
+            return
+        self._submit(mission, kind, payload, submitter)
+
+    def _submit(self, mission: Generator, kind: str, payload: bytes, submitter: str):
         self._nonce += 1
         t_arrive = self.now
         self._endorse_free = t_endorsed = (max(t_arrive, self._endorse_free)
                                            + self.rng.expovariate(QueueNetworkConfig.mu0))
-        prop = propose(kind, payload, client, t_arrive, self._nonce)
+        prop = propose(kind, payload, self.clients[submitter], t_arrive, self._nonce)
 
         def do_endorse():
             tx = endorse(prop, self.policy, self.peers, self.chain.world_state,
                          unreachable=self.cfg.unreachable_peers)
             if not check_policy(tx, self.policy):  # a resubmit would fail the same way
-                on_commit(False)
+                self._advance(mission, False)
                 return
             self.pending.append(PendingTx(self.now, tx))
-            self._tx_meta[tx.tx_id] = (t_arrive, self.now, on_commit)
+            self._tx_meta[tx.tx_id] = (t_arrive, self.now, mission)
             self._check_cut()
             # microsecond of slack so float roundoff cannot undershoot the
             # timeout comparison in order_batch
@@ -609,20 +619,23 @@ class _Engine:
                                            + self.rng.expovariate(QueueNetworkConfig.mu2))
         block = validate_and_commit(self.chain.next_proposal(batch), self.chain, self.policy)
 
-        def do_commit():  # the block's ratings first, then its mission follow-ups
+        def do_commit():  # the block's ratings first, then its missions resume
             apply_block(self.reputation, block, self.cfg.mode, self.trajectories)
             for tx, (valid, _reason) in zip(block.txs, block.validity):
-                t_arrive, t_endorsed, on_commit = self._tx_meta.pop(tx.tx_id)
+                t_arrive, t_endorsed, mission = self._tx_meta.pop(tx.tx_id)
                 self.perf.append(
                     PerfRecord(tx.tx_id, t_arrive, t_endorsed, t_ordered, t_committed, valid)
                 )
-                on_commit(valid)
+                self._advance(mission, valid)
 
         self.schedule(t_committed, do_commit)
 
     # -- mission lifecycle --
 
-    def _start_mission(self, requester: Optional[str], kind: Optional[str]):
+    def _mission(self, requester: Optional[str], kind: Optional[str]) -> Generator:
+        """One mission from request to reputation update. Yields each
+        transaction as (kind, payload, submitter) and is resumed with
+        whether it committed valid; an invalid one ends the mission."""
         status = self.reputation.status
         if requester is None:
             eligible = [v for v in self.requesters if status.get(v) is not Status.REVOKED]
@@ -633,90 +646,47 @@ class _Engine:
             return
         if kind is None:
             kind = MISSION_KINDS[self.rng.randrange(len(MISSION_KINDS))]
-        mission = MissionRecord(
-            mission_id=f"m{len(self.missions):05d}",
-            kind=kind,
-            requester=requester,
-            t_request_min=self.now / SECONDS_PER_MINUTE,
-        )
-        self.missions.append(mission)
-        self._submit(
-            "qa_request",
-            mission_payload(mission.mission_id, requester, kind),
-            self.clients[requester],
-            lambda valid: self._request_committed(mission, valid),
-        )
+        mission_id = f"m{len(self.missions):05d}"
+        record = MissionRecord(mission_id, kind, requester,
+                               t_request_min=self.now / SECONDS_PER_MINUTE)
+        self.missions.append(record)
+        if not (yield "qa_request", mission_payload(mission_id, requester, kind), requester):
+            return
 
-    def _request_committed(self, mission: MissionRecord, valid: bool):
-        if not valid:
-            mission.outcome = "abandoned"
-            return
-        requester_area = self.vehicle_by_id[mission.requester].area
-        status = self.reputation.status
-        candidates = tuple(
-            v for v in self.servers_in.get(requester_area, ())
-            if v != mission.requester and status.get(v) is not Status.REVOKED
-        )
+        area = self.vehicle_by_id[requester].area
+        candidates = tuple(v for v in self.servers_in.get(area, ())
+                           if v != requester and status.get(v) is not Status.REVOKED)
         if not candidates:
-            mission.outcome = "abandoned"
             return
-        mission.candidates = candidates
-        scores = score_candidates(self.reputation, mission.requester, candidates,
+        record.candidates = candidates
+        scores = score_candidates(self.reputation, requester, candidates,
                                   self.cfg.mode, self.now / SECONDS_PER_MINUTE)
         trades = self.reputation.trade_count
         scored = [(c, rfin, trades.get(c, 0)) for c, rfin in zip(candidates, scores)]
-        area_rsus = self.rsus_in[requester_area]
+        area_rsus = self.rsus_in[area]
         followers = area_rsus[1:] or area_rsus[:1]
-        nominations = [
-            select_server(scored, self.cfg.tpfs, self.rng) for _ in followers
-        ]
-        selected = nominations[self.rng.randrange(len(nominations))]
-        mission.selected = selected
-        self._submit(
-            "service_proposal",
-            state_payload(f"service/{mission.mission_id}", selected),
-            self.clients[selected],
-            lambda valid: self._service_committed(mission, valid),
-        )
-
-    def _service_committed(self, mission: MissionRecord, valid: bool):
-        if not valid:
-            mission.outcome = "abandoned"
+        nominations = [select_server(scored, self.cfg.tpfs, self.rng) for _ in followers]
+        record.selected = server = nominations[self.rng.randrange(len(nominations))]
+        if not (yield "service_proposal",
+                state_payload(f"service/{mission_id}", server), server):
             return
-        server = self.vehicle_by_id[mission.selected]
-        real = server.profile.message_is_real(self.now / SECONDS_PER_MINUTE, self.rng)
-        kind = "service_process" if mission.kind == "qa" else "data_index"
-        key_prefix = "proc" if mission.kind == "qa" else "index"
-        self._submit(
-            kind,
-            state_payload(f"{key_prefix}/{mission.mission_id}", "delivered"),
-            self.clients[mission.selected],
-            lambda valid: self._delivery_committed(mission, real, valid),
-        )
 
-    def _delivery_committed(self, mission: MissionRecord, real: bool, valid: bool):
-        if not valid:
-            mission.outcome = "abandoned"
+        real = self.vehicle_by_id[server].profile.message_is_real(
+            self.now / SECONDS_PER_MINUTE, self.rng)
+        delivery, key = ("service_process", "proc") if kind == "qa" else ("data_index", "index")
+        if not (yield delivery, state_payload(f"{key}/{mission_id}", "delivered"), server):
             return
-        mission.outcome = "completed_good" if real else "completed_bad"
-        requester = self.vehicle_by_id[mission.requester]
-        sign = requester.profile.rating_sign(real, self.rng)
+
+        record.outcome = "completed_good" if real else "completed_bad"
+        sign = self.vehicle_by_id[requester].profile.rating_sign(real, self.rng)
         self._rep_seq += 1
-        event = RatingEvent(mission.requester, mission.selected, sign,
-                            self.now / SECONDS_PER_MINUTE)
-        self._submit(
-            "reputation_update",
-            rating_payload(event, self._rep_seq),
-            self.clients[mission.requester],
-            lambda valid: self._reputation_committed(mission, valid),
-        )
-
-    def _reputation_committed(self, mission: MissionRecord, valid: bool):
-        if not valid:  # a valid rating is already applied: apply_block runs first
+        event = RatingEvent(requester, server, sign, self.now / SECONDS_PER_MINUTE)
+        # a valid rating is already applied when this resumes: apply_block runs first
+        if not (yield "reputation_update", rating_payload(event, self._rep_seq), requester):
             return
-        if self.reputation.get_status(mission.selected) is Status.REVOKED:
-            self.ca.revoke(mission.selected)  # certificate out, re-registration barred
-        mission.t_commit_min = self.now / SECONDS_PER_MINUTE
+        if self.reputation.get_status(server) is Status.REVOKED:
+            self.ca.revoke(server)  # certificate out, re-registration barred
+        record.t_commit_min = self.now / SECONDS_PER_MINUTE
 
 
 def mission_payload(mission_id: str, requester: str, kind: str) -> bytes:
@@ -796,9 +766,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     engine = _Engine(cfg)
     engine.run()
     missions = engine.missions
-    for m in missions:
-        if m.outcome is None:  # still in flight when the run drained (e.g. stalled ordering)
-            m.outcome = "abandoned"
     outcomes = [m.outcome for m in missions]
     summary = {
         "seed": cfg.seed,

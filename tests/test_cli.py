@@ -456,3 +456,45 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
         build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{dir}", "--out", "{out}"],
+    ["ledger-export", "--config", "{scenario}", "--out", "{file}"],
+    ["analyze", "--config", "{dir}", "--out", "{out}"],
+    ["preset", "neighbor-sweep", "--out", "{file}"],
+    ["compare", "--n-tx", "1000", "--out", "{file}"],
+], ids=lambda argv: argv[0])
+def test_unreadable_input_or_unwritable_output_exits_6(argv, scenario_path, tmp_path, capsys):
+    """A --config that names a directory, or an --out that names an
+    existing file, is one line on stderr and exit 6, not a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    paths = {"dir": str(tmp_path), "out": str(tmp_path / "out"), "file": str(taken),
+             "scenario": scenario_path}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert taken.read_text() == "" and not (tmp_path / "out").exists()
+
+
+NO_NUMPY_SCRIPT = """
+import sys
+from rcchain.cli import main
+scenario, grid, out = sys.argv[1:]
+for argv in (["simulate", "--config", scenario, "--out", out + "/sim"],
+             ["ledger-export", "--config", scenario, "--out", out + "/export"],
+             ["ledger-verify", out + "/sim/ledger.jsonl"],
+             ["analyze", "--config", grid, "--out", out + "/grid"]):
+    assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_commands_without_the_simulator_never_import_numpy(scenario_path, grid_path, tmp_path):
+    """Only compare and preset run the numpy pipeline simulator, so the
+    other commands start without paying for numpy's import."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rcchain.__file__)))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT, scenario_path, grid_path,
+                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

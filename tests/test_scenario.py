@@ -1,5 +1,6 @@
 """Scenario engine: lifecycle structure, determinism, traceability."""
 
+import collections
 import copy
 import functools
 import hashlib
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from rcchain.cli import EXIT_CONFIG, main
 from rcchain.ledger import export_ledger_lines, verify_chain
 from rcchain.reputation import RatingEvent, ReputationLedger, ReputationMode
+from rcchain import scenario
 from rcchain.scenario import (
     MAX_ENDORSING_PEERS,
     MAX_EXPECTED_MISSIONS,
@@ -633,6 +635,42 @@ def test_minority_orderer_crash_changes_no_output():
     assert crashed.output_files() == plain.output_files()
 
 
+# Every exit of the mission lifecycle on the example: the engine's policy
+# check fails every transaction of one kind, so each mission stops at that
+# step. Per kind: (outcome counts, missions with a selected server, missions
+# with t_commit_min, trajectory rows, sha256 of repr() of each mission's
+# (outcome, selected, t_commit_min)).
+LIFECYCLE_EXIT_PINS = {
+    None: ({"completed_good": 112, "completed_bad": 9}, 121, 121, 121,
+           "c2642b0f165c51d198ae9a06cf0936ca3d09b744f9f67f5b0b524605545e1e06"),
+    "qa_request": ({"abandoned": 121}, 0, 0, 0,
+                   "51c83fe798818f8fdf6f8a5b2e68a7fdc8351132a60aff971f9848f3b646fc6d"),
+    "service_proposal": ({"abandoned": 121}, 121, 0, 0,
+                         "23ac4566af2f82ec703f3329f78f90793078d34f9d8fb3a22d15a6e0f783d851"),
+    "service_process": ({"abandoned": 60, "completed_good": 54, "completed_bad": 7}, 121, 61, 61,
+                        "cf9c8db0b44aa57c8cf25d2bacb71724130c1c242a2c00d2f49e59ed8d752c90"),
+    "data_index": ({"completed_good": 62, "abandoned": 59}, 121, 62, 62,
+                   "a38f168074264b36cfe90be8196330b0e9bd9050a4113a19843e1a51103f5b9f"),
+    "reputation_update": ({"completed_good": 108, "completed_bad": 13}, 121, 0, 0,
+                          "da847d4154c5cd43756a99863c7a1a355c34021e67e7bc53237674710cca8995"),
+}
+
+
+@pytest.mark.parametrize("failing", list(LIFECYCLE_EXIT_PINS))
+def test_each_lifecycle_step_failing_ends_its_missions_there(failing, monkeypatch):
+    passes = scenario.check_policy
+    monkeypatch.setattr(scenario, "check_policy",
+                        lambda tx, policy: tx.kind != failing and passes(tx, policy))
+    report = run_scenario(parse_scenario_config(EXAMPLE))
+    rows = [(m.outcome, m.selected, m.t_commit_min) for m in report.missions]
+    got = (dict(collections.Counter(m.outcome for m in report.missions)),
+           sum(m.selected is not None for m in report.missions),
+           sum(m.t_commit_min is not None for m in report.missions),
+           len(report.trajectories),
+           hashlib.sha256(repr(rows).encode()).hexdigest())
+    assert got == LIFECYCLE_EXIT_PINS[failing]
+
+
 def test_revocation_reaches_certificate_authority():
     vehicles = [
         {"id": "bad", "org": "org1", "area": "A", "roles": ["server"],
@@ -689,3 +727,17 @@ def test_p_type_profile_switches_mid_run():
     report = run_scenario(parse_scenario_config(doc))
     outcomes = [m.outcome for m in report.missions]
     assert outcomes == ["completed_good", "completed_bad"]
+
+
+def test_scripted_missions_are_bounded():
+    """A script is queued up front like Poisson arrivals, so it may list
+    at most MAX_EXPECTED_MISSIONS missions, as the schema's maxItems says."""
+    doc = base_config()
+    mission = doc["arrivals"]["missions"][0]
+    doc["arrivals"]["missions"] = [mission] * (MAX_EXPECTED_MISSIONS + 1)
+    with pytest.raises(ScenarioConfigError, match="arrivals.missions"):
+        parse_scenario_config(doc)
+    schema = json.loads((Path(__file__).resolve().parent.parent / "docs"
+                         / "scenario.schema.json").read_text())
+    assert (schema["properties"]["arrivals"]["properties"]["missions"]["maxItems"]
+            == MAX_EXPECTED_MISSIONS)
