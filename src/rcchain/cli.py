@@ -30,7 +30,7 @@ from .queueing import (
 )
 from .reputation import ReputationMode
 from .scenario import (ScenarioConfigError, _check_keys, _number, _require, _shape_checked,
-                       load_scenario_config, run_scenario)
+                       from_doc, load_scenario_config, run_scenario)
 from .ledger import export_files, verify_export_lines
 
 EXIT_OK = 0
@@ -43,7 +43,11 @@ MAX_GRID_POINTS = 100_000  # most points an analyze lambda0 range may expand to
 
 
 def _out_dir(args) -> str:
-    return os.environ.get("RCCHAIN_OUT") or args.out
+    """The output directory, created now: called once the input is
+    accepted and before the run, so an unwritable one fails fast."""
+    out = os.environ.get("RCCHAIN_OUT") or args.out
+    os.makedirs(out, exist_ok=True)
+    return out
 
 
 def _load_json(path: str) -> dict:
@@ -53,11 +57,9 @@ def _load_json(path: str) -> dict:
 
 @_shape_checked
 def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
-    _check_keys(
-        doc,
-        {"lambda0", "batch_sizes", "mu0", "mu2", "q01", "q23", "orderer_mode"},
-        "analyze config",
-    )
+    """The grid's first point as a QueueNetworkConfig, read through its
+    fields, then the lambda0 and batch-size lists."""
+    fields = {key: value for key, value in doc.items() if key not in ("lambda0", "batch_sizes")}
     lam = doc.get("lambda0", {"start": 10, "stop": 110, "step": 10})
     if isinstance(lam, dict):
         _check_keys(lam, {"start", "stop", "step"}, "lambda0")
@@ -76,16 +78,11 @@ def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
     else:
         lambdas = [_number(x, "lambda0") for x in lam]
     batch_sizes = [_number(m, "batch_sizes", int) for m in doc.get("batch_sizes", [10, 50, 100])]
-    base = QueueNetworkConfig(
-        lambda0=lambdas[0] if lambdas else 1.0,
-        q01=_number(doc.get("q01", 0.9), "q01"),
-        q23=_number(doc.get("q23", 0.95), "q23"),
-        mu0=_number(doc.get("mu0", 150.0), "mu0"),
-        mu2=_number(doc.get("mu2", 150.0), "mu2"),
-        orderer_mode=orderer_mode_override or doc.get("orderer_mode", "block_granularity"),
-    )
     if not lambdas or not batch_sizes:
         raise ScenarioConfigError("analyze config needs nonempty lambda0 and batch_sizes")
+    if orderer_mode_override:
+        fields["orderer_mode"] = orderer_mode_override
+    base = from_doc(QueueNetworkConfig, fields, lambda0=lambdas[0], batch_size=batch_sizes[0])
     return base, lambdas, batch_sizes
 
 
@@ -101,6 +98,7 @@ def _report_file(name: str, fmt: str, columns: list[str],
 def cmd_analyze(args) -> int:
     doc = _load_json(args.config)
     base, lambdas, batch_sizes = _parse_grid(doc, args.orderer_mode)
+    out = _out_dir(args)
     rows = sweep(base, lambdas, batch_sizes)
     name, text = _report_file("queueing_report", args.format, REPORT_COLUMNS, rows)
     summary = {
@@ -109,8 +107,7 @@ def cmd_analyze(args) -> int:
         "unstable_rows": sum(1 for r in rows if not r["stable"]),
         "orderer_mode": base.orderer_mode,
     }
-    paths = write_files(_out_dir(args),
-                        {name: text, "stability_summary.json": json_text(summary)})
+    paths = write_files(out, {name: text, "stability_summary.json": json_text(summary)})
     print(f"wrote {paths[name]} ({summary['rows']} rows, {summary['unstable_rows']} unstable)")
     return EXIT_OK
 
@@ -121,8 +118,8 @@ def cmd_simulate(args, ledger_only: bool = False) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.mode is not None:
         cfg = dataclasses.replace(cfg, mode=ReputationMode(args.mode))
-    report = run_scenario(cfg)
     out = _out_dir(args)
+    report = run_scenario(cfg)
     if ledger_only:
         write_files(out, export_files(report.chain))
         print(f"wrote ledger export to {out} ({report.chain.tip.number} blocks)")
@@ -138,13 +135,13 @@ def cmd_simulate(args, ledger_only: bool = False) -> int:
 
 
 def cmd_preset(args) -> int:
-    from .presets import run_preset
-    try:
-        result = run_preset(args.name, seed=args.seed)
-    except KeyError as err:  # unknown preset name; the message lists the known ones
-        print(err.args[0], file=sys.stderr)
+    from . import presets
+    if args.name not in presets.PRESETS:
+        print(f"unknown preset {args.name!r}; available: {', '.join(sorted(presets.PRESETS))}",
+              file=sys.stderr)
         return EXIT_CONFIG
     out = _out_dir(args)
+    result = presets.run_preset(args.name, seed=args.seed)
     result.write_outputs(out)
     for a in result.assertions:
         print(f"[{'PASS' if a.passed else 'FAIL'}] {a.name}: {a.detail}")
@@ -170,13 +167,16 @@ def cmd_ledger_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .pipeline_des import DEVIATION_COLUMNS, STAGE_FEED, deviation_table, simulate_pipeline
+    from .pipeline_des import (DEVIATION_COLUMNS, STAGE_FEED, check_run, deviation_table,
+                               simulate_pipeline)
     cfg = QueueNetworkConfig(lambda0=args.lambda0, batch_size=args.batch_size)
     performance(cfg)  # refuses an unstable or idle point before simulating
+    check_run(cfg, args.n_tx, STAGE_FEED)
+    out = _out_dir(args)
     stats = simulate_pipeline(cfg, args.n_tx, args.seed or 0, commit_feed=STAGE_FEED)
     table = deviation_table(cfg, stats)
     name, text = _report_file("deviation", args.format, DEVIATION_COLUMNS, table)
-    path = write_files(_out_dir(args), {name: text})[name]
+    path = write_files(out, {name: text})[name]
     worst = max(table, key=lambda r: r["rel_deviation"])
     print(
         f"wrote {path}; confirmation {stats.confirmation_mean:.4f}s, "

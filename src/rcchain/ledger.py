@@ -328,6 +328,8 @@ class OrderingConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.batch_timeout_s >= 0:
+            raise ValueError(f"batch_timeout_s must be >= 0, got {self.batch_timeout_s!r}")
 
 
 @dataclass(frozen=True)

@@ -93,13 +93,8 @@ def _cut_batches(times: np.ndarray, batch_size: int) -> tuple[np.ndarray, np.nda
     return cut_times, np.repeat(np.arange(len(starts)), sizes)
 
 
-def simulate_pipeline(
-    cfg: QueueNetworkConfig,
-    n_tx: int,
-    seed: int,
-    *,
-    commit_feed: str = BLOCK_FEED,
-) -> PipelineStats:
+def check_run(cfg: QueueNetworkConfig, n_tx: int, commit_feed: str) -> None:
+    """Refuse, before any allocation, a run simulate_pipeline cannot make."""
     if commit_feed not in (STAGE_FEED, BLOCK_FEED):
         raise ValueError(f"unknown commit feed {commit_feed!r}")
     if not 1 <= n_tx <= MAX_N_TX:
@@ -109,6 +104,16 @@ def simulate_pipeline(
         raise ValueError("endorsement or commitment station is saturated")
     if cfg.q01 <= 0.0:
         raise ValueError("no traffic reaches ordering (q01 = 0)")
+
+
+def simulate_pipeline(
+    cfg: QueueNetworkConfig,
+    n_tx: int,
+    seed: int,
+    *,
+    commit_feed: str = BLOCK_FEED,
+) -> PipelineStats:
+    check_run(cfg, n_tx, commit_feed)
     rng = np.random.default_rng(seed)
 
     arrivals = np.cumsum(rng.exponential(1.0 / cfg.lambda0, n_tx))

@@ -23,8 +23,11 @@ import functools
 import heapq
 import json
 import math
+import sys
+import typing
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from enum import Enum
 from json.encoder import encode_basestring_ascii
 from random import Random
 from typing import Callable, Generator, Optional
@@ -65,6 +68,7 @@ MAX_ENDORSING_PEERS = 100  # per organization; the engine registers and asks eve
 MAX_EXPECTED_MISSIONS = 1_000_000  # scripted, or rate_per_min x duration_min; all queued up front
 PROFILE_KINDS = ("honest", "malicious", "p_type", "untruthful_rater")
 MISSION_KINDS = ("qa", "data_share")
+VEHICLE_ROLES = ("requester", "server", "idler")
 
 
 class ScenarioConfigError(ValueError):
@@ -79,11 +83,14 @@ class ScenarioConfigError(ValueError):
 class BehaviorProfile:
     kind: str = "honest"
     switch_at: Optional[float] = None  # minutes; p_type flips here
-    fake_rate: float = 0.0
+    fake_rate: float = None  # unset: 1.0 for malicious and p_type profiles, else 0.0
 
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ScenarioConfigError(f"unknown profile kind {self.kind!r}")
+        if self.fake_rate is None:
+            object.__setattr__(self, "fake_rate",
+                               1.0 if self.kind in ("malicious", "p_type") else 0.0)
         if not 0.0 <= self.fake_rate <= 1.0:
             raise ScenarioConfigError("fake_rate must be in [0,1]")
         if self.kind == "honest" and self.fake_rate != 0.0:
@@ -133,6 +140,11 @@ class VehicleSpec:
     roles: tuple[str, ...] = ("requester", "server")
     profile: BehaviorProfile = BehaviorProfile()
 
+    def __post_init__(self):
+        for role in self.roles:
+            if role not in VEHICLE_ROLES:
+                raise ScenarioConfigError(f"unknown vehicle role {role!r}")
+
 
 @dataclass(frozen=True)
 class ScriptedMission:
@@ -140,12 +152,26 @@ class ScriptedMission:
     requester: str
     kind: str = "qa"
 
+    def __post_init__(self):
+        if not self.t_min >= 0:
+            raise ScenarioConfigError(f"t_min must be >= 0, got {self.t_min!r}")
+        if self.kind not in MISSION_KINDS:
+            raise ScenarioConfigError(f"unknown mission kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class ArrivalSpec:
     kind: str = "poisson"                      # or "scripted"
     rate_per_min: float = 1.0
-    missions: tuple[ScriptedMission, ...] = ()
+    # all queued up front; from_doc refuses a longer list before reading it
+    missions: tuple[ScriptedMission, ...] = field(
+        default=(), metadata={"max_items": MAX_EXPECTED_MISSIONS})
+
+    def __post_init__(self):
+        if self.kind not in ("poisson", "scripted"):
+            raise ScenarioConfigError(f"unknown arrival kind {self.kind!r}")
+        if not self.rate_per_min >= 0:
+            raise ScenarioConfigError(f"rate_per_min must be >= 0, got {self.rate_per_min!r}")
 
 
 @dataclass(frozen=True)
@@ -153,17 +179,27 @@ class ScenarioConfig:
     duration_min: float
     seed: int
     organizations: tuple[OrgSpec, ...]
-    rsus: tuple[RsuSpec, ...]
-    vehicles: tuple[VehicleSpec, ...]
+    policy: EndorsementPolicy
+    rsus: tuple[RsuSpec, ...] = ()
+    vehicles: tuple[VehicleSpec, ...] = ()
     tpfs: TpfsParams = TpfsParams()
     ordering: OrderingConfig = OrderingConfig()
     orderer_count: int = 3
     crashed_orderers: frozenset[str] = frozenset()  # RSU ids, down for the whole run
-    policy_orgs: tuple[str, ...] = ()          # empty = every organization
-    policy_threshold: int = 1
     arrivals: ArrivalSpec = ArrivalSpec()
     mode: ReputationMode = ReputationMode.TPFS
     unreachable_peers: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        if not self.duration_min > 0:
+            raise ScenarioConfigError(f"duration_min must be positive, got {self.duration_min!r}")
+        if self.orderer_count < 1:
+            raise ScenarioConfigError(f"orderer_count must be >= 1, got {self.orderer_count!r}")
+        rate = self.arrivals.rate_per_min
+        if self.arrivals.kind == "poisson" and rate * self.duration_min > MAX_EXPECTED_MISSIONS:
+            raise ScenarioConfigError(
+                f"arrivals.rate_per_min x duration_min expects more than {MAX_EXPECTED_MISSIONS} "
+                f"missions: {rate} x {self.duration_min}")
 
 
 def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
@@ -178,22 +214,21 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _text(doc: dict, key: str, where: str) -> str:
-    value = _require(doc, key, where)
-    if not isinstance(value, str):
-        raise TypeError(f"{where}.{key} must be a string, got {value!r}")
-    return value
+def _json(kind: type, name: str) -> Callable:
+    """The reader (value, where) of a JSON value that must be a kind."""
+    def read(value, where: str):
+        if not isinstance(value, kind):
+            raise TypeError(f"{where} must be {name}, got {value!r}")
+        return value
+    return read
 
 
-def _array(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"{where} must be an array, got {value!r}")
-    return value
+_object, _array, _string = (_json(dict, "an object"), _json(list, "an array"),
+                            _json(str, "a string"))
 
 
-def _number(value, where: str, kind=float, minimum=None):
-    """A finite JSON number as kind, integral for an int field and at
-    least minimum when one is given."""
+def _number(value, where: str, kind=float):
+    """A finite JSON number as kind, integral for an int field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{where} must be a number, got {value!r}")
     try:
@@ -203,17 +238,74 @@ def _number(value, where: str, kind=float, minimum=None):
         finite = False
     if not finite:
         raise ScenarioConfigError(f"{where} must be a finite {kind.__name__}, got {value!r}")
-    if minimum is not None and number < minimum:
-        raise ScenarioConfigError(f"{where} must be >= {minimum}, got {value!r}")
     return number
 
 
-def _known_ids(doc: dict, key: str, known: set[str], where: str) -> frozenset[str]:
-    """The ids listed under key, each of which must be in known."""
-    ids = frozenset(_array(doc.get(key, []), f"{where}.{key}"))
-    if ids - known:
-        raise ScenarioConfigError(f"{where}.{key} names unknown ids {sorted(ids - known)}")
-    return ids
+def _reader(tp, max_items: Optional[int] = None) -> Callable:
+    """The function (value, where) that reads a JSON value as type tp."""
+    if tp is float:
+        return _number
+    if tp is int:
+        return lambda value, where: _number(value, where, int)
+    if tp is str:
+        return _string
+    if dataclasses.is_dataclass(tp):
+        return functools.partial(from_doc, tp)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        def member(value, where):
+            try:
+                return tp(value)
+            except ValueError:
+                raise ScenarioConfigError(f"{where} must be one of "
+                                          f"{[m.value for m in tp]}, got {value!r}") from None
+        return member
+    container, (item, *_) = typing.get_origin(tp), typing.get_args(tp)
+    read = _reader(item)
+    if container is typing.Union:  # Optional[item]
+        return lambda value, where: None if value is None else read(value, where)
+
+    def items(value, where):
+        values = _array(value, where)
+        if max_items is not None and len(values) > max_items:
+            raise ScenarioConfigError(f"{where} lists more than {max_items} items: {len(values)}")
+        where += "[]"
+        return container([read(v, where) for v in values])
+    return items
+
+
+@functools.cache
+def _annotation(text: str, module: str):
+    """The type a field annotation stored as text names in its module;
+    typing.get_type_hints evaluates it the same way, but every time."""
+    return eval(text, vars(sys.modules[module]))
+
+
+@functools.cache
+def _fields(cls) -> tuple[dict[str, Callable], tuple[str, ...]]:
+    """The reader of each field of a config dataclass, and the names of
+    its required fields; built once per class."""
+    fields = dataclasses.fields(cls)
+    return ({f.name: _reader(_annotation(f.type, cls.__module__), f.metadata.get("max_items"))
+             for f in fields},
+            tuple(f.name for f in fields if f.default is dataclasses.MISSING))
+
+
+def from_doc(cls, doc: dict, where: str = "", **given):
+    """cls built from the JSON object doc, whose keys are the fields of
+    cls less those given: each value is read by its field's annotated
+    type, a missing field takes its default, and an unknown key or a
+    missing required field is fatal."""
+    readers, required = _fields(cls)
+    obj = where or "config"
+    if not (_object(doc, obj).keys() <= readers.keys() and given.keys().isdisjoint(doc)):
+        unknown = (doc.keys() - readers.keys()) | (doc.keys() & given.keys())
+        raise ScenarioConfigError(f"unknown keys in {obj}: {sorted(unknown)}")
+    for name, value in doc.items():
+        given[name] = readers[name](value, f"{where}.{name}" if where else name)
+    for name in required:
+        if name not in given:
+            raise ScenarioConfigError(f"missing key {name!r} in {obj}")
+    return cls(**given)
 
 
 def _shape_checked(parse):
@@ -228,172 +320,70 @@ def _shape_checked(parse):
     return functools.wraps(parse)(checked)
 
 
+def _known(ids: frozenset[str], known: set[str], where: str) -> None:
+    if ids - known:
+        raise ScenarioConfigError(f"{where} names unknown ids {sorted(ids - known)}")
+
+
 @_shape_checked
 def parse_scenario_config(doc: dict) -> ScenarioConfig:
-    """Strict parse: unknown keys anywhere are fatal, referenced ids must
-    be declared, and the seed is mandatory."""
+    """Strict parse. Each JSON object is read through its dataclass by
+    from_doc, so defaults and the rules one object can check live on the
+    dataclasses; this adds the checks across objects: organization names,
+    ids, RSU areas, requesters and the policy threshold."""
     if not isinstance(doc, dict):
         raise ScenarioConfigError("scenario config must be a JSON object")
-    _check_keys(
-        doc,
-        {
-            "duration_min", "seed", "organizations", "rsus", "vehicles",
-            "tpfs", "ordering", "policy", "arrivals", "mode", "faults",
-        },
-        "scenario",
-    )
-    duration = _number(_require(doc, "duration_min", "scenario"), "duration_min")
-    if duration <= 0:
-        raise ScenarioConfigError("duration_min must be positive")
-    seed = _number(_require(doc, "seed", "scenario"), "seed", int)
-
-    orgs = []
-    for rec in _array(_require(doc, "organizations", "scenario"), "organizations"):
-        _check_keys(rec, {"name", "endorsing_peers"}, "organizations[]")
-        orgs.append(OrgSpec(_text(rec, "name", "organizations[]"),
-                            _number(rec.get("endorsing_peers", 2), "endorsing_peers", int)))
+    _check_keys(doc, {"duration_min", "seed", "organizations", "rsus", "vehicles", "tpfs",
+                      "ordering", "policy", "arrivals", "mode", "faults"}, "config")
+    fields = {key: value for key, value in doc.items()
+              if key not in ("organizations", "ordering", "policy", "faults")}
+    # ordering.orderer_count, ordering.crashed_orderers and
+    # faults.unreachable_peers are ScenarioConfig fields
+    ordering = dict(_object(doc.get("ordering", {}), "ordering"))
+    for key in ("orderer_count", "crashed_orderers"):
+        if key in ordering:
+            fields[key] = ordering.pop(key)
+    fields["ordering"] = ordering
+    faults = _object(doc.get("faults", {}), "faults")
+    _check_keys(faults, {"unreachable_peers"}, "faults")
+    fields.update(faults)
+    read_orgs = _fields(ScenarioConfig)[0]["organizations"]
+    orgs = read_orgs(_require(doc, "organizations", "config"), "organizations")
     org_names = {o.name for o in orgs}
+    policy = {"required_orgs": [o.name for o in orgs], **_object(doc.get("policy", {}), "policy")}
+    cfg = from_doc(ScenarioConfig, fields, organizations=orgs,
+                   policy=from_doc(EndorsementPolicy, policy, "policy"))
+
     if len(org_names) != len(orgs):
         raise ScenarioConfigError("duplicate organization names")
-
-    rsus = []
-    for rec in _array(doc.get("rsus", []), "rsus"):
-        _check_keys(rec, {"id", "org", "area"}, "rsus[]")
-        rsu = RsuSpec(*(_text(rec, key, "rsus[]") for key in ("id", "org", "area")))
-        if rsu.org not in org_names:
-            raise ScenarioConfigError(f"rsu {rsu.id!r} references unknown org")
-        rsus.append(rsu)
-
-    vehicles = []
-    for rec in _array(doc.get("vehicles", []), "vehicles"):
-        _check_keys(rec, {"id", "org", "area", "roles", "profile"}, "vehicles[]")
-        vid, org, area = (_text(rec, key, "vehicles[]") for key in ("id", "org", "area"))
-        if org not in org_names:
-            raise ScenarioConfigError(f"vehicle {vid!r} references unknown org")
-        prof_doc = rec.get("profile", {})
-        _check_keys(prof_doc, {"kind", "switch_at", "fake_rate"}, "profile")
-        kind = prof_doc.get("kind", "honest")
-        switch_at = prof_doc.get("switch_at")
-        profile = BehaviorProfile(
-            kind=kind,
-            switch_at=None if switch_at is None else _number(switch_at, "profile.switch_at"),
-            fake_rate=_number(
-                prof_doc.get("fake_rate", 1.0 if kind in ("malicious", "p_type") else 0.0),
-                "profile.fake_rate"),
-        )
-        roles = tuple(_array(rec.get("roles", ["requester", "server"]), "vehicles[].roles"))
-        for role in roles:
-            if role not in ("requester", "server", "idler"):
-                raise ScenarioConfigError(f"unknown vehicle role {role!r}")
-        vehicles.append(VehicleSpec(vid, org, area, roles, profile))
-    ids = [v.id for v in vehicles] + [r.id for r in rsus]
+    for agent in cfg.rsus + cfg.vehicles:
+        if agent.org not in org_names:
+            raise ScenarioConfigError(f"{agent.id!r} references unknown org {agent.org!r}")
+    ids = [agent.id for agent in cfg.rsus + cfg.vehicles]
     if len(set(ids)) != len(ids):
         raise ScenarioConfigError("duplicate agent ids")
-
-    tpfs_doc = doc.get("tpfs", {})
-    kinds = {f.name: {"int": int, "float": float}.get(f.type)
-             for f in dataclasses.fields(TpfsParams)}
-    _check_keys(tpfs_doc, set(kinds), "tpfs")
-    tpfs = TpfsParams(**{key: value if kinds[key] is None else
-                         _number(value, f"tpfs.{key}", kinds[key])
-                         for key, value in tpfs_doc.items()})
-
-    ord_doc = doc.get("ordering", {})
-    _check_keys(
-        ord_doc,
-        {"batch_size", "batch_timeout_s", "orderer_count", "crashed_orderers"},
-        "ordering",
-    )
-    ordering = OrderingConfig(
-        batch_size=_number(ord_doc.get("batch_size", 10), "ordering.batch_size", int),
-        batch_timeout_s=_number(ord_doc.get("batch_timeout_s", 2.0),
-                                "ordering.batch_timeout_s", minimum=0),
-    )
-    orderer_count = _number(ord_doc.get("orderer_count", 3), "ordering.orderer_count", int,
-                            minimum=1)
-    crashed = _known_ids(ord_doc, "crashed_orderers", {r.id for r in rsus}, "ordering")
-
-    pol_doc = doc.get("policy", {})
-    _check_keys(pol_doc, {"required_orgs", "threshold"}, "policy")
-    policy_orgs = tuple(_array(pol_doc.get("required_orgs", []), "policy.required_orgs"))
-    for org in policy_orgs:
-        if org not in org_names:
-            raise ScenarioConfigError(f"policy references unknown org {org!r}")
-    threshold = _number(pol_doc.get("threshold", 1), "policy.threshold", int, minimum=1)
+    _known(cfg.crashed_orderers, {r.id for r in cfg.rsus}, "ordering.crashed_orderers")
+    _known(cfg.unreachable_peers, {pid for o in orgs for pid in o.peer_ids()},
+           "faults.unreachable_peers")
+    _known(cfg.policy.required_orgs, org_names, "policy.required_orgs")
     for o in orgs:
-        if (o.name in policy_orgs or not policy_orgs) and threshold > o.endorsing_peers:
+        if o.name in cfg.policy.required_orgs and cfg.policy.threshold > o.endorsing_peers:
             raise ScenarioConfigError(
-                f"policy threshold {threshold} exceeds the {o.endorsing_peers} "
+                f"policy threshold {cfg.policy.threshold} exceeds the {o.endorsing_peers} "
                 f"endorsing peers of {o.name!r}")
-
-    arr_doc = doc.get("arrivals", {"kind": "poisson", "rate_per_min": 1.0})
-    _check_keys(arr_doc, {"kind", "rate_per_min", "missions"}, "arrivals")
-    arr_kind = arr_doc.get("kind", "poisson")
-    if arr_kind not in ("poisson", "scripted"):
-        raise ScenarioConfigError(f"unknown arrival kind {arr_kind!r}")
-    missions = []
-    vehicle_ids = {v.id for v in vehicles}
-    requester_ids = {v.id for v in vehicles if "requester" in v.roles}
-    scripted = _array(arr_doc.get("missions", []), "arrivals.missions")
-    if len(scripted) > MAX_EXPECTED_MISSIONS:
-        raise ScenarioConfigError(f"arrivals.missions lists more than {MAX_EXPECTED_MISSIONS} "
-                                  f"missions: {len(scripted)}")
-    for rec in scripted:
-        _check_keys(rec, {"t_min", "requester", "kind"}, "missions[]")
-        m = ScriptedMission(_number(_require(rec, "t_min", "missions[]"), "missions[].t_min",
-                                    minimum=0),
-                            _require(rec, "requester", "missions[]"), rec.get("kind", "qa"))
+    vehicle_ids = {v.id for v in cfg.vehicles}
+    requesters = {v.id for v in cfg.vehicles if "requester" in v.roles}
+    for m in cfg.arrivals.missions:
         if m.requester not in vehicle_ids:
             raise ScenarioConfigError(f"scripted mission references unknown vehicle {m.requester!r}")
-        if m.requester not in requester_ids:
+        if m.requester not in requesters:
             raise ScenarioConfigError(f"vehicle {m.requester!r} cannot act as requester")
-        if m.kind not in MISSION_KINDS:
-            raise ScenarioConfigError(f"unknown mission kind {m.kind!r}")
-        missions.append(m)
-    arrivals = ArrivalSpec(
-        kind=arr_kind,
-        rate_per_min=_number(arr_doc.get("rate_per_min", 1.0), "arrivals.rate_per_min",
-                             minimum=0),
-        missions=tuple(sorted(missions, key=lambda m: (m.t_min, m.requester))),
-    )
-    if arr_kind == "poisson" and arrivals.rate_per_min * duration > MAX_EXPECTED_MISSIONS:
-        raise ScenarioConfigError(
-            f"arrivals.rate_per_min x duration_min expects more than {MAX_EXPECTED_MISSIONS} "
-            f"missions: {arrivals.rate_per_min} x {duration}")
-
-    mode_name = doc.get("mode", "TPFS")
-    try:
-        mode = ReputationMode(mode_name)
-    except ValueError:
-        raise ScenarioConfigError(f"unknown reputation mode {mode_name!r}") from None
-
-    faults_doc = doc.get("faults", {})
-    _check_keys(faults_doc, {"unreachable_peers"}, "faults")
-    unreachable = _known_ids(faults_doc, "unreachable_peers",
-                             {pid for o in orgs for pid in o.peer_ids()}, "faults")
-
     # every area with a requester-capable vehicle needs an RSU
-    rsu_areas = {r.area for r in rsus}
-    for v in vehicles:
-        if "requester" in v.roles and v.area not in rsu_areas:
+    rsu_areas = {r.area for r in cfg.rsus}
+    for v in cfg.vehicles:
+        if v.id in requesters and v.area not in rsu_areas:
             raise ScenarioConfigError(f"area {v.area!r} has requesters but no RSU")
-
-    return ScenarioConfig(
-        duration_min=duration,
-        seed=seed,
-        organizations=tuple(orgs),
-        rsus=tuple(rsus),
-        vehicles=tuple(vehicles),
-        tpfs=tpfs,
-        ordering=ordering,
-        orderer_count=orderer_count,
-        crashed_orderers=crashed,
-        policy_orgs=policy_orgs,
-        policy_threshold=threshold,
-        arrivals=arrivals,
-        mode=mode,
-        unreachable_peers=unreachable,
-    )
+    return cfg
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
@@ -505,8 +495,6 @@ class _Engine:
         self.ca = CertificateAuthority()
         self.chain = ChainLedger()
         self.reputation = ReputationLedger(cfg.tpfs)
-        required = tuple(cfg.policy_orgs) or tuple(o.name for o in cfg.organizations)
-        self.policy = EndorsementPolicy(frozenset(required), cfg.policy_threshold)
         self.peers: list[Identity] = []
         self.clients: dict[str, Identity] = {}
         self.vehicle_by_id: dict[str, VehicleSpec] = {v.id: v for v in cfg.vehicles}
@@ -559,7 +547,7 @@ class _Engine:
     def _generate_missions(self):
         arr = self.cfg.arrivals
         if arr.kind == "scripted":
-            for m in arr.missions:
+            for m in sorted(arr.missions, key=lambda m: (m.t_min, m.requester)):
                 self.schedule(m.t_min * SECONDS_PER_MINUTE,
                               lambda m=m: self._advance(self._mission(m.requester, m.kind)))
             return
@@ -592,9 +580,9 @@ class _Engine:
         prop = propose(kind, payload, self.clients[submitter], t_arrive, self._nonce)
 
         def do_endorse():
-            tx = endorse(prop, self.policy, self.peers, self.chain.world_state,
+            tx = endorse(prop, self.cfg.policy, self.peers, self.chain.world_state,
                          unreachable=self.cfg.unreachable_peers)
-            if not check_policy(tx, self.policy):  # a resubmit would fail the same way
+            if not check_policy(tx, self.cfg.policy):  # a resubmit would fail the same way
                 self._advance(mission, False)
                 return
             self.pending.append(PendingTx(self.now, tx))
@@ -617,7 +605,7 @@ class _Engine:
         t_ordered = self.now
         self._commit_free = t_committed = (max(t_ordered, self._commit_free)
                                            + self.rng.expovariate(QueueNetworkConfig.mu2))
-        block = validate_and_commit(self.chain.next_proposal(batch), self.chain, self.policy)
+        block = validate_and_commit(self.chain.next_proposal(batch), self.chain, self.cfg.policy)
 
         def do_commit():  # the block's ratings first, then its missions resume
             apply_block(self.reputation, block, self.cfg.mode, self.trajectories)
@@ -787,7 +775,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     return RunReport(
         chain=engine.chain,
         reputation=engine.reputation,
-        policy=engine.policy,
+        policy=cfg.policy,
         ca=engine.ca,
         missions=missions,
         perf=engine.perf,

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rcchain
+import rcchain.presets
 
 from rcchain.cli import (
     EXIT_CONFIG,
@@ -476,6 +477,28 @@ def test_unreadable_input_or_unwritable_output_exits_6(argv, scenario_path, tmp_
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert taken.read_text() == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,runner", [
+    (["simulate", "--config", "{scenario}"], (rcchain.cli, "run_scenario")),
+    (["ledger-export", "--config", "{scenario}"], (rcchain.cli, "run_scenario")),
+    (["preset", "neighbor-sweep"], (rcchain.presets, "run_preset")),
+    (["analyze", "--config", "{grid}"], (rcchain.cli, "sweep")),
+    (["compare", "--n-tx", "1000"], (rcchain.pipeline_des, "simulate_pipeline")),
+], ids=["simulate", "ledger-export", "preset", "analyze", "compare"])
+def test_unwritable_out_fails_before_the_run(argv, runner, scenario_path, grid_path, tmp_path,
+                                             monkeypatch):
+    """The output directory is made once the input is accepted and before
+    the run starts, so an --out naming an existing file exits 6 without
+    computing anything."""
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(*runner, never)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    paths = {"scenario": scenario_path, "grid": grid_path}
+    assert main([arg.format(**paths) for arg in argv] + ["--out", str(taken)]) == EXIT_IO
+    assert taken.read_text() == ""
 
 
 NO_NUMPY_SCRIPT = """

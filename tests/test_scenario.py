@@ -2,9 +2,12 @@
 
 import collections
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
+import math
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -12,13 +15,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rcchain.cli import EXIT_CONFIG, main
-from rcchain.ledger import export_ledger_lines, verify_chain
+from rcchain.ledger import EndorsementPolicy, OrderingConfig, export_ledger_lines, verify_chain
 from rcchain.reputation import RatingEvent, ReputationLedger, ReputationMode
 from rcchain import scenario
 from rcchain.scenario import (
     MAX_ENDORSING_PEERS,
     MAX_EXPECTED_MISSIONS,
+    ArrivalSpec,
+    BehaviorProfile,
     ScenarioConfigError,
+    ScriptedMission,
+    VehicleSpec,
     apply_block,
     mission_payload,
     parse_scenario_config,
@@ -741,3 +748,143 @@ def test_scripted_missions_are_bounded():
                          / "scenario.schema.json").read_text())
     assert (schema["properties"]["arrivals"]["properties"]["missions"]["maxItems"]
             == MAX_EXPECTED_MISSIONS)
+
+
+SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs"
+                     / "scenario.schema.json").read_text())
+
+
+def schema_keys(schema, path=()):
+    """(path, schema) of every key the scenario schema declares; the path
+    step "[]" stands for an array's items."""
+    for key, sub in schema.get("properties", {}).items():
+        yield path + (key,), sub
+        yield from schema_keys(sub, path + (key,))
+    if "items" in schema:
+        yield from schema_keys(schema["items"], path + ("[]",))
+
+
+def schema_doc():
+    """base_config with every key the schema gives a default or a bound
+    present, but fake_rate, whose default depends on the profile kind.
+    Its last vehicle is a malicious server, so any fake_rate in [0, 1] is
+    legal there, and an honest one when its kind is left out."""
+    doc = base_config(policy={"required_orgs": ["org1"], "threshold": 1},
+                      tpfs={"simf_floor": 1e-6}, mode="TPFS")
+    doc["vehicles"][-1]["profile"] = {"kind": "malicious"}
+    doc["arrivals"]["rate_per_min"] = 1.0
+    return doc
+
+
+def parent_of(doc, path):
+    """The object that holds the key at path; "[]" is an array's last item."""
+    for step in path[:-1]:
+        doc = doc[-1] if step == "[]" else doc[step]
+    return doc
+
+
+def config_value(cfg, path):
+    """The parsed value of the key at path, as JSON writes it."""
+    if path == ("ordering", "orderer_count"):  # a ScenarioConfig field
+        path = ("orderer_count",)
+    for step in path:
+        cfg = cfg[-1] if step == "[]" else getattr(cfg, step)
+    return cfg.value if isinstance(cfg, Enum) else list(cfg) if isinstance(cfg, tuple) else cfg
+
+
+SCHEMA_DEFAULTS = [(path, sub["default"]) for path, sub in schema_keys(SCHEMA) if "default" in sub]
+
+
+@pytest.mark.parametrize("path,default", SCHEMA_DEFAULTS,
+                         ids=[".".join(path) for path, _ in SCHEMA_DEFAULTS])
+def test_schema_defaults_are_the_parsed_defaults(path, default):
+    """A document that leaves out a key the schema gives a default parses
+    to that default."""
+    doc = schema_doc()
+    del parent_of(doc, path)[path[-1]]
+    assert config_value(parse_scenario_config(doc), path) == default
+
+
+def bound_cases(sub):
+    """(rule, value at the bound, first value past it) of each numeric
+    bound in a key's schema; an exclusive bound is itself the first value
+    past it, and the first value inside is the one at it."""
+    def beyond(bound, direction):  # the next integer or float past bound
+        if sub.get("type") == "integer":
+            return bound + direction
+        return math.nextafter(bound, direction * math.inf)
+    if "minimum" in sub:
+        yield "minimum", sub["minimum"], beyond(sub["minimum"], -1)
+    if "maximum" in sub:
+        yield "maximum", sub["maximum"], beyond(sub["maximum"], 1)
+    if "exclusiveMinimum" in sub:
+        yield "exclusiveMinimum", beyond(sub["exclusiveMinimum"], 1), sub["exclusiveMinimum"]
+
+
+SCHEMA_BOUNDS = [(path, *case) for path, sub in schema_keys(SCHEMA) for case in bound_cases(sub)]
+
+
+@pytest.mark.parametrize("path,rule,inside,outside", SCHEMA_BOUNDS,
+                         ids=[f"{'.'.join(path)}-{rule}" for path, rule, *_ in SCHEMA_BOUNDS])
+def test_schema_bounds_are_the_parsers(path, rule, inside, outside, tmp_path):
+    """Each minimum, maximum and exclusiveMinimum in the schema is the
+    parser's: the value at the bound parses, the first value past it exits 2."""
+    doc = schema_doc()
+    parent_of(doc, path)[path[-1]] = inside
+    assert config_value(parse_scenario_config(doc), path) == inside
+    parent_of(doc, path)[path[-1]] = outside
+    with pytest.raises(ScenarioConfigError, match=path[-1]):
+        parse_scenario_config(doc)
+    config = tmp_path / "past.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_schema_array_bounds_are_the_parsers():
+    """The schema's minItems and maxItems are the parser's. A list of
+    MAX_EXPECTED_MISSIONS missions passes the length rule, so the parse
+    goes on to its first mission, made invalid here (building a million
+    missions takes seconds); one more mission is refused on the length."""
+    arrays = {path: sub for path, sub in schema_keys(SCHEMA)
+              if "minItems" in sub or "maxItems" in sub}
+    assert arrays.keys() == {("policy", "required_orgs"), ("arrivals", "missions")}
+    assert arrays[("policy", "required_orgs")]["minItems"] == 1
+    doc = schema_doc()
+    assert parse_scenario_config(doc).policy.required_orgs == {"org1"}
+    doc["policy"]["required_orgs"] = []
+    with pytest.raises(ScenarioConfigError, match="required org"):
+        parse_scenario_config(doc)
+    doc["policy"]["required_orgs"] = ["org1"]
+
+    limit = arrays[("arrivals", "missions")]["maxItems"]
+    assert limit == MAX_EXPECTED_MISSIONS
+    mission = doc["arrivals"]["missions"][0]
+    for count, match in ((limit, "t_min must be >= 0"), (limit + 1, "arrivals.missions")):
+        doc["arrivals"]["missions"] = [dict(mission, t_min=-1.0)] + [mission] * (count - 1)
+        with pytest.raises(ScenarioConfigError, match=match):
+            parse_scenario_config(doc)
+
+
+def test_configs_built_in_code_obey_the_parsers_rules():
+    """The range rules live on the config dataclasses, so a config built or
+    replaced in code is checked as a parsed one is."""
+    cfg = parse_scenario_config(base_config())
+    with pytest.raises(ValueError, match="batch_timeout_s"):
+        OrderingConfig(batch_timeout_s=-1.0)
+    for changes in ({"duration_min": 0}, {"duration_min": math.nan}, {"orderer_count": 0},
+                    {"arrivals": ArrivalSpec(rate_per_min=MAX_EXPECTED_MISSIONS)}):
+        with pytest.raises(ScenarioConfigError, match=next(iter(changes)).split("_")[0]):
+            dataclasses.replace(cfg, **changes)
+    for bad in (lambda: ArrivalSpec(kind="bursty"), lambda: ArrivalSpec(rate_per_min=-1.0),
+                lambda: ScriptedMission(-1.0, "v"), lambda: ScriptedMission(1.0, "v", "chat"),
+                lambda: VehicleSpec("v", "o", "A", roles=("driver",))):
+        with pytest.raises(ScenarioConfigError):
+            bad()
+    with pytest.raises(ValueError, match="threshold"):
+        EndorsementPolicy(frozenset({"org1"}), 0)
+    assert BehaviorProfile(kind="malicious").fake_rate == 1.0
+    assert BehaviorProfile(kind="p_type", switch_at=1.0).fake_rate == 1.0
+    assert BehaviorProfile(kind="untruthful_rater").fake_rate == 0.0
+    assert BehaviorProfile().fake_rate == 0.0
