@@ -384,6 +384,17 @@ def test_compare_writes_deviation_table(tmp_path):
     assert len(lines) == 8
 
 
+@pytest.mark.parametrize("batch_size", ["9223372036854775807", "100000000000000000000"])
+def test_compare_takes_a_batch_size_past_int64(tmp_path, batch_size):
+    """The cutter's next-block indices used to overflow int64 here and end
+    in an IndexError traceback; a batch that never fills is timeout-cut."""
+    out = tmp_path / "cmp"
+    args = ["compare", "--out", str(out), "--lambda0", "10", "--batch-size", batch_size,
+            "--n-tx", "1000"]
+    assert main(args) == EXIT_OK
+    assert len((out / "deviation.csv").read_text().splitlines()) == 8
+
+
 def test_compare_default_point_tracks_closed_forms(tmp_path):
     """compare simulates the oracle (stage) feed, whose stages are the
     M/M/1 queues the closed forms describe, so every metric is close."""

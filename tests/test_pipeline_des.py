@@ -154,7 +154,9 @@ def _stream(kind, n=20_000):
     return np.cumsum(rng.exponential(1.0 / 33.5, n) * np.where(rng.random(n) < 0.02, 200.0, 1.0))
 
 
-@pytest.mark.parametrize("batch_size", [1, 2, 3, 10, 67, 100, 1000])
+# 2**63 - 1 and 10**20: batches that never fill, past where i + batch_size
+# fits in int64
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 10, 67, 100, 1000, 2**63 - 1, 10**20])
 @pytest.mark.parametrize("kind", ["poisson", "grid", "gaps"])
 def test_cutter_matches_block_loop(kind, batch_size):
     assert_cuts_match_loop(_stream(kind), batch_size)
@@ -165,6 +167,36 @@ def test_cutter_matches_block_loop(kind, batch_size):
 def test_cutter_matches_block_loop_on_short_streams(n, batch_size):
     assert_cuts_match_loop(_stream("poisson", n), batch_size)
     assert_cuts_match_loop(np.arange(n) * 3.0, batch_size)  # every gap past the timeout
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("batch_size", [2, 10, 67])
+def test_cutter_matches_block_loop_around_batch_size(batch_size, offset):
+    # the last batch_size - 1 starts can never fill, so the cutter searches
+    # for their deadlines however close together they arrive
+    n = batch_size + offset
+    assert_cuts_match_loop(_stream("poisson", n), batch_size)
+    assert_cuts_match_loop(np.arange(n) / 64.0, batch_size)  # all within one timeout
+    assert_cuts_match_loop(np.arange(n) * 3.0, batch_size)
+
+
+@pytest.mark.parametrize("batch_size", [2, 3, 5, 9, 17, 33, 65])
+def test_size_cut_wins_when_the_last_member_lands_on_the_deadline(batch_size):
+    # on the 1/64 s grid the batch_size-th member of every block arrives
+    # exactly BATCH_TIMEOUT_S after its first; order_batch queues it before
+    # the deadline check, so every block but the tail is a full one
+    times = np.arange(3 * batch_size + 1) * (BATCH_TIMEOUT_S / (batch_size - 1))
+    assert (times[batch_size - 1:] == times[: len(times) - batch_size + 1] + BATCH_TIMEOUT_S).all()
+    assert_cuts_match_loop(times, batch_size)
+    cut_times, block_of = _cut_batches(times, batch_size)
+    cuts, members = order_batch_cuts(times.tolist(), batch_size)
+    assert cut_times.tolist() == cuts
+    assert block_of.tolist() == [b for b, batch in enumerate(members) for _ in batch]
+    assert [len(batch) for batch in members] == [batch_size] * 3 + [1]
+    assert cuts[:3] == times[batch_size - 1 : 3 * batch_size : batch_size].tolist()
+    # a second arrival at that deadline instant opens the next block
+    tied = np.sort(np.append(times, times[batch_size - 1 :: batch_size]))
+    assert_cuts_match_loop(tied, batch_size)
 
 
 # sha256 of repr(PipelineStats) at 20,000 arrivals, recorded with the
