@@ -197,10 +197,19 @@ class ReputationLedger:
         return self.status.get(vehicle, Status.NORMAL)
 
 
+def _decay_overflow(now: float, params: TpfsParams) -> ValueError:
+    return ValueError(f"cannot score at t = {now!r} min: it precedes a pair's last rating "
+                      f"by so much that decay_per_minute {params.decay_per_minute!r} "
+                      "raised to the gap overflows a float")
+
+
 def _beta_score(rec: list, now: float, params: TpfsParams) -> float:
     """Direct score (x+1)/(x+penalty*y+2) of a pair record whose weights
     x, y are decayed to now; now may precede the pair's last rating."""
-    k = params.decay_per_minute ** (now - rec[2])
+    try:
+        k = params.decay_per_minute ** (now - rec[2])
+    except OverflowError:
+        raise _decay_overflow(now, params) from None
     x = rec[0] * k
     return (x + 1.0) / (x + params.negative_penalty * (rec[1] * k) + 2.0)
 
@@ -366,25 +375,28 @@ def score_candidates(
     tpfs = mode is ReputationMode.TPFS
     shared = {v for q in mine for v in ledger.raters_of(q)} if tpfs else _NONE
     out = []
-    for f in candidates:
-        pos = neg = 0.0
-        a = b = 0
-        for j, rec in ledger.raters_of(f).items():
-            if j == rater:
-                continue
-            cr = row.get(j, unrated)
-            k = d ** (now - rec[2])  # _beta_score, inlined
-            x = rec[0] * k
-            r_jf = (x + 1.0) / (x + penalty * (rec[1] * k) + 2.0)
-            if r_jf > t_low:
-                pos += cr * r_jf
-                a += 1
-            else:
-                neg += cr * r_jf
-                b += 1
-        simf = feedback_similarity(rater, f, ledger) if f in shared else None
-        direct = _beta_score(mine[f], now, params) if f in mine else None
-        out.append(_final(params, simf, direct, _indirect(pos, a, neg, b)))
+    try:
+        for f in candidates:
+            pos = neg = 0.0
+            a = b = 0
+            for j, rec in ledger.raters_of(f).items():
+                if j == rater:
+                    continue
+                cr = row.get(j, unrated)
+                k = d ** (now - rec[2])  # _beta_score, inlined
+                x = rec[0] * k
+                r_jf = (x + 1.0) / (x + penalty * (rec[1] * k) + 2.0)
+                if r_jf > t_low:
+                    pos += cr * r_jf
+                    a += 1
+                else:
+                    neg += cr * r_jf
+                    b += 1
+            simf = feedback_similarity(rater, f, ledger) if f in shared else None
+            direct = _beta_score(mine[f], now, params) if f in mine else None
+            out.append(_final(params, simf, direct, _indirect(pos, a, neg, b)))
+    except OverflowError:
+        raise _decay_overflow(now, params) from None
     return out
 
 

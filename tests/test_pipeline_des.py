@@ -2,6 +2,7 @@
 1e6-transaction oracle run lives in the acceptance suite)."""
 
 import hashlib
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 
@@ -108,11 +109,18 @@ def order_batch_cuts(times, batch_size):
 @settings(deadline=None, max_examples=300)
 def test_property_cutter_matches_order_batch(ticks, batch_size):
     times = np.sort(np.asarray(ticks, dtype=np.float64)) / 64.0
-    cut_times, block_of = _cut_batches(times, batch_size)
+    cut_times, block_of = cut_batches(times, batch_size)
     cuts, members = order_batch_cuts(times.tolist(), batch_size)
     assert cut_times.tolist() == cuts
     assert block_of.tolist() == [b for b, batch in enumerate(members) for _ in batch]
     assert [k for batch in members for k in batch] == list(range(len(times)))
+
+
+def cut_batches(times, batch_size):
+    """_cut_batches' cut instants and each arrival's block index."""
+    cut_times, starts, sizes = _cut_batches(times, batch_size)
+    assert starts.tolist() == (np.cumsum(sizes) - sizes).tolist()  # contiguous blocks
+    return cut_times, np.repeat(np.arange(len(starts)), sizes)
 
 
 def loop_cut_batches(times, batch_size):
@@ -138,7 +146,7 @@ def loop_cut_batches(times, batch_size):
 
 
 def assert_cuts_match_loop(times, batch_size):
-    got, want = _cut_batches(times, batch_size), loop_cut_batches(times, batch_size)
+    got, want = cut_batches(times, batch_size), loop_cut_batches(times, batch_size)
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
@@ -188,7 +196,7 @@ def test_size_cut_wins_when_the_last_member_lands_on_the_deadline(batch_size):
     times = np.arange(3 * batch_size + 1) * (BATCH_TIMEOUT_S / (batch_size - 1))
     assert (times[batch_size - 1:] == times[: len(times) - batch_size + 1] + BATCH_TIMEOUT_S).all()
     assert_cuts_match_loop(times, batch_size)
-    cut_times, block_of = _cut_batches(times, batch_size)
+    cut_times, block_of = cut_batches(times, batch_size)
     cuts, members = order_batch_cuts(times.tolist(), batch_size)
     assert cut_times.tolist() == cuts
     assert block_of.tolist() == [b for b, batch in enumerate(members) for _ in batch]
@@ -216,6 +224,22 @@ def test_outputs_pinned(batch_size, feed):
     cfg = QueueNetworkConfig(lambda0=37.29, batch_size=batch_size)
     stats = simulate_pipeline(cfg, 20_000, seed=batch_size, commit_feed=feed)
     assert hashlib.sha256(repr(stats).encode()).hexdigest() == DES_PINS[(batch_size, feed)]
+
+
+@pytest.mark.parametrize("feed", [STAGE_FEED, BLOCK_FEED])
+@pytest.mark.parametrize("batch_size", [1, 10, 100])
+def test_traced_peak_per_arrival(batch_size, feed):
+    # every full-length quantity is one buffer written in place; a fresh
+    # array per intermediate result peaks at 106-149 bytes per arrival
+    cfg = QueueNetworkConfig(lambda0=37.29, batch_size=batch_size)
+    n = 200_000
+    tracemalloc.start()
+    try:
+        simulate_pipeline(cfg, n, seed=batch_size, commit_feed=feed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * n
 
 
 @pytest.mark.parametrize("feed", [STAGE_FEED, BLOCK_FEED])

@@ -341,6 +341,22 @@ def test_direct_score_before_the_last_rating():
     assert led.direct_score("i", "j", now=0.0) < expected < led.direct_score("i", "j", now=10.0)
 
 
+def test_scoring_far_before_a_last_rating_raises_value_error():
+    # with a tiny decay, d ** (now - t_last) overflows a float once now is
+    # two minutes before the pair's last rating
+    led = ReputationLedger(replace(P, decay_per_minute=1e-300))
+    rate(led, "j", "f", True, 10.0)
+    with pytest.raises(ValueError, match="overflows"):  # a recommender's record
+        evaluate_pair(led, "i", "f", ReputationMode.TPFS, 0.0)
+    rate(led, "i", "f", True, 10.0)
+    with pytest.raises(ValueError, match="overflows"):
+        led.direct_score("i", "f", now=0.0)
+    for mode in ReputationMode:  # the rater's own record
+        with pytest.raises(ValueError, match="overflows"):
+            score_candidates(led, "i", ["f"], mode, 0.0)
+    assert led.direct_score("i", "f", now=10.0) == led.direct[("i", "f")] == 2.0 / 3.0
+
+
 def test_record_rating_rejects_self_rating():
     with pytest.raises(ValueError):
         RatingEvent("i", "i", True, 0.0)
