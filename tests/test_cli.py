@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, atomicity, determinism, env override."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -406,6 +407,40 @@ def test_compare_default_point_tracks_closed_forms(tmp_path):
     for metric, *_, rel in rows:
         assert float(rel) <= 0.05, metric
 
+
+
+# sha256 of every file analyze writes for the README grid and compare
+# writes at its defaults, per report format, recorded before each table's
+# rows were built from its column list: the headers, keys and number
+# formatting must not move with the writer.
+CLI_PINS = {
+    ("analyze", "csv"): {
+        "queueing_report.csv": "0cc4d75d3b9085b4977a91b2ac3bc45ccc35818a873e1d392019b591a0b80aad",
+        "stability_summary.json": "f7f511feb1e5dc6362654b384c228178ef56537d1827baf183a3e111bd436a94",
+    },
+    ("analyze", "json"): {
+        "queueing_report.json": "11f8ccb6efe18a03cf5a6ce1590422f139f4f415b52b6179da7a2fe85069ab8e",
+        "stability_summary.json": "f7f511feb1e5dc6362654b384c228178ef56537d1827baf183a3e111bd436a94",
+    },
+    ("compare", "csv"): {
+        "deviation.csv": "f80245742f6adf85e17b28f9520bebebfc633a5a8b711a65e5fa02f028614984",
+    },
+    ("compare", "json"): {
+        "deviation.json": "d5ed44c564b5106507fb063f1e55628a992d51ee2ac6ddbf6ddc9c744bcf8cfd",
+    },
+}
+
+
+@pytest.mark.parametrize(("command", "fmt"), list(CLI_PINS))
+def test_report_outputs_pinned(command, fmt, tmp_path):
+    argv = [command, "--out", str(tmp_path / "out"), "--format", fmt]
+    if command == "analyze":
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(README_GRID))
+        argv += ["--config", str(grid)]
+    assert main(argv) == EXIT_OK
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (tmp_path / "out").iterdir()} == CLI_PINS[(command, fmt)]
 
 @pytest.mark.parametrize("args,code", [
     (["--lambda0", "200", "--n-tx", "1000"], EXIT_UNSTABLE),

@@ -88,6 +88,35 @@ def test_ptype_field_outputs_pinned(results, tmp_path):
             for name, path in paths.items()} == PTYPE_FIELD_PINS
 
 
+# sha256 of every file the other three presets write at their default seeds,
+# recorded before each table's row type became its CSV schema: the rows,
+# headers and number formatting must not move with the writer.
+PRESET_PINS = {
+    "reputation-timeline": {
+        "assertions.json": "3951ef3a875f5c026a4e98768ed61b36af7042279ed7dc3d5d0d01f67915e6ef",
+        "ledger.jsonl": "0318d6fb733b822ae5fae075b5a1eb8de60d8b6d5a60b5cae88a82aee8f69816",
+        "reputation.csv": "5a3e771c3a992410deae6e6b1b22e751620fa57933da13375834fa88ea8eafb1",
+        "world_state.json": "d8907b6f0ca770523e438b951fad7401b70b6668bbdd0aa39563f8b2782a9cef",
+    },
+    "neighbor-sweep": {
+        "assertions.json": "8dbe62d6346d6a0b12272ae9392f30db44d4bb19a5522314430a41c59a395f1e",
+        "neighbor_sweep.csv": "1c1304c0b3917baf4acf53e2c9f3f335ea07434778683a7eb60567b679994858",
+    },
+    "queueing-validation": {
+        "assertions.json": "bc7742e015b357ba1ec1edc3b7813f36a97021ac135b95d20759fcdf05e7fa2b",
+        "deviation.csv": "a8df382692cdd5bc9132b5c828e1fd4a4feeb5e57ccb28b7634fe40469b82289",
+        "pipeline_stats.json": "cda4b58c7679071754bd15011608e359babd8ad2c16e0553b147e760305d6fd0",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PRESET_PINS))
+def test_preset_outputs_pinned(name, results, tmp_path):
+    paths = results[name].write_outputs(str(tmp_path))
+    assert {file: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for file, path in paths.items()} == PRESET_PINS[name]
+
+
 def test_queueing_validation_deviation_table(results):
     res = results["queueing-validation"]
     lines = res.files["deviation.csv"].strip().splitlines()
