@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .ioutil import csv_text, json_text, write_files
+from .ioutil import json_text, report_file, write_files
 from .queueing import (
     ORDERER_MODES,
     QueueNetworkConfig,
@@ -86,21 +86,12 @@ def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
     return base, lambdas, batch_sizes
 
 
-def _report_file(name: str, fmt: str, columns: list[str],
-                 records: list[dict]) -> tuple[str, str]:
-    """(file name, text) of a table in the requested format."""
-    if fmt == "json":
-        return f"{name}.json", json_text(records)
-    rows = [[rec[c] for c in columns] for rec in records]
-    return f"{name}.csv", csv_text(columns, rows)
-
-
 def cmd_analyze(args) -> int:
     doc = _load_json(args.config)
     base, lambdas, batch_sizes = _parse_grid(doc, args.orderer_mode)
     out = _out_dir(args)
     rows = sweep(base, lambdas, batch_sizes)
-    name, text = _report_file("queueing_report", args.format, REPORT_COLUMNS, rows)
+    name, text = report_file("queueing_report", args.format, REPORT_COLUMNS, rows)
     summary = {
         "rows": len(rows),
         "stable_rows": sum(1 for r in rows if r["stable"]),
@@ -175,7 +166,7 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     stats = simulate_pipeline(cfg, args.n_tx, args.seed or 0, commit_feed=STAGE_FEED)
     table = deviation_table(cfg, stats)
-    name, text = _report_file("deviation", args.format, DEVIATION_COLUMNS, table)
+    name, text = report_file("deviation", args.format, DEVIATION_COLUMNS, table)
     path = write_files(out, {name: text})[name]
     worst = max(table, key=lambda r: r["rel_deviation"])
     print(

@@ -1,11 +1,11 @@
 """Deterministic output writers: canonical indented JSON, repr-float
-CSV, and atomic temp-then-rename file writes."""
+CSV, tables in either, and atomic temp-then-rename file writes."""
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def fmt_cell(value) -> str:
@@ -18,7 +18,7 @@ def fmt_cell(value) -> str:
     return str(value)
 
 
-def csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt_cell(v) for v in row))
@@ -27,6 +27,15 @@ def csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
 
 def json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def report_file(name: str, fmt: str, columns: Sequence[str],
+                records: list[dict]) -> tuple[str, str]:
+    """(file name, text) of a table of records keyed by columns, as a
+    JSON list of the records or as CSV under the columns."""
+    if fmt == "json":
+        return f"{name}.json", json_text(records)
+    return f"{name}.csv", csv_text(columns, ([rec[c] for c in columns] for rec in records))
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -201,13 +201,7 @@ def deviation_table(cfg: QueueNetworkConfig, stats: PipelineStats) -> list[dict]
     ]
     rows = []
     for name, closed, simulated in pairs:
-        rows.append(
-            {
-                "metric": name,
-                "closed_form": closed,
-                "simulated": simulated,
-                "abs_deviation": abs(simulated - closed),
-                "rel_deviation": abs(simulated - closed) / closed if closed else float("nan"),
-            }
-        )
+        gap = abs(simulated - closed)
+        values = (name, closed, simulated, gap, gap / closed if closed else float("nan"))
+        rows.append(dict(zip(DEVIATION_COLUMNS, values, strict=True)))
     return rows

@@ -29,9 +29,9 @@ where the checks require strictness:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .ioutil import csv_text, json_text, write_files
+from .ioutil import csv_text, json_text, report_file, write_files
 from .ledger import (
     CertificateAuthority,
     ChainLedger,
@@ -52,13 +52,12 @@ from .reputation import (
     score_candidates,
     status_transition,
 )
-from .scenario import rating_payload
+from .scenario import TrajectoryRecord, rating_payload
 
 MODES = (ReputationMode.TPFS, ReputationMode.TP_ONLY, ReputationMode.TWSL_LIKE)
 
 
-@dataclass(frozen=True)
-class PresetAssertion:
+class PresetAssertion(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -80,10 +79,7 @@ class PresetResult:
             {
                 "preset": self.name,
                 "all_passed": self.all_passed,
-                "assertions": [
-                    {"name": a.name, "passed": a.passed, "detail": a.detail}
-                    for a in self.assertions
-                ],
+                "assertions": [a._asdict() for a in self.assertions],
             }
         )
         return write_files(out_dir, files)
@@ -180,7 +176,7 @@ def preset_reputation_timeline(seed: int = 50) -> PresetResult:
             rfin = evaluate_pair(ledger, i, j, mode, float(t))
             statuses[mode] = status_transition(statuses[mode], rfin, ledger.params)
             trajectory[mode].append(rfin)
-            rows.append((float(t), i, j, mode.value, rfin, statuses[mode].value))
+            rows.append(TrajectoryRecord(float(t), i, j, mode.value, rfin, statuses[mode].value))
 
     a = []
     tpfs, tp, twsl = (trajectory[m] for m in MODES)
@@ -204,9 +200,7 @@ def preset_reputation_timeline(seed: int = 50) -> PresetResult:
 
     chain = _mirror_on_chain(events, seed)
     files = {
-        "reputation.csv": csv_text(
-            ["time_min", "rater", "ratee", "mode", "rfin", "status"], rows
-        ),
+        "reputation.csv": csv_text(TrajectoryRecord._fields, rows),
         **export_files(chain),
     }
     return PresetResult("reputation-timeline", files, a)
@@ -377,11 +371,9 @@ def preset_queueing_validation(seed: int = 20260809) -> PresetResult:
            0.28 <= stats.confirmation_mean <= 0.35,
            f"mean confirmation {stats.confirmation_mean:.4f} s")
 
+    name, text = report_file("deviation", "csv", DEVIATION_COLUMNS, table)
     files = {
-        "deviation.csv": csv_text(
-            DEVIATION_COLUMNS,
-            [[row[c] for c in DEVIATION_COLUMNS] for row in table],
-        ),
+        name: text,
         "pipeline_stats.json": json_text(
             {
                 "lambda0": cfg.lambda0,

@@ -191,23 +191,9 @@ def sweep(
             cfg = replace(base, lambda0=lam, batch_size=m)
             r0, r1, r2, stable = utilizations(cfg)
             perf = performance(cfg) if stable and cfg.q01 * lam > 0 else None
-            rows.append({
-                "lambda0": lam,
-                "M": m,
-                "mode": cfg.orderer_mode,
-                "R0": r0,
-                "R1": r1,
-                "R2": r2,
-                "stable": stable,
-                "N0": perf.mean_counts[0] if perf else None,
-                "N1": perf.mean_counts[1] if perf else None,
-                "N2": perf.mean_counts[2] if perf else None,
-                "N": perf.mean_count_total if perf else None,
-                "D0": perf.delays[0] if perf else None,
-                "D1": perf.delays[1] if perf else None,
-                "D2": perf.delays[2] if perf else None,
-                "D": perf.confirmation_time if perf else None,
-                "H_eq31": perf.throughput_eq31 if perf else None,
-                "H_flow": perf.throughput_flow if perf else None,
-            })
+            metrics = ((*perf.mean_counts, perf.mean_count_total, *perf.delays,
+                        perf.confirmation_time, perf.throughput_eq31, perf.throughput_flow)
+                       if perf else (None,) * 10)
+            values = (lam, m, cfg.orderer_mode, r0, r1, r2, stable, *metrics)
+            rows.append(dict(zip(REPORT_COLUMNS, values, strict=True)))
     return rows

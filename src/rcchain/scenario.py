@@ -23,6 +23,7 @@ import functools
 import heapq
 import json
 import math
+import operator
 import sys
 import typing
 from collections import defaultdict, deque
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from random import Random
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, NamedTuple, Optional
 
 from .ioutil import csv_text, json_text, write_files
 from .ledger import (
@@ -146,7 +147,7 @@ class VehicleSpec:
                 raise ScenarioConfigError(f"unknown vehicle role {role!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScriptedMission:
     t_min: float
     requester: str
@@ -397,6 +398,8 @@ def load_scenario_config(path: str) -> ScenarioConfig:
 
 @dataclass
 class MissionRecord:
+    """A mission, filled in step by step as its lifecycle runs; the fields
+    before candidates are its missions.csv row, under MISSION_COLUMNS."""
     mission_id: str
     kind: str
     requester: str
@@ -407,8 +410,15 @@ class MissionRecord:
     candidates: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class PerfRecord:
+# missions.csv's header; t_request and t_commit are in minutes
+MISSION_COLUMNS = ("mission_id", "kind", "requester", "selected", "outcome",
+                   "t_request", "t_commit")
+_mission_row = operator.attrgetter(*(f.name for f in dataclasses.fields(MissionRecord)
+                                     [:len(MISSION_COLUMNS)]))
+
+
+class PerfRecord(NamedTuple):
+    """A perf.csv row: one transaction's pipeline instants, in seconds."""
     tx_id: str
     t_arrive: float
     t_endorsed: float
@@ -417,8 +427,8 @@ class PerfRecord:
     valid: bool
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
+    """A reputation.csv row: a final score and the status it set."""
     time_min: float
     rater: str
     ratee: str
@@ -438,42 +448,13 @@ class RunReport:
     trajectories: list[TrajectoryRecord]
     summary: dict
 
-    def reputation_csv(self) -> str:
-        rows = [
-            (t.time_min, t.rater, t.ratee, t.mode, t.rfin, t.status)
-            for t in self.trajectories
-        ]
-        return csv_text(["time_min", "rater", "ratee", "mode", "rfin", "status"], rows)
-
-    def missions_csv(self) -> str:
-        rows = [
-            (m.mission_id, m.kind, m.requester, m.selected, m.outcome,
-             m.t_request_min, m.t_commit_min)
-            for m in self.missions
-        ]
-        return csv_text(
-            ["mission_id", "kind", "requester", "selected", "outcome",
-             "t_request", "t_commit"],
-            rows,
-        )
-
-    def perf_csv(self) -> str:
-        rows = [
-            (p.tx_id, p.t_arrive, p.t_endorsed, p.t_ordered, p.t_committed, p.valid)
-            for p in self.perf
-        ]
-        return csv_text(
-            ["tx_id", "t_arrive", "t_endorsed", "t_ordered", "t_committed", "valid"],
-            rows,
-        )
-
     def output_files(self) -> dict[str, str]:
         """Every output file of the run, name -> text."""
         return {
             **export_files(self.chain),
-            "reputation.csv": self.reputation_csv(),
-            "missions.csv": self.missions_csv(),
-            "perf.csv": self.perf_csv(),
+            "reputation.csv": csv_text(TrajectoryRecord._fields, self.trajectories),
+            "missions.csv": csv_text(MISSION_COLUMNS, map(_mission_row, self.missions)),
+            "perf.csv": csv_text(PerfRecord._fields, self.perf),
             "summary.json": json_text(self.summary),
         }
 
@@ -716,16 +697,8 @@ def apply_reputation_update(
     rfin = evaluate_pair(ledger, event.rater, event.ratee, mode, now_min)
     status = classify_status(event.ratee, rfin, ledger)
     if trajectories is not None:
-        trajectories.append(
-            TrajectoryRecord(
-                time_min=now_min,
-                rater=event.rater,
-                ratee=event.ratee,
-                mode=mode.value,
-                rfin=rfin,
-                status=status.value,
-            )
-        )
+        trajectories.append(TrajectoryRecord(now_min, event.rater, event.ratee, mode.value,
+                                             rfin, status.value))
 
 
 def apply_block(ledger: ReputationLedger, block: Block, mode: ReputationMode,

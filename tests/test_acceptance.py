@@ -277,12 +277,13 @@ def _export_hash(seed):
     report_ = run_scenario(parse_scenario_config(_scenario_doc(seed)))
     from rcchain.ledger import export_ledger_lines, export_world_state
 
+    files = report_.output_files()
     blob = (
         "\n".join(export_ledger_lines(report_.chain))
         + export_world_state(report_.chain)
-        + report_.reputation_csv()
-        + report_.missions_csv()
-        + report_.perf_csv()
+        + files["reputation.csv"]
+        + files["missions.csv"]
+        + files["perf.csv"]
     )
     return hashlib.sha256(blob.encode()).hexdigest()
 

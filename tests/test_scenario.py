@@ -98,11 +98,12 @@ def test_data_share_mission_uses_data_index():
 
 def run_bytes(doc):
     report = run_scenario(parse_scenario_config(doc))
+    files = report.output_files()
     payload = (
         "\n".join(export_ledger_lines(report.chain))
-        + report.reputation_csv()
-        + report.missions_csv()
-        + report.perf_csv()
+        + files["reputation.csv"]
+        + files["missions.csv"]
+        + files["perf.csv"]
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
