@@ -7,6 +7,7 @@ import functools
 import hashlib
 import json
 import math
+import random
 from enum import Enum
 from pathlib import Path
 
@@ -254,6 +255,122 @@ def test_example_outputs_pinned(seed, tmp_path):
     assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == EXAMPLE_PINS[seed]
+
+
+def city_doc(seed, mode="TPFS", tpfs=None):
+    """A city-sized scripted run: one area, 60 requester+server vehicles
+    (6 p_type, switching at mid-run), 3 orgs x 2 peers, 2 RSUs and 400
+    missions in 20 minutes at uniform instants, requesters and kinds."""
+    rng = random.Random(seed)
+    p_type = set(rng.sample(range(60), 6))
+    vehicles = [
+        {"id": f"veh-{k:03d}", "org": f"org-{k % 3}", "area": "city",
+         "roles": ["requester", "server"],
+         "profile": ({"kind": "p_type", "switch_at": 10.0, "fake_rate": 1.0}
+                     if k in p_type else {"kind": "honest"})}
+        for k in range(60)
+    ]
+    missions = [{"t_min": t, "requester": f"veh-{rng.randrange(60):03d}",
+                 "kind": rng.choice(("qa", "data_share"))}
+                for t in sorted(rng.uniform(0.0, 20.0) for _ in range(400))]
+    return {
+        "duration_min": 20.0,
+        "seed": rng.randrange(2**32),
+        "organizations": [{"name": f"org-{k}", "endorsing_peers": 2} for k in range(3)],
+        "rsus": [{"id": "rsu-0", "org": "org-0", "area": "city"},
+                 {"id": "rsu-1", "org": "org-1", "area": "city"}],
+        "vehicles": vehicles,
+        "ordering": {"batch_size": 10, "batch_timeout_s": 2.0, "orderer_count": 3},
+        "policy": {"threshold": 1},
+        "arrivals": {"kind": "scripted", "missions": missions},
+        "mode": mode,
+        "tpfs": tpfs or {},
+    }
+
+
+CITY_VARIANTS = {
+    "TPFS": {},
+    "TP_only": {"mode": "TP_only"},
+    "TWSL_like": {"mode": "TWSL_like"},
+    "deviation": {"tpfs": {"similarity_weighting": "deviation"}},
+}
+
+
+# sha256 of every output file of city_doc per (variant, seed).
+CITY_PINS = {
+    ("TPFS", 1): {
+        "ledger.jsonl": "ff55b1159e33b664225fd0448a136a675a2ade258fde3466a3b02ac1f2b229a8",
+        "missions.csv": "40a5ab3c25d1a0aec010be1ba925031fd52d62ad08510a9097e8c5eb15504764",
+        "perf.csv": "b920582dda781bca4eada96d99ebafbd77d8bb678d4f2665eea1585bd7b312bc",
+        "reputation.csv": "92e2161f8ded6401bd8996364b3f2f628149d8fe427d3bb03152893a659cd529",
+        "summary.json": "52a411fe9dbc249c7adaefe70d93d1a5410710425e5ba31402d77c8eb71a96eb",
+        "world_state.json": "ea692631bca51fc7a45775df1d0756d4b517fe9ed31347fcb00d4937d1507a6e",
+    },
+    ("TP_only", 1): {
+        "ledger.jsonl": "7b94dd97d68929e87be2d78014ae3d76557067c3434d13692a399c16f18046b3",
+        "missions.csv": "8a8a2b36ef739eb5447233c925a1df6cb3770866604d087ef6f7b51a0b5a18ef",
+        "perf.csv": "d3ae9e29c8e91967f054494c37e35d005b853e41a6e7da5b77001953bce56a52",
+        "reputation.csv": "3ac9833713a68582987c72f75a32b48ad097d281c4aa661390b854722551fcda",
+        "summary.json": "6e02eac9dc7330e59f89ffce67962c835e0a37b4892aa8d07fb10c45a68fe4cd",
+        "world_state.json": "57e7eb9e43b9638ffa4ce8e181a2a2b641df02194dce83a06771aef55f6e6523",
+    },
+    ("TWSL_like", 1): {
+        "ledger.jsonl": "3a9e3760c9d29639e1a565deed953757df1f0aa33c359bacc08ceb15756c3627",
+        "missions.csv": "5c9bbc5ad9a0ca798de23301012ac169a5d57f38c6d4ee4d06febe5b8e226b53",
+        "perf.csv": "187f93d24de058de00d1ea4437f83484d56bfef34439e03d440d80370d733306",
+        "reputation.csv": "934e284165358ba559a0c8ea5df9690c2e74c94c7b1868b5ec5f78991baa0785",
+        "summary.json": "341760a1b848284c6caac83fb3539ae0d9a1b9a4f4dd47ef4b0bc52ff4bc85f8",
+        "world_state.json": "0807bb037c6d19ec8f3cc8720f499432619a75e17b9e4c9cb2ada0261439af5f",
+    },
+    ("deviation", 1): {
+        "ledger.jsonl": "ff55b1159e33b664225fd0448a136a675a2ade258fde3466a3b02ac1f2b229a8",
+        "missions.csv": "40a5ab3c25d1a0aec010be1ba925031fd52d62ad08510a9097e8c5eb15504764",
+        "perf.csv": "b920582dda781bca4eada96d99ebafbd77d8bb678d4f2665eea1585bd7b312bc",
+        "reputation.csv": "92e2161f8ded6401bd8996364b3f2f628149d8fe427d3bb03152893a659cd529",
+        "summary.json": "52a411fe9dbc249c7adaefe70d93d1a5410710425e5ba31402d77c8eb71a96eb",
+        "world_state.json": "ea692631bca51fc7a45775df1d0756d4b517fe9ed31347fcb00d4937d1507a6e",
+    },
+    ("TPFS", 2): {
+        "ledger.jsonl": "598f571f6cc78e957d8f3c86def8fa9794fd5fb697d26f529ddb90af8b7b7d26",
+        "missions.csv": "63767242f7572f48adada5b22fa162930a42a50e6a88a023ebf149adc4e1a9e2",
+        "perf.csv": "f94b18db08a090b9f12cac9b8acd4ee48468586ab3936a3efae85a95b779d22e",
+        "reputation.csv": "9b6735f6f08cece9f85a5dcfb8d327d55925ae47a1425ad860c94a8f906f0cfb",
+        "summary.json": "5b28856d6a0f3f1f68fc85a968d6ce63989588601971a4a21a422ca723809791",
+        "world_state.json": "d61ab8d8c7a85038fc5c3ba6cdefce3f24087af63d1d7bdedee52d5c3505aba8",
+    },
+    ("TP_only", 2): {
+        "ledger.jsonl": "b03bf6d5b38b4bba48c1c5cf2faab1f883290a44373cd646dc69ea6ae4a7bc95",
+        "missions.csv": "d895c23b5c0597d1d60d7610d7f0d13ef08d6044296cb976ebb012dac65043bb",
+        "perf.csv": "742de377138e240090dab7c05e4d31debb86884538fbce4d0d223709af3f8a78",
+        "reputation.csv": "228f1d9d0159cb4ce3509f03854df38e0a9ef7f14c8ef67558465f78fa8e4cd5",
+        "summary.json": "ef5191e26fcf47781499f9d48a71a3611074cd327815ec730aa572ccc8870994",
+        "world_state.json": "f013a46f31c58bb217f77057fe60eb55451adc8fcc5659c811d0a964fe6fa05f",
+    },
+    ("TWSL_like", 2): {
+        "ledger.jsonl": "5526adcf92db843255affe43488170760ce32958791b1980940e7fd954fd9707",
+        "missions.csv": "6358e44f529a57da4711958de608fdcc0f4da43879094d774fa1257096e62dba",
+        "perf.csv": "36c062440ae88887425912c31d79f9289f9c2f3efd2a564752f9d367036e948c",
+        "reputation.csv": "3f175fcea445cf44416225d76835d42973263f17277721044538e36c8379a803",
+        "summary.json": "5a46c1346064d167ff4d965a1ffd9bed77441b6b8b88bcabbf09d55ec73d487e",
+        "world_state.json": "327a9d37c3b5b6c0404e8431947927152a736da0c1d49d804c35dc242733c799",
+    },
+    ("deviation", 2): {
+        "ledger.jsonl": "598f571f6cc78e957d8f3c86def8fa9794fd5fb697d26f529ddb90af8b7b7d26",
+        "missions.csv": "63767242f7572f48adada5b22fa162930a42a50e6a88a023ebf149adc4e1a9e2",
+        "perf.csv": "f94b18db08a090b9f12cac9b8acd4ee48468586ab3936a3efae85a95b779d22e",
+        "reputation.csv": "9b6735f6f08cece9f85a5dcfb8d327d55925ae47a1425ad860c94a8f906f0cfb",
+        "summary.json": "5b28856d6a0f3f1f68fc85a968d6ce63989588601971a4a21a422ca723809791",
+        "world_state.json": "d61ab8d8c7a85038fc5c3ba6cdefce3f24087af63d1d7bdedee52d5c3505aba8",
+    },
+}
+
+
+@pytest.mark.parametrize("variant, seed", list(CITY_PINS))
+def test_city_outputs_pinned(variant, seed):
+    report = run_scenario(parse_scenario_config(city_doc(seed, **CITY_VARIANTS[variant])))
+    got = {name: hashlib.sha256(text.encode()).hexdigest()
+           for name, text in report.output_files().items()}
+    assert got == CITY_PINS[(variant, seed)]
 
 
 def test_candidates_match_a_scan_of_the_config():
