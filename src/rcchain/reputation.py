@@ -21,6 +21,7 @@ tuples. A function that takes a ledger reads its params from
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -176,8 +177,9 @@ class ReputationLedger:
         rec = self._rated.get(rater, _NONE).get(ratee)
         if rec is None:
             rec = self._rated.setdefault(rater, {})[ratee] = [0.0, 0.0, t, 0, 0]
-            raters = {**self._received.get(ratee, _NONE), rater: rec}
-            self._received[ratee] = dict(sorted(raters.items()))  # first ratings are rare
+            raters = list(self._received.get(ratee, _NONE).items())
+            raters.insert(bisect(raters, (rater,)), (rater, rec))  # rater is not among them
+            self._received[ratee] = dict(raters)
         elif t < rec[2]:
             raise ValueError("ratings for a pair must be appended in time order")
         k = self.params.decay_per_minute ** (t - rec[2])
@@ -287,19 +289,25 @@ def feedback_similarity(
     feedback scores, normalized (falling back to uniform when all stds
     are zero).
     """
+    theirs = ledger._rated.get(j, _NONE)
+    shared = [(q, ledger._feedback(i, q), theirs[q])
+              for q in sorted(ledger._rated.get(i, _NONE).keys() & theirs.keys())]
+    return _similarity(ledger, shared) if shared else None
+
+
+def _similarity(ledger: ReputationLedger, shared: list[tuple[VehicleId, float, list]]) -> float:
+    """feedback_similarity from the shared ratees in id order, as (q, i's
+    feedback score about q, j's record about q)."""
     params = ledger.params
-    common = sorted(ledger._rated.get(i, _NONE).keys() & ledger._rated.get(j, _NONE).keys())
-    if not common:
-        return None
     if params.similarity_weighting == DEVIATION:
-        raw = [ledger._feedback_spread(q) for q in common]
+        raw = [ledger._feedback_spread(q) for q, _, _ in shared]
         total = sum(raw)
-        weights = [w / total for w in raw] if total > 0 else [1.0 / len(common)] * len(common)
+        weights = [w / total for w in raw] if total > 0 else [1.0 / len(shared)] * len(shared)
     else:
-        weights = [1.0 / len(common)] * len(common)
+        weights = [1.0 / len(shared)] * len(shared)
     dispersion = 0.0
-    for q, w in zip(common, weights):
-        diff = ledger._feedback(i, q) - ledger._feedback(j, q)
+    for (_, fi, rec), w in zip(shared, weights):
+        diff = fi - feedback_score(rec[3], rec[4] - rec[3])
         dispersion += w * diff * diff
     return max(params.simf_floor, 1.0 - math.sqrt(dispersion))
 
@@ -361,28 +369,34 @@ def score_candidates(
     now: float,
 ) -> list[float]:
     """final_reputation of rater about each candidate at now, with
-    recommendations from every other vehicle that has rated it. The
-    rater's row of scores is built once; each candidate's class sums run
-    in recommender-id order. Pure, so equal inputs give equal bits."""
+    recommendations from every other vehicle that has rated it. One pass
+    over the rater's ratees finds each candidate's shared ratees, a row
+    score is computed when first read, and each candidate's class sums
+    run in recommender-id order. Pure, so equal inputs give equal bits."""
     params = ledger.params
     d, penalty, t_low = params.decay_per_minute, params.negative_penalty, params.t_low
     weigh = (lambda r: r) if mode is ReputationMode.TWSL_LIKE else (
         lambda r: recommended_confidence(r, params) * r)
     mine = ledger._rated.get(rater, _NONE)
-    row = {j: weigh(_beta_score(rec, now, params)) for j, rec in mine.items()}  # conf * r_ij
+    row = dict.fromkeys(mine)  # conf * r_ij, or None until read
     unrated = weigh(0.5)
-    # only a vehicle that shares a ratee with the rater has a feedback similarity
-    tpfs = mode is ReputationMode.TPFS
-    shared = {v for q in mine for v in ledger.raters_of(q)} if tpfs else _NONE
+    shared = [(f, []) for f in candidates]  # each one's ratees shared with the rater, in id order
+    for q in sorted(mine) if mode is ReputationMode.TPFS else ():
+        fq, raters = ledger._feedback(rater, q), ledger.raters_of(q)
+        for f, common in shared:
+            if f in raters:
+                common.append((q, fq, raters[f]))
     out = []
     try:
-        for f in candidates:
+        for f, common in shared:
             pos = neg = 0.0
             a = b = 0
             for j, rec in ledger.raters_of(f).items():
                 if j == rater:
                     continue
                 cr = row.get(j, unrated)
+                if cr is None:
+                    cr = row[j] = weigh(_beta_score(mine[j], now, params))
                 k = d ** (now - rec[2])  # _beta_score, inlined
                 x = rec[0] * k
                 r_jf = (x + 1.0) / (x + penalty * (rec[1] * k) + 2.0)
@@ -392,7 +406,7 @@ def score_candidates(
                 else:
                     neg += cr * r_jf
                     b += 1
-            simf = feedback_similarity(rater, f, ledger) if f in shared else None
+            simf = _similarity(ledger, common) if common else None
             direct = _beta_score(mine[f], now, params) if f in mine else None
             out.append(_final(params, simf, direct, _indirect(pos, a, neg, b)))
     except OverflowError:
@@ -432,7 +446,7 @@ def classify_status(vehicle: VehicleId, rfin: float, ledger: ReputationLedger) -
 
 
 def select_server(
-    candidates: list[tuple[VehicleId, float, int]], params: TpfsParams, rng: Random
+    candidates: list[tuple[VehicleId, Optional[float], int]], params: TpfsParams, rng: Random
 ) -> VehicleId:
     """Two-group fair pick among non-revoked (vehicle, rfin, trade_count)
     candidates.
@@ -441,14 +455,15 @@ def select_server(
     uniform. Otherwise a draw below q_select targets the old group
     (trade count >= t_trades) by maximal score, ties broken randomly;
     a draw above targets the new group uniformly. An empty target group
-    falls back to the other group under that group's rule.
+    falls back to the other group under that group's rule. A new-group
+    rfin may be None when an old one reaches t_service: nothing reads it.
     """
     if not candidates:
         raise ValueError("no servers available")
-    if all(rfin < params.t_service for _, rfin, _ in candidates):
-        return candidates[rng.randrange(len(candidates))][0]
     old = [c for c in candidates if c[2] >= params.t_trades]
     new = [c for c in candidates if c[2] < params.t_trades]
+    if all(c[1] < params.t_service for c in old) and all(c[1] < params.t_service for c in new):
+        return candidates[rng.randrange(len(candidates))][0]
 
     def pick_old(group):
         best = max(rfin for _, rfin, _ in group)

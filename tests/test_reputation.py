@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcchain.reputation as reputation
 import rcchain.scenario as scenario
 from rcchain.reputation import (
     RatingEvent,
@@ -479,6 +480,13 @@ def test_select_deterministic_with_seed():
     assert first == second
 
 
+def test_select_reads_no_new_group_score_when_an_old_one_reaches_t_service():
+    for seed in range(50):
+        picks = {select_server([("n1", rfin, 0), ("o1", 0.3, 9), ("o2", P.t_service, 5),
+                                ("n2", rfin, 4)], P, Random(seed)) for rfin in (None, 0.0, 1.0)}
+        assert len(picks) == 1
+
+
 def test_select_falls_back_when_target_group_empty():
     # all candidates new; draw below q_select targets old -> falls back uniform
     cands = [("a", 0.9, 0), ("b", 0.5, 1)]
@@ -739,6 +747,19 @@ def rating_histories(draw):
     return names, events
 
 
+@given(rating_histories())
+@settings(deadline=None)
+def test_raters_of_stays_in_id_order_through_interleaved_first_ratings(history):
+    names, events = history
+    led = ReputationLedger()
+    for e in events:
+        led.record_rating(e)
+    for q in names:
+        raters = led.raters_of(q)
+        assert list(raters) == sorted(v for v in names if led.has_interaction(v, q))
+        assert all(rec is led._rated[v][q] for v, rec in raters.items())
+
+
 @st.composite
 def recorded_histories(draw):
     """A RefLedger holding a rating history under drawn params, its
@@ -802,6 +823,42 @@ def test_property_one_pass_equals_per_candidate_calls(recorded, mode):
             assert score_candidates(ledger, i, others, mode, now) == [
                 evaluate_pair(ledger, i, j, mode, now) for j in others]
 
+
+
+@given(recorded_histories())
+@settings(deadline=None, max_examples=100)
+def test_property_kernel_similarity_is_feedback_similarity(recorded):
+    """score_candidates finds every candidate's shared ratees in one pass;
+    the similarity it hands to local_confidence is feedback_similarity's,
+    bit for bit (same ratees, same order)."""
+    ledger, names, times = recorded
+    real, seen = reputation.local_confidence, []
+    reputation.local_confidence = lambda simf, params: seen.append(simf) or real(simf, params)
+    try:
+        for i in names:
+            others = [j for j in names if j != i]
+            seen.clear()
+            score_candidates(ledger, i, others, ReputationMode.TPFS, times[-1])
+            want = [feedback_similarity(i, j, ledger) for j in others]
+            assert seen == [s for s in want if s is not None]
+    finally:
+        reputation.local_confidence = real
+
+
+def test_kernel_sums_shared_ratees_in_id_order():
+    # the three squared differences sum to other bits in another order
+    # (reversed, or i's rating order q2 q0 q1), and the final score keeps
+    # the difference
+    led = ReputationLedger()
+    counts = {"q2": ((6, 6), (5, 3)), "q0": ((4, 1), (4, 6)),
+              "q1": ((3, 6), (3, 3))}  # (positive, negative) ratings by i, then by f
+    for q, by in counts.items():
+        for v, (pos, neg) in zip("if", by):
+            for k in range(pos + neg):
+                rate(led, v, q, k < pos, 1.0)
+    want = final_reputation("i", "f", led, [], ReputationMode.TPFS, 1.0)
+    assert score_candidates(led, "i", ["f", "q0"], ReputationMode.TPFS, 1.0)[0] == want
+    assert evaluate_pair(led, "i", "f", ReputationMode.TPFS, 1.0) == want
 
 def test_identical_histories_score_bit_identical():
     # c1 and c2 receive the same ratings from the same raters at the same

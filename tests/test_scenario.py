@@ -366,11 +366,66 @@ CITY_PINS = {
 
 
 @pytest.mark.parametrize("variant, seed", list(CITY_PINS))
-def test_city_outputs_pinned(variant, seed):
+def test_city_outputs_pinned(variant, seed, monkeypatch):
+    """Also: on most missions an old-group score reaches t_service, so
+    selection gets some new-group candidates unscored (rfin None)."""
+    select, selections = scenario.select_server, {}
+
+    def spy(scored, params, rng):
+        selections[id(scored)] = scored  # kept, so no id is reused
+        return select(scored, params, rng)
+
+    monkeypatch.setattr(scenario, "select_server", spy)
     report = run_scenario(parse_scenario_config(city_doc(seed, **CITY_VARIANTS[variant])))
     got = {name: hashlib.sha256(text.encode()).hexdigest()
            for name, text in report.output_files().items()}
     assert got == CITY_PINS[(variant, seed)]
+    skipped = sum(any(rfin is None for _, rfin, _ in s) for s in selections.values())
+    assert skipped > len(selections) / 2
+
+
+@pytest.mark.parametrize("mode", [m.value for m in ReputationMode])
+def test_new_group_is_scored_only_when_selection_reads_it(mode, monkeypatch):
+    """Per mission: with an old-group score at or above t_service no
+    new-group candidate is scored, without one every candidate is, and
+    either way selection picks what it picks, with the same draws, on
+    every candidate scored at once."""
+    score, select = scenario.score_candidates, scenario.select_server
+    calls, mission, cases = [], {}, collections.Counter()
+
+    def scoring(ledger, rater, candidates, mode_, now):
+        calls.append(((ledger, rater, mode_, now), list(candidates)))
+        return score(ledger, rater, candidates, mode_, now)
+
+    def selecting(scored, params, rng):
+        if calls:  # the mission's first selection: it follows its scoring
+            ids = [c for c, _, _ in scored]
+            (ledger, rater, mode_, now), _ = calls[0]
+            mission["eager"] = [(c, rfin, k) for (c, _, k), rfin
+                                in zip(scored, score(ledger, rater, ids, mode_, now))]
+            mission["scored"] = sorted(c for _, group in calls for c in group)
+            calls.clear()
+        eager = mission["eager"]
+        old = [rfin for _, rfin, k in eager if k >= params.t_trades]
+        if any(rfin >= params.t_service for rfin in old):
+            cases["skip"] += 1
+            assert mission["scored"] == sorted(c for c, _, k in eager if k >= params.t_trades)
+            assert all((rfin is None) == (k < params.t_trades) for _, rfin, k in scored)
+        else:
+            cases["all below" if old else "no old group"] += 1
+            assert mission["scored"] == sorted(c for c, _, _ in eager)
+            assert scored == eager
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        got = select(scored, params, rng)
+        assert got == select(eager, params, twin)
+        assert rng.getstate() == twin.getstate()
+        return got
+
+    monkeypatch.setattr(scenario, "score_candidates", scoring)
+    monkeypatch.setattr(scenario, "select_server", selecting)
+    run_scenario(parse_scenario_config(city_doc(3, mode=mode)))
+    assert set(cases) == {"skip", "all below", "no old group"}, cases
 
 
 def test_candidates_match_a_scan_of_the_config():
