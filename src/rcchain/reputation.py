@@ -3,7 +3,7 @@
 Implements the TPFS trust model: confidence-weighted aggregation of
 neighbor recommendations into an indirect score, rating-profile
 similarity between two vehicles over the peers both have rated, and the
-blended final score, which score_candidates computes for a mission's
+blended final score, which score_candidates computes for a group of
 candidates in one pass over O(1) decayed per-pair state. Also houses the
 warning/revocation status machine and the two-group fair server selection.
 

@@ -296,7 +296,9 @@ CITY_VARIANTS = {
 }
 
 
-# sha256 of every output file of city_doc per (variant, seed).
+# sha256 of every output file of city_doc per (variant, seed). The deviation
+# weighting gives the same files as the uniform one here: a ratee's raters
+# nearly always agree, so its feedback spread is 0 and the weights fall back.
 CITY_PINS = {
     ("TPFS", 1): {
         "ledger.jsonl": "ff55b1159e33b664225fd0448a136a675a2ade258fde3466a3b02ac1f2b229a8",
@@ -367,8 +369,9 @@ CITY_PINS = {
 
 @pytest.mark.parametrize("variant, seed", list(CITY_PINS))
 def test_city_outputs_pinned(variant, seed, monkeypatch):
-    """Also: on most missions an old-group score reaches t_service, so
-    selection gets some new-group candidates unscored (rfin None)."""
+    """Every output file of a city run is pinned. On most missions an
+    old-group score reaches t_service, so selection gets some new-group
+    candidates unscored (rfin None)."""
     select, selections = scenario.select_server, {}
 
     def spy(scored, params, rng):
