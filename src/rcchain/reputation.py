@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from statistics import pstdev
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 VehicleId = str
 _NONE: dict = {}  # never written: the records of a vehicle with no ratings
@@ -289,25 +289,19 @@ def feedback_similarity(
     feedback scores, normalized (falling back to uniform when all stds
     are zero).
     """
-    theirs = ledger._rated.get(j, _NONE)
-    shared = [(q, ledger._feedback(i, q), theirs[q])
-              for q in sorted(ledger._rated.get(i, _NONE).keys() & theirs.keys())]
-    return _similarity(ledger, shared) if shared else None
-
-
-def _similarity(ledger: ReputationLedger, shared: list[tuple[VehicleId, float, list]]) -> float:
-    """feedback_similarity from the shared ratees in id order, as (q, i's
-    feedback score about q, j's record about q)."""
     params = ledger.params
+    common = sorted(ledger._rated.get(i, _NONE).keys() & ledger._rated.get(j, _NONE).keys())
+    if not common:
+        return None
     if params.similarity_weighting == DEVIATION:
-        raw = [ledger._feedback_spread(q) for q, _, _ in shared]
+        raw = [ledger._feedback_spread(q) for q in common]
         total = sum(raw)
-        weights = [w / total for w in raw] if total > 0 else [1.0 / len(shared)] * len(shared)
+        weights = [w / total for w in raw] if total > 0 else [1.0 / len(common)] * len(common)
     else:
-        weights = [1.0 / len(shared)] * len(shared)
+        weights = [1.0 / len(common)] * len(common)
     dispersion = 0.0
-    for (_, fi, rec), w in zip(shared, weights):
-        diff = fi - feedback_score(rec[3], rec[4] - rec[3])
+    for q, w in zip(common, weights):
+        diff = ledger._feedback(i, q) - ledger._feedback(j, q)
         dispersion += w * diff * diff
     return max(params.simf_floor, 1.0 - math.sqrt(dispersion))
 
@@ -369,10 +363,9 @@ def score_candidates(
     now: float,
 ) -> list[float]:
     """final_reputation of rater about each candidate at now, with
-    recommendations from every other vehicle that has rated it. One pass
-    over the rater's ratees finds each candidate's shared ratees, a row
-    score is computed when first read, and each candidate's class sums
-    run in recommender-id order. Pure, so equal inputs give equal bits."""
+    recommendations from every other vehicle that has rated it. A row
+    score is computed when first read; each candidate's class sums run
+    in recommender-id order. Pure, so equal inputs give equal bits."""
     params = ledger.params
     d, penalty, t_low = params.decay_per_minute, params.negative_penalty, params.t_low
     weigh = (lambda r: r) if mode is ReputationMode.TWSL_LIKE else (
@@ -380,15 +373,12 @@ def score_candidates(
     mine = ledger._rated.get(rater, _NONE)
     row = dict.fromkeys(mine)  # conf * r_ij, or None until read
     unrated = weigh(0.5)
-    shared = [(f, []) for f in candidates]  # each one's ratees shared with the rater, in id order
-    for q in sorted(mine) if mode is ReputationMode.TPFS else ():
-        fq, raters = ledger._feedback(rater, q), ledger.raters_of(q)
-        for f, common in shared:
-            if f in raters:
-                common.append((q, fq, raters[f]))
+    # only a vehicle that shares a ratee with the rater has a feedback similarity
+    tpfs = mode is ReputationMode.TPFS
+    shared = {v for q in mine for v in ledger.raters_of(q)} if tpfs else _NONE
     out = []
     try:
-        for f, common in shared:
+        for f in candidates:
             pos = neg = 0.0
             a = b = 0
             for j, rec in ledger.raters_of(f).items():
@@ -406,7 +396,7 @@ def score_candidates(
                 else:
                     neg += cr * r_jf
                     b += 1
-            simf = _similarity(ledger, common) if common else None
+            simf = feedback_similarity(rater, f, ledger) if f in shared else None
             direct = _beta_score(mine[f], now, params) if f in mine else None
             out.append(_final(params, simf, direct, _indirect(pos, a, neg, b)))
     except OverflowError:
@@ -443,6 +433,21 @@ def classify_status(vehicle: VehicleId, rfin: float, ledger: ReputationLedger) -
     new = status_transition(ledger.get_status(vehicle), rfin, ledger.params)
     ledger.status[vehicle] = new
     return new
+
+
+def score_groups(score: Callable[..., list[float]], ledger: ReputationLedger, rater: VehicleId,
+                 candidates: Sequence[VehicleId], mode: ReputationMode,
+                 now: float) -> list[tuple[VehicleId, Optional[float], int]]:
+    """select_server's (vehicle, rfin, trade_count) per candidate, in order, scored by score
+    (score_candidates' signature): the old group first, the new group only when no old score
+    reaches t_service, the one case in which select_server reads it; else its rfin is None."""
+    params, trades = ledger.params, ledger.trade_count
+    old = [c for c in candidates if trades.get(c, 0) >= params.t_trades]
+    rfin = dict(zip(old, score(ledger, rater, old, mode, now)))
+    if all(r < params.t_service for r in rfin.values()):
+        new = [c for c in candidates if c not in rfin]
+        rfin.update(zip(new, score(ledger, rater, new, mode, now)))
+    return [(c, rfin.get(c), trades.get(c, 0)) for c in candidates]
 
 
 def select_server(

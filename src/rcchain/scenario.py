@@ -61,6 +61,7 @@ from .reputation import (
     classify_status,
     evaluate_pair,
     score_candidates,
+    score_groups,
     select_server,
 )
 
@@ -628,15 +629,8 @@ class _Engine:
         if not candidates:
             return
         record.candidates = candidates
-        now, mode = self.now / SECONDS_PER_MINUTE, self.cfg.mode
-        trades = self.reputation.trade_count
-        old = [c for c in candidates if trades.get(c, 0) >= self.cfg.tpfs.t_trades]
-        rfin = dict(zip(old, score_candidates(self.reputation, requester, old, mode, now)))
-        # selection reads a new-group score only when no old-group score reaches t_service
-        if all(r < self.cfg.tpfs.t_service for r in rfin.values()):
-            new = [c for c in candidates if c not in rfin]
-            rfin.update(zip(new, score_candidates(self.reputation, requester, new, mode, now)))
-        scored = [(c, rfin.get(c), trades.get(c, 0)) for c in candidates]
+        scored = score_groups(score_candidates, self.reputation, requester, candidates,
+                              self.cfg.mode, self.now / SECONDS_PER_MINUTE)
         area_rsus = self.rsus_in[area]
         followers = area_rsus[1:] or area_rsus[:1]
         nominations = [select_server(scored, self.cfg.tpfs, self.rng) for _ in followers]

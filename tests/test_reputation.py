@@ -828,9 +828,9 @@ def test_property_one_pass_equals_per_candidate_calls(recorded, mode):
 @given(recorded_histories())
 @settings(deadline=None, max_examples=100)
 def test_property_kernel_similarity_is_feedback_similarity(recorded):
-    """score_candidates finds every candidate's shared ratees in one pass;
-    the similarity it hands to local_confidence is feedback_similarity's,
-    bit for bit (same ratees, same order)."""
+    """score_candidates skips the similarity of a candidate that shares no
+    ratee with the rater; every other one it hands to local_confidence is
+    feedback_similarity's, bit for bit."""
     ledger, names, times = recorded
     real, seen = reputation.local_confidence, []
     reputation.local_confidence = lambda simf, params: seen.append(simf) or real(simf, params)
