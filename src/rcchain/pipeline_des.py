@@ -23,13 +23,15 @@ Two commit feeds:
   end-to-end latency and throughput measurements.
 
 Everything is vectorized: the stations are Lindley-recursion prefix
-scans and the batch cutter finds every block start by pointer doubling,
-so no Python loop runs per transaction or per block; the cutter searches
-for a block's deadline only where the timeout binds. Each full-length
-quantity is one buffer, written in place and dropped after its last
-reader: tracemalloc's peak is 40-85 bytes per arrival (lambda0 = 37.29,
-M in {1, 10, 100}), a run of 10^6 transactions takes 0.1-0.2 s, and one
-of MAX_N_TX at M = 1 peaks near 740 MB resident.
+scans and no Python loop runs per transaction or per block. The batch
+cutter searches for a block's deadline only at the starts where the
+timeout binds; between them blocks are full and follow in strides of
+batch_size, so pointer doubling runs over those late starts alone, or
+over every start when the timeout binds at most of them. Each
+full-length quantity is one buffer, written in place and dropped after
+its last reader: tracemalloc's peak is 37-80 bytes per arrival (lambda0 =
+37.29, M in {1, 10, 100}), a run of 10^6 transactions takes 0.1-0.2 s,
+and one of MAX_N_TX at M = 1 peaks near 600 MB resident.
 """
 
 from __future__ import annotations
@@ -71,6 +73,19 @@ def _fifo_departures(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     return np.add(busy, np.maximum.accumulate(gap, out=gap), out=busy)
 
 
+def _orbit(jump: np.ndarray, end: int) -> np.ndarray:
+    """The nodes reached from node 0 under jump before end, its fixed point,
+    in increasing order. Pointer doubling: after r rounds jump holds
+    jump^(2^r) and the orbit its first 2^r nodes. The caller gives up jump."""
+    orbit = np.zeros(1, dtype=np.intp)
+    spare = np.empty_like(jump)
+    while (orbit := np.concatenate((orbit, jump[orbit])))[-1] < end:
+        # two buffers in turn; every index is in range, and "clip" spares the
+        # copy take makes to check them
+        jump, spare = np.take(jump, jump, out=spare, mode="clip"), jump
+    return orbit[: np.searchsorted(orbit, end)].copy()
+
+
 def _cut_batches(times: np.ndarray, batch_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch boundaries over sorted orderer-arrival times.
 
@@ -79,30 +94,83 @@ def _cut_batches(times: np.ndarray, batch_size: int) -> tuple[np.ndarray, np.nda
     member arrives, or at first-member-arrival + BATCH_TIMEOUT_S with
     whatever is pending, so every transaction is cut into a block.
 
-    A block starting at i ends before nxt[i], the earlier of i + batch_size
-    and the first arrival past the deadline, so the block starts are the
-    orbit of 0 under nxt (n is its fixed point). nxt[i] = i + batch_size
-    exactly where the batch_size-th member is due by the deadline, the
-    comparison a right-side search makes, so the deadline is searched for
-    only where the timeout binds. Pointer doubling finds the orbit: after
-    k rounds jump = nxt^(2^k) and starts holds nxt^j(0) for j < 2^k, in
-    increasing order.
+    A start p is late when its batch_size-th member is missing or arrives
+    after p's deadline; its block then ends before s(p), the first arrival
+    past the deadline (the comparison a right-side search makes), and s(p)
+    is searched for only there. Any other start holds a full block, so from
+    any start the blocks run in strides of batch_size up to the first late
+    start in the same residue class mod batch_size, or up to n. That late
+    start is s(p) itself unless s(p) is not late, and only then is its
+    residue class searched. Pointer doubling over the late starts finds the
+    ones reached from 0, and each stride run between them expands by a
+    cumulative sum. Where the timeout binds at most starts, doubling over
+    every start costs less than the run bookkeeping and is used instead.
     """
     n = len(times)
-    batch_size = min(batch_size, n + 1)  # a larger batch never fills: same cuts
-    jump = np.append(np.arange(batch_size, n + batch_size), n)  # nxt, then n
-    # the timeout binds where the batch_size-th member (+inf past the end) is late
-    last = np.append(times[batch_size - 1:], np.full(batch_size - 1, np.inf))
-    late = last > times + BATCH_TIMEOUT_S
-    jump[:n][late] = np.searchsorted(times, times[late] + BATCH_TIMEOUT_S, side="right")
-    starts = np.zeros(1, dtype=np.intp)
-    while (starts := np.concatenate((starts, jump[starts])))[-1] < n:
-        jump = jump[jump]
-    starts = starts[: np.searchsorted(starts, n)]
-    sizes = np.diff(starts, append=n)
-    # a full block cuts at its last member; a partial one at its deadline
-    cut_times = np.where(sizes == batch_size, times[starts + sizes - 1],
-                         times[starts] + BATCH_TIMEOUT_S)
+    m = min(batch_size, n + 1)  # a larger batch never fills: same cuts
+    rows = n // m + 1
+    # late[n] stands for the end of the stream; the (rows, m) grid puts each
+    # residue class in a column
+    late = np.zeros(rows * m, dtype=bool)
+    late[n - m + 1 : n + 1] = True
+    np.greater(times[m - 1:], times[: n - m + 1] + BATCH_TIMEOUT_S, out=late[: n - m + 1])
+    pos = np.flatnonzero(late)  # the late starts, then n
+    k = len(pos) - 1
+    # node 0 enters the stream at 0, node j in 1..k is the late start
+    # pos[j - 1] and node k + 1 the end; dest is where each node's stride
+    # run starts (s(p) for a late start)
+    deadline = np.empty(k + 2)
+    deadline[0], deadline[-1] = -np.inf, np.inf
+    np.take(times, pos[:-1], out=deadline[1:-1], mode="clip")  # "clip": no copy
+    deadline[1:-1] += BATCH_TIMEOUT_S
+    dest = np.searchsorted(times, deadline, side="right")
+    del deadline
+    if 2 * k > n:
+        # the timeout binds at most starts: double over every position
+        jump = np.arange(m, n + m + 1)
+        jump[pos] = dest[1:]  # and n to itself
+        del pos, dest
+        starts = _orbit(jump, n)
+        sizes = np.diff(starts, append=n)
+        cut_times = np.where(late[starts], times[starts] + BATCH_TIMEOUT_S,
+                             times[starts + sizes - 1])
+        return cut_times, starts, sizes
+    # a run from a start that is not late ends at the next late start (or n)
+    # in its column: found on the late grid's positions in (p mod m, p) order
+    miss = np.flatnonzero(~late[dest])
+    if len(miss):
+        keys = np.flatnonzero(late.reshape(rows, m).T)
+        found = keys[np.searchsorted(keys, dest[miss] % m * rows + dest[miss] // m)]
+        del keys
+        miss_end = found % rows * m + found // rows
+    if (dest[0] if late[0] else miss_end[0]) == n:
+        # the stride run from 0 (dest[0]) reaches no late start: every block is full
+        return times[m - 1 :: m].copy(), np.arange(0, n, m), np.full(n // m, m, dtype=np.intp)
+    # the node of each late start and of n, by position; a miss reads an
+    # unset entry and is overwritten below
+    node = np.empty(n + 1, dtype=np.intp)
+    node[pos] = np.arange(1, k + 2)
+    jump = node[dest]
+    if len(miss):
+        jump[miss] = node[miss_end]
+    del node
+    orbit = _orbit(jump, k + 1)
+    # run i goes from dest[orbit[i]] in strides of m up to the next late start
+    # on the orbit, the last one up to n
+    run_start = dest[orbit]
+    run_end = pos[np.append(orbit[1:], k + 1) - 1]
+    lens = (run_end - run_start) // m
+    lens[:-1] += 1
+    at_late = np.cumsum(lens[:-1]) - 1  # the block of each late start on the orbit
+    late_start = run_end[:-1]
+    sizes = np.full(lens.sum(), m, dtype=np.intp)
+    sizes[at_late] = run_start[1:] - late_start
+    last = np.cumsum(sizes)  # one past each block, then its last member
+    starts = last - sizes
+    last -= 1
+    # a full block cuts at its last member; a late one at its deadline
+    cut_times = times[last]
+    cut_times[at_late] = times[late_start] + BATCH_TIMEOUT_S
     return cut_times, starts, sizes
 
 
@@ -136,7 +204,9 @@ def simulate_pipeline(
     routed = rng.random(n_tx) < cfg.q01
     arrive1, n0_horizon = d0_depart[routed], d0_depart[-1]
     sojourn0 = np.subtract(d0_depart, arrivals, out=d0_depart)
-    d0_mean, n0_time_avg = float(sojourn0.mean()), float(sojourn0.sum() / n0_horizon)
+    # each sojourn is summed once; its mean is that sum over the count, as in mean()
+    sum0 = float(sojourn0.sum())
+    d0_mean, n0_time_avg = sum0 / n_tx, sum0 / float(n0_horizon)
     # the stage feed adds each transaction's endorsement sojourn, the block
     # feed subtracts its arrival
     routed_col = (sojourn0 if commit_feed == STAGE_FEED else arrivals)[routed]
@@ -169,17 +239,18 @@ def simulate_pipeline(
         sojourn2 = np.repeat(np.subtract(block_depart, release, out=release), sizes)
         confirmation = np.repeat(block_depart, sizes) - routed_col
 
+    sum2 = float(sojourn2.sum())
     n_valid = int((rng.random(n_routed) < cfg.q23).sum())
     return PipelineStats(
         n_routed=n_routed,
         n_valid=n_valid,
         d0_mean=d0_mean,
         d1_mean=float(d1.mean()),
-        d2_mean=float(sojourn2.mean()),
+        d2_mean=sum2 / n_routed,
         confirmation_mean=float(confirmation.mean()),
         confirmation_std=float(confirmation.std()),
         n0_time_avg=n0_time_avg,
-        n2_time_avg=float(sojourn2.sum() / horizon),
+        n2_time_avg=sum2 / float(horizon),
         throughput_valid=n_valid / float(horizon),
     )
 

@@ -158,6 +158,8 @@ def _stream(kind, n=20_000):
         return np.cumsum(rng.exponential(1.0 / 33.5, n))
     if kind == "grid":  # 1/64 s ticks: ties, and arrivals exactly on a deadline
         return np.cumsum(rng.integers(0, 48, n)) / 64.0
+    if kind == "mixed":  # the timeout binds at about 45 % of the starts at batch size 2
+        return np.cumsum(rng.exponential(1.0 / 0.4, n))
     # bursts separated by gaps longer than the timeout
     return np.cumsum(rng.exponential(1.0 / 33.5, n) * np.where(rng.random(n) < 0.02, 200.0, 1.0))
 
@@ -165,9 +167,54 @@ def _stream(kind, n=20_000):
 # 2**63 - 1 and 10**20: batches that never fill, past where i + batch_size
 # fits in int64
 @pytest.mark.parametrize("batch_size", [1, 2, 3, 10, 67, 100, 1000, 2**63 - 1, 10**20])
-@pytest.mark.parametrize("kind", ["poisson", "grid", "gaps"])
+@pytest.mark.parametrize("kind", ["poisson", "grid", "gaps", "mixed"])
 def test_cutter_matches_block_loop(kind, batch_size):
     assert_cuts_match_loop(_stream(kind), batch_size)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    # from a timeout at nearly every start to none at all
+    rate=st.floats(min_value=0.05, max_value=100.0),
+    n=st.integers(min_value=0, max_value=400),
+    batch_size=st.integers(min_value=1, max_value=70),
+)
+@settings(deadline=None, max_examples=300)
+def test_property_cutter_matches_block_loop(seed, rate, n, batch_size):
+    times = np.cumsum(np.random.default_rng(seed).exponential(1.0 / rate, n))
+    assert_cuts_match_loop(times, batch_size)
+
+
+@pytest.mark.parametrize("batch_size", [2, 7, 10, 64])
+def test_full_block_run_ends_at_the_end_of_the_stream(batch_size):
+    # a lone first arrival is cut at its deadline, which moves the blocks into
+    # residue class 1; n = 1 mod batch_size leaves that class no late start,
+    # so full blocks run from 1 up to n
+    n = 100 * batch_size + 1
+    times = np.append(0.0, 10.0 + np.arange(n - 1) / (4.0 * batch_size))
+    assert_cuts_match_loop(times, batch_size)
+    _, starts, sizes = _cut_batches(times, batch_size)
+    assert sizes.tolist() == [1] + [batch_size] * 100
+    # a gap past the timeout just before an arrival in class 1 makes a late
+    # start in every other class, which the run from 1 passes by
+    times[1 + 50 * batch_size :] += 3.0
+    assert_cuts_match_loop(times, batch_size)
+    assert _cut_batches(times, batch_size)[2].tolist() == [1] + [batch_size] * 100
+
+
+def _held_bytes(a):
+    """Bytes of the buffer that an array keeps alive."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes
+
+
+@pytest.mark.parametrize("batch_size", [1, 10, 100])
+@pytest.mark.parametrize("kind", ["poisson", "mixed"])
+def test_cutter_outputs_hold_no_larger_buffer(kind, batch_size):
+    # simulate_pipeline keeps the block starts and sizes for the rest of a run
+    for out in _cut_batches(_stream(kind, 200_000), batch_size):
+        assert _held_bytes(out) == out.nbytes
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 10, 1000])
