@@ -1,10 +1,11 @@
 """Batch command-line entry point.
 
-Subcommands: analyze (queueing sweeps), simulate (scenario runs),
-preset (canned experiments), ledger-verify / ledger-export, and compare
-(pipeline simulator vs closed forms). One seed drives all randomness;
-outputs are written atomically, and a malformed config exits before any
-file is touched. RCCHAIN_OUT overrides --out when set.
+Subcommands: analyze (queueing sweeps), simulate (scenario runs; their
+outputs include the ledger export), preset (canned experiments),
+ledger-verify, and compare (pipeline simulator vs closed forms). One
+seed drives all randomness; outputs are written atomically, and a
+malformed config exits before any file is touched. RCCHAIN_OUT
+overrides --out when set.
 
 Exit codes: 0 success, 2 config error, 3 instability refusal,
 4 integrity failure, 5 preset assertion failure, 6 unreadable input or
@@ -31,7 +32,7 @@ from .queueing import (
 from .reputation import ReputationMode
 from .scenario import (ScenarioConfigError, _check_keys, _number, _require, _shape_checked,
                        from_doc, load_scenario_config, run_scenario)
-from .ledger import export_files, verify_export_lines
+from .ledger import verify_export_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,7 +104,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args, ledger_only: bool = False) -> int:
+def cmd_simulate(args) -> int:
     cfg = load_scenario_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -111,10 +112,6 @@ def cmd_simulate(args, ledger_only: bool = False) -> int:
         cfg = dataclasses.replace(cfg, mode=ReputationMode(args.mode))
     out = _out_dir(args)
     report = run_scenario(cfg)
-    if ledger_only:
-        write_files(out, export_files(report.chain))
-        print(f"wrote ledger export to {out} ({report.chain.tip.number} blocks)")
-        return EXIT_OK
     report.write_outputs(out)
     s = report.summary
     print(
@@ -202,9 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("analyze", cmd_analyze, "closed-form queueing sweep",
             "--config", "--out", "--format", "--orderer-mode")
     command("simulate", cmd_simulate, "run a scenario config",
-            "--config", "--out", "--seed", "--mode")
-    command("ledger-export", lambda a: cmd_simulate(a, ledger_only=True),
-            "run a scenario, write only the ledger",
             "--config", "--out", "--seed", "--mode")
 
     p = command("preset", cmd_preset, "run a canned experiment", "--out", "--seed")

@@ -52,6 +52,7 @@ from typing import Iterable, Optional
 
 ZERO_HASH = bytes(32)
 CA_SECRET = b"rcchain-ca"  # the certificate authority's key for every identity's key tag
+BATCH_TIMEOUT_S = 2.0  # Fabric's default BatchTimeout: OrderingConfig's and the DES's
 
 ROLES = frozenset({"client", "endorsing_peer", "orderer"})
 
@@ -323,7 +324,7 @@ def check_policy(tx: EndorsedTransaction, policy: EndorsementPolicy) -> bool:
 @dataclass(frozen=True)
 class OrderingConfig:
     batch_size: int = 10
-    batch_timeout_s: float = 2.0
+    batch_timeout_s: float = BATCH_TIMEOUT_S
 
     def __post_init__(self):
         if self.batch_size < 1:

@@ -40,11 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .queueing import QueueNetworkConfig, performance, utilizations
+from .ledger import BATCH_TIMEOUT_S
+from .queueing import QueueNetworkConfig, performance, solve_traffic, utilizations
 
 STAGE_FEED = "stage"
 BLOCK_FEED = "block"
-BATCH_TIMEOUT_S = 2.0  # OrderingConfig's default batch timeout
 MAX_N_TX = 10_000_000  # most arrivals one run may simulate
 
 
@@ -183,8 +183,8 @@ def check_run(cfg: QueueNetworkConfig, n_tx: int, commit_feed: str) -> None:
     r0, _, r2, _ = utilizations(cfg)
     if r0 >= 1.0 or r2 >= 1.0:
         raise ValueError("endorsement or commitment station is saturated")
-    if cfg.q01 <= 0.0:
-        raise ValueError("no traffic reaches ordering (q01 = 0)")
+    if solve_traffic(cfg)[1] == 0:  # performance's rule: q01 = 0 or lambda0 = 0
+        raise ValueError("no traffic reaches the orderer (Lambda1 = 0)")
 
 
 def simulate_pipeline(

@@ -171,8 +171,9 @@ class ReputationLedger:
         return _beta_score(rec, rec[2] if now is None else now, self.params)
 
     def record_rating(self, event: RatingEvent) -> None:
-        """Decay the pair's weights to the rating's timestamp and add it;
-        the pair's direct score is refreshed when `direct` is next read."""
+        """Decay the pair's weights to the rating's timestamp, add it and
+        count the ratee's trade: one rating is one completed trade. The
+        pair's direct score is refreshed when `direct` is next read."""
         rater, ratee, t = event.rater, event.ratee, event.timestamp
         rec = self._rated.get(rater, _NONE).get(ratee)
         if rec is None:
@@ -191,12 +192,7 @@ class ReputationLedger:
         rec[4] += 1
         self._stale[(rater, ratee)] = rec
         self._spread.pop(ratee, None)
-
-    def record_trade(self, vehicle: VehicleId) -> None:
-        self.trade_count[vehicle] += 1
-
-    def get_status(self, vehicle: VehicleId) -> Status:
-        return self.status.get(vehicle, Status.NORMAL)
+        self.trade_count[ratee] += 1
 
 
 def _decay_overflow(now: float, params: TpfsParams) -> ValueError:
@@ -426,13 +422,6 @@ def status_transition(current: Status, rfin: float, params: TpfsParams) -> Statu
     if rfin < params.t_service:
         return Status.WARNING
     return Status.NORMAL
-
-
-def classify_status(vehicle: VehicleId, rfin: float, ledger: ReputationLedger) -> Status:
-    """Apply the status step to the ledger and return the new status."""
-    new = status_transition(ledger.get_status(vehicle), rfin, ledger.params)
-    ledger.status[vehicle] = new
-    return new
 
 
 def score_groups(score: Callable[..., list[float]], ledger: ReputationLedger, rater: VehicleId,

@@ -58,11 +58,11 @@ from .reputation import (
     ReputationMode,
     Status,
     TpfsParams,
-    classify_status,
     evaluate_pair,
     score_candidates,
     score_groups,
     select_server,
+    status_transition,
 )
 
 SECONDS_PER_MINUTE = 60.0
@@ -652,7 +652,7 @@ class _Engine:
         # a valid rating is already applied when this resumes: apply_block runs first
         if not (yield "reputation_update", rating_payload(event, self._rep_seq), requester):
             return
-        if self.reputation.get_status(server) is Status.REVOKED:
+        if status.get(server) is Status.REVOKED:
             self.ca.revoke(server)  # certificate out, re-registration barred
         record.t_commit_min = self.now / SECONDS_PER_MINUTE
 
@@ -687,16 +687,16 @@ def apply_reputation_update(
     mode: ReputationMode,
     trajectories: Optional[list] = None,
 ) -> None:
-    """Record a committed rating, bump the server's trade count, refresh
-    the final score, and step the status machine, all at the rating's own
+    """Record a committed rating (which counts the server's trade), refresh
+    the final score, and step the server's status, all at the rating's own
     timestamp."""
-    now_min = event.timestamp
+    now_min, ratee = event.timestamp, event.ratee
     ledger.record_rating(event)
-    ledger.record_trade(event.ratee)
-    rfin = evaluate_pair(ledger, event.rater, event.ratee, mode, now_min)
-    status = classify_status(event.ratee, rfin, ledger)
+    rfin = evaluate_pair(ledger, event.rater, ratee, mode, now_min)
+    status = ledger.status[ratee] = status_transition(
+        ledger.status.get(ratee, Status.NORMAL), rfin, ledger.params)
     if trajectories is not None:
-        trajectories.append(TrajectoryRecord(now_min, event.rater, event.ratee, mode.value,
+        trajectories.append(TrajectoryRecord(now_min, event.rater, ratee, mode.value,
                                              rfin, status.value))
 
 

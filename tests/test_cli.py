@@ -354,10 +354,21 @@ def test_analyze_rejects_coerced_numbers(key, value, tmp_path):
     assert not out.exists()
 
 
-def test_ledger_export_writes_only_ledger(scenario_path, tmp_path):
-    out = str(tmp_path / "led")
-    assert main(["ledger-export", "--config", scenario_path, "--out", out]) == EXIT_OK
-    assert sorted(os.listdir(out)) == ["ledger.jsonl", "world_state.json"]
+def test_simulate_writes_exactly_the_six_outputs(scenario_path, tmp_path):
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--config", scenario_path, "--out", out]) == EXIT_OK
+    assert sorted(os.listdir(out)) == ["ledger.jsonl", "missions.csv", "perf.csv",
+                                       "reputation.csv", "summary.json", "world_state.json"]
+
+
+def test_ledger_export_is_a_usage_error(scenario_path, tmp_path, capsys):
+    """simulate writes the ledger export; there is no second command for it."""
+    out = tmp_path / "led"
+    with pytest.raises(SystemExit) as exc:
+        main(["ledger-export", "--config", scenario_path, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'ledger-export'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_preset_unknown_name_lists_available(tmp_path, capsys):
@@ -490,8 +501,6 @@ def test_simulate_mode_override(scenario_path, tmp_path):
     ["analyze", "--config", "grid.json", "--mode", "TPFS"],
     ["simulate", "--config", "s.json", "--format", "json"],
     ["simulate", "--config", "s.json", "--orderer-mode", "literal_eq19"],
-    ["ledger-export", "--config", "s.json", "--format", "json"],
-    ["ledger-export", "--config", "s.json", "--orderer-mode", "literal_eq19"],
     ["preset", "neighbor-sweep", "--format", "json"],
     ["preset", "neighbor-sweep", "--mode", "TPFS"],
     ["preset", "neighbor-sweep", "--orderer-mode", "literal_eq19"],
@@ -507,18 +516,16 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--config", "{dir}", "--out", "{out}"],
-    ["ledger-export", "--config", "{scenario}", "--out", "{file}"],
     ["analyze", "--config", "{dir}", "--out", "{out}"],
     ["preset", "neighbor-sweep", "--out", "{file}"],
     ["compare", "--n-tx", "1000", "--out", "{file}"],
 ], ids=lambda argv: argv[0])
-def test_unreadable_input_or_unwritable_output_exits_6(argv, scenario_path, tmp_path, capsys):
+def test_unreadable_input_or_unwritable_output_exits_6(argv, tmp_path, capsys):
     """A --config that names a directory, or an --out that names an
     existing file, is one line on stderr and exit 6, not a traceback."""
     taken = tmp_path / "taken"
     taken.write_text("")
-    paths = {"dir": str(tmp_path), "out": str(tmp_path / "out"), "file": str(taken),
-             "scenario": scenario_path}
+    paths = {"dir": str(tmp_path), "out": str(tmp_path / "out"), "file": str(taken)}
     assert main([arg.format(**paths) for arg in argv]) == EXIT_IO
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 1
@@ -527,11 +534,10 @@ def test_unreadable_input_or_unwritable_output_exits_6(argv, scenario_path, tmp_
 
 @pytest.mark.parametrize("argv,runner", [
     (["simulate", "--config", "{scenario}"], (rcchain.cli, "run_scenario")),
-    (["ledger-export", "--config", "{scenario}"], (rcchain.cli, "run_scenario")),
     (["preset", "neighbor-sweep"], (rcchain.presets, "run_preset")),
     (["analyze", "--config", "{grid}"], (rcchain.cli, "sweep")),
     (["compare", "--n-tx", "1000"], (rcchain.pipeline_des, "simulate_pipeline")),
-], ids=["simulate", "ledger-export", "preset", "analyze", "compare"])
+], ids=["simulate", "preset", "analyze", "compare"])
 def test_unwritable_out_fails_before_the_run(argv, runner, scenario_path, grid_path, tmp_path,
                                              monkeypatch):
     """The output directory is made once the input is accepted and before
@@ -552,7 +558,6 @@ import sys
 from rcchain.cli import main
 scenario, grid, out = sys.argv[1:]
 for argv in (["simulate", "--config", scenario, "--out", out + "/sim"],
-             ["ledger-export", "--config", scenario, "--out", out + "/export"],
              ["ledger-verify", out + "/sim/ledger.jsonl"],
              ["analyze", "--config", grid, "--out", out + "/grid"]):
     assert main(argv) == 0, argv

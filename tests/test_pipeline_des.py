@@ -319,6 +319,16 @@ def test_rejects_saturated_station():
         simulate_pipeline(QueueNetworkConfig(lambda0=200.0), 100, seed=0)
 
 
+@pytest.mark.parametrize("cfg", [QueueNetworkConfig(lambda0=0.0),
+                                 QueueNetworkConfig(lambda0=10.0, q01=0.0)],
+                         ids=["lambda0-0", "q01-0"])
+def test_rejects_no_traffic_into_ordering(cfg):
+    """Lambda1 = q01 * lambda0 = 0 is refused, as performance refuses it,
+    before the arrival draw divides by lambda0."""
+    with pytest.raises(ValueError, match="Lambda1 = 0"):
+        simulate_pipeline(cfg, 10, seed=1)
+
+
 def test_standard_error_halves_when_run_quadruples():
     # sqrt-n convergence of the confirmation-time sample mean
     cfg = CFG40

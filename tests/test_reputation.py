@@ -23,7 +23,6 @@ from rcchain.reputation import (
     Status,
     TpfsParams,
     blend_reputation,
-    classify_status,
     evaluate_pair,
     feedback_score,
     feedback_similarity,
@@ -399,8 +398,17 @@ def test_record_rating_revoked_ratee_still_recorded():
     led = ReputationLedger()
     led.status["j"] = Status.REVOKED
     rate(led, "i", "j", True, 1.0)
-    assert led.get_status("j") is Status.REVOKED
+    assert led.status.get("j") is Status.REVOKED
     assert led.has_interaction("i", "j")
+
+
+def test_record_rating_counts_the_ratees_trade():
+    """record_rating alone counts a trade: one committed rating is one trade."""
+    led = ReputationLedger()
+    rate(led, "i", "j", True, 1.0)
+    rate(led, "k", "j", False, 2.0)
+    rate(led, "j", "i", True, 3.0)
+    assert dict(led.trade_count) == {"j": 2, "i": 1}
 
 
 @given(st.integers(min_value=1, max_value=40))
@@ -422,17 +430,30 @@ def test_all_positive_history_converges_upward(n):
 # status machine
 # ---------------------------------------------------------------------------
 
-def test_classify_status_bands():
-    led = ReputationLedger()
-    assert classify_status("v", 0.9, led) is Status.NORMAL
-    assert classify_status("v", 0.3, led) is Status.WARNING
-    assert classify_status("v", 0.1, led) is Status.REVOKED
+def _apply_at(monkeypatch, led, rfin, t=0.0):
+    """apply_reputation_update of one rating about v, its final score pinned
+    at rfin; returns the reputation.csv row it appends."""
+    monkeypatch.setattr(scenario, "evaluate_pair", lambda *args: rfin)
+    rows = []
+    scenario.apply_reputation_update(led, RatingEvent("i", "v", True, t), ReputationMode.TPFS,
+                                     rows)
+    return rows[0]
 
 
-def test_revoked_is_absorbing():
+def test_apply_reputation_update_status_bands(monkeypatch):
+    for rfin, want in ((0.9, Status.NORMAL), (0.3, Status.WARNING), (0.1, Status.REVOKED)):
+        led = ReputationLedger()
+        row = _apply_at(monkeypatch, led, rfin)
+        assert led.status == {"v": want}
+        assert (row.rfin, row.status) == (rfin, want.value)
+        assert dict(led.trade_count) == {"v": 1}
+
+
+def test_revoked_is_absorbing(monkeypatch):
     led = ReputationLedger()
-    classify_status("v", 0.1, led)
-    assert classify_status("v", 0.9, led) is Status.REVOKED
+    _apply_at(monkeypatch, led, 0.1)
+    row = _apply_at(monkeypatch, led, 0.9, t=1.0)
+    assert led.status["v"] is Status.REVOKED and row.status == Status.REVOKED.value
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
