@@ -69,11 +69,11 @@ def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
         step = _number(lam.get("step", 10), "lambda0.step")
         if step <= 0:
             raise ScenarioConfigError("lambda0 step must be > 0")
-        if (stop - start) / step >= MAX_GRID_POINTS:
-            raise ScenarioConfigError(f"lambda0 range exceeds {MAX_GRID_POINTS} points")
         lambdas = []
         v = start
         while v <= stop + 1e-9:
+            if len(lambdas) == MAX_GRID_POINTS:  # also ends a step too small to move v
+                raise ScenarioConfigError(f"lambda0 range exceeds {MAX_GRID_POINTS} points")
             lambdas.append(v)
             v += step
     else:
@@ -126,6 +126,10 @@ def cmd_preset(args) -> int:
     from . import presets
     if args.name not in presets.PRESETS:
         print(f"unknown preset {args.name!r}; available: {', '.join(sorted(presets.PRESETS))}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    if args.name == "neighbor-sweep" and args.seed is not None:
+        print("preset neighbor-sweep takes no --seed: its outputs are the same for every seed",
               file=sys.stderr)
         return EXIT_CONFIG
     out = _out_dir(args)

@@ -1,10 +1,11 @@
 """Reputation scoring for a vehicular crowdsourcing consortium.
 
 Implements the TPFS trust model: confidence-weighted aggregation of
-neighbor recommendations into an indirect score, rating-profile
-similarity between two vehicles over the peers both have rated, and the
-blended final score, which score_candidates computes for a group of
-candidates in one pass over O(1) decayed per-pair state. Also houses the
+neighbor recommendations into an indirect score, the feedback
+similarity of two vehicles (1 - sqrt(mean squared tendency difference)
+over the peers both have rated, floored at simf_floor), and the blended
+final score, which score_candidates computes for a group of candidates
+in one pass over O(1) decayed per-pair state. Also houses the
 warning/revocation status machine and the two-group fair server selection.
 
 Two reduced variants of the model are kept for comparison runs:
@@ -26,14 +27,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from statistics import pstdev
 from typing import Callable, Iterable, Optional, Sequence
 
 VehicleId = str
 _NONE: dict = {}  # never written: the records of a vehicle with no ratings
-
-UNIFORM = "uniform"
-DEVIATION = "deviation"
 
 
 class ReputationMode(Enum):
@@ -72,7 +69,6 @@ class TpfsParams:
     simf_floor: float = 1e-6
     decay_per_minute: float = 0.98
     negative_penalty: float = 2.0
-    similarity_weighting: str = UNIFORM
 
     def __post_init__(self):
         if not 0.0 <= self.t_low < self.t_high <= 1.0:
@@ -91,8 +87,6 @@ class TpfsParams:
             raise ValueError("decay_per_minute must be in (0,1]")
         if self.negative_penalty < 1.0:
             raise ValueError("negative_penalty must be >= 1")
-        if self.similarity_weighting not in (UNIFORM, DEVIATION):
-            raise ValueError(f"unknown similarity weighting {self.similarity_weighting!r}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,6 @@ class ReputationLedger:
         self.params = params or TpfsParams()
         self._direct: dict[tuple[VehicleId, VehicleId], float] = {}
         self._stale: dict[tuple[VehicleId, VehicleId], list] = {}  # rated since `direct` was read
-        self._spread: dict[VehicleId, float] = {}  # per ratee, until it is next rated
         self.trade_count: dict[VehicleId, int] = defaultdict(int)
         self.status: dict[VehicleId, Status] = {}
         self._rated: dict[VehicleId, dict[VehicleId, list]] = {}  # rater -> ratee -> record
@@ -154,15 +147,6 @@ class ReputationLedger:
         """feedback_score of the pair's rating counts, read in O(1)."""
         rec = self._rated[rater][ratee]
         return feedback_score(rec[3], rec[4] - rec[3])
-
-    def _feedback_spread(self, q: VehicleId) -> float:
-        """Population std of the feedback scores q has received (0 with
-        fewer than two raters), kept until q is next rated."""
-        spread = self._spread.get(q)
-        if spread is None:
-            scores = [self._feedback(v, q) for v in self.raters_of(q)]
-            spread = self._spread[q] = pstdev(scores) if len(scores) > 1 else 0.0
-        return spread
 
     def direct_score(self, rater: VehicleId, ratee: VehicleId, now: float | None = None) -> float:
         rec = self._rated.get(rater, _NONE).get(ratee)
@@ -191,7 +175,6 @@ class ReputationLedger:
         rec[3] += event.positive
         rec[4] += 1
         self._stale[(rater, ratee)] = rec
-        self._spread.pop(ratee, None)
         self.trade_count[ratee] += 1
 
 
@@ -277,29 +260,18 @@ def feedback_similarity(
     j: VehicleId,
     ledger: ReputationLedger,
 ) -> Optional[float]:
-    """Weighted-Euclidean similarity of the two vehicles' rating profiles
-    over the peers both have rated; None when they share no ratees.
-
-    Uniform ledger.params.similarity_weighting spreads weight equally;
-    deviation uses the population std of each shared ratee's received
-    feedback scores, normalized (falling back to uniform when all stds
-    are zero).
-    """
-    params = ledger.params
+    """1 - sqrt(mean squared tendency difference) of the two vehicles'
+    feedback scores over the peers both have rated, floored at
+    ledger.params.simf_floor; None when they share no ratees."""
     common = sorted(ledger._rated.get(i, _NONE).keys() & ledger._rated.get(j, _NONE).keys())
     if not common:
         return None
-    if params.similarity_weighting == DEVIATION:
-        raw = [ledger._feedback_spread(q) for q in common]
-        total = sum(raw)
-        weights = [w / total for w in raw] if total > 0 else [1.0 / len(common)] * len(common)
-    else:
-        weights = [1.0 / len(common)] * len(common)
+    w = 1.0 / len(common)
     dispersion = 0.0
-    for q, w in zip(common, weights):
+    for q in common:
         diff = ledger._feedback(i, q) - ledger._feedback(j, q)
         dispersion += w * diff * diff
-    return max(params.simf_floor, 1.0 - math.sqrt(dispersion))
+    return max(ledger.params.simf_floor, 1.0 - math.sqrt(dispersion))
 
 
 def local_confidence(simf: float, params: TpfsParams) -> float:

@@ -120,10 +120,12 @@ def run_capped(*args):
     {"start": 10, "stop": 20, "step": -5},
     {"start": 10, "stop": float("inf"), "step": 10},
     {"start": 0, "stop": 1e12, "step": 0.001},
-], ids=["step-zero", "step-negative", "stop-infinity", "huge-range"])
+    {"start": 1e20, "stop": 1e20, "step": 1},
+], ids=["step-zero", "step-negative", "stop-infinity", "huge-range", "step-vanishes"])
 def test_analyze_rejects_endless_grid(tmp_path, lambda0):
     """A grid that never reaches its stop, or has more points than
-    MAX_GRID_POINTS, is a config error. The command runs in a child
+    MAX_GRID_POINTS, is a config error; so is a step too small to change
+    the float it is added to. The command runs in a child
     process under a memory cap and a timeout, so an endless or huge grid
     loop fails the test instead of hanging it."""
     cfg = tmp_path / "grid.json"
@@ -151,6 +153,19 @@ def test_simulate_rejects_unbounded_poisson_arrivals(tmp_path):
     proc = run_capped("simulate", "--config", str(cfg), "--out", str(out))
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "rate_per_min" in proc.stderr
+    assert not out.exists()
+
+
+def test_simulate_refuses_the_removed_similarity_weighting(tmp_path, capsys):
+    """TPFS has one feedback-similarity rule, so tpfs.similarity_weighting
+    is an unknown key, even at its old default."""
+    config = tmp_path / "weighted.json"
+    config.write_text(json.dumps({**EXAMPLE, "tpfs": {"similarity_weighting": "uniform"}}))
+    out = tmp_path / "never"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "similarity_weighting" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -379,11 +394,21 @@ def test_preset_unknown_name_lists_available(tmp_path, capsys):
 
 def test_preset_runs_and_is_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "p1"), str(tmp_path / "p2")
-    assert main(["preset", "neighbor-sweep", "--out", out1, "--seed", "7"]) == EXIT_OK
-    assert main(["preset", "neighbor-sweep", "--out", out2, "--seed", "7"]) == EXIT_OK
+    assert main(["preset", "neighbor-sweep", "--out", out1]) == EXIT_OK
+    assert main(["preset", "neighbor-sweep", "--out", out2]) == EXIT_OK
     a = Path(out1, "neighbor_sweep.csv").read_bytes()
     b = Path(out2, "neighbor_sweep.csv").read_bytes()
     assert a == b
+
+
+def test_neighbor_sweep_refuses_a_seed(tmp_path, capsys):
+    """neighbor-sweep draws nothing, so a --seed it would ignore is a
+    config error, refused before --out is made."""
+    out = tmp_path / "never"
+    assert main(["preset", "neighbor-sweep", "--out", str(out), "--seed", "7"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--seed" in err
+    assert not out.exists()
 
 
 def test_compare_writes_deviation_table(tmp_path):

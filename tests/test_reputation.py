@@ -8,7 +8,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
-from statistics import pstdev
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +36,6 @@ from rcchain.reputation import (
 from rcchain.scenario import parse_scenario_config, run_scenario
 
 P = TpfsParams()
-P_DEVIATION = replace(P, similarity_weighting="deviation")
 
 
 def rate(ledger, rater, ratee, positive, t):
@@ -188,25 +186,14 @@ def test_similarity_no_common_raters_is_none():
 
 
 def test_similarity_symmetric_and_weighted():
-    for params in (P, P_DEVIATION):
-        led = ReputationLedger(params)
-        make_profiles(led, "i", "q1", 5, 0)
-        make_profiles(led, "j", "q1", 2, 3)
-        make_profiles(led, "i", "q2", 1, 1)
-        make_profiles(led, "j", "q2", 4, 1)
-        make_profiles(led, "x", "q1", 1, 4)   # extra rater fuels the deviation weights
-        make_profiles(led, "x", "q2", 2, 0)
-        a = feedback_similarity("i", "j", led)
-        b = feedback_similarity("j", "i", led)
-        assert a == pytest.approx(b, abs=1e-12)
-
-
-def test_similarity_deviation_uniform_fallback():
-    led = ReputationLedger(P_DEVIATION)
-    make_profiles(led, "i", "q1", 2, 0)
-    make_profiles(led, "j", "q1", 2, 0)  # single dispersion source, std=0
-    got = feedback_similarity("i", "j", led)
-    assert got == pytest.approx(1.0, abs=1e-12)
+    led = ReputationLedger()
+    make_profiles(led, "i", "q1", 5, 0)
+    make_profiles(led, "j", "q1", 2, 3)
+    make_profiles(led, "i", "q2", 1, 1)
+    make_profiles(led, "j", "q2", 4, 1)
+    a = feedback_similarity("i", "j", led)
+    b = feedback_similarity("j", "i", led)
+    assert a == pytest.approx(b, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -541,46 +528,18 @@ def test_final_reputation_always_in_range(ops, mode):
     assert 0.0 <= got <= 1.0
 
 
-def deviation_oracle_ledger(params):
-    # q1 carries all the deviation weight: its received scores {0.5, 0}
-    # have pstdev 0.25 while q2's {1, 1} have pstdev 0, so
-    # simf = 1 - sqrt(1.0 * (0.5 - 0)^2) = 0.5; uniform weights give
-    # simf = 1 - sqrt(0.5 * 0.25 + 0.5 * 0) = 1 - sqrt(0.125)
-    led = ReputationLedger(params)
+def test_evaluate_pair_reads_weighting_from_ledger():
+    # i and j share q1 (tendencies 0.5 and 0) and q2 (1 and 1), each
+    # weighted 1/2, so simf = 1 - sqrt(0.5 * 0.25 + 0.5 * 0) = 1 - sqrt(0.125);
+    # they never rate each other and nobody rates j, so the score is
+    # r * gamma with r = local_confidence(simf) = exp(1 - 1/simf)
+    led = ReputationLedger()
     make_profiles(led, "i", "q1", 3, 1)   # F = 0.5
     make_profiles(led, "j", "q1", 5, 5)   # F = 0
     make_profiles(led, "i", "q2", 4, 0)   # F = 1
     make_profiles(led, "j", "q2", 2, 0)   # F = 1
-    return led
-
-
-def test_similarity_deviation_weighted_hand_oracle():
-    got = feedback_similarity("i", "j", deviation_oracle_ledger(P_DEVIATION))
-    assert got == pytest.approx(0.5, abs=1e-12)
-
-
-def test_similarity_deviation_weight_follows_a_rating_after_a_read():
-    # x's negative rating of q2 makes q2's received scores {1, 1, -1},
-    # with pstdev sqrt(8)/3, so q2 takes a share of the weight after the
-    # spreads were first read
-    led = deviation_oracle_ledger(P_DEVIATION)
-    assert feedback_similarity("i", "j", led) == pytest.approx(0.5, abs=1e-12)
-    rate(led, "x", "q2", False, 1.0)
-    w1 = 0.25 / (0.25 + math.sqrt(8) / 3)
-    got = feedback_similarity("i", "j", led)
-    assert got == pytest.approx(1.0 - math.sqrt(w1 * 0.25), abs=1e-12)
-    unread = deviation_oracle_ledger(P_DEVIATION)
-    rate(unread, "x", "q2", False, 1.0)
-    assert feedback_similarity("i", "j", unread) == got
-
-
-def test_evaluate_pair_reads_weighting_from_ledger():
-    # i and j never rate each other and nobody rates j, so the score is
-    # r * gamma with r = local_confidence(simf) = exp(1 - 1/simf)
-    dev = evaluate_pair(deviation_oracle_ledger(P_DEVIATION), "i", "j", ReputationMode.TPFS, 0.0)
-    assert dev == pytest.approx(math.exp(1.0 - 1.0 / 0.5) * P.gamma, abs=1e-12)
-    uni = evaluate_pair(deviation_oracle_ledger(P), "i", "j", ReputationMode.TPFS, 0.0)
-    assert uni == pytest.approx(math.exp(1.0 - 1.0 / (1.0 - math.sqrt(0.125))) * P.gamma,
+    got = evaluate_pair(led, "i", "j", ReputationMode.TPFS, 0.0)
+    assert got == pytest.approx(math.exp(1.0 - 1.0 / (1.0 - math.sqrt(0.125))) * P.gamma,
                                 abs=1e-12)
 
 
@@ -674,18 +633,9 @@ def ref_feedback_similarity(i, j, ledger):
     common = sorted(ref_rated_by(ledger, i) & ref_rated_by(ledger, j))
     if not common:
         return None
-    if params.similarity_weighting == "deviation":
-        raw = []
-        for q in common:
-            scores = [ref_feedback_score(ref_profile(ledger, v, q))
-                      for v in sorted(ref_raters_of(ledger, q))]
-            raw.append(pstdev(scores) if len(scores) > 1 else 0.0)
-        total = sum(raw)
-        weights = [w / total for w in raw] if total > 0 else [1.0 / len(common)] * len(common)
-    else:
-        weights = [1.0 / len(common)] * len(common)
+    w = 1.0 / len(common)
     dispersion = 0.0
-    for q, w in zip(common, weights):
+    for q in common:
         diff = (ref_feedback_score(ref_profile(ledger, i, q))
                 - ref_feedback_score(ref_profile(ledger, j, q)))
         dispersion += w * diff * diff
@@ -786,8 +736,7 @@ def recorded_histories(draw):
     """A RefLedger holding a rating history under drawn params, its
     vehicle names, and query times before, at and after the last ratings."""
     names, events = draw(rating_histories())
-    params = replace(P, similarity_weighting=draw(st.sampled_from(["uniform", "deviation"])),
-                     decay_per_minute=draw(st.sampled_from([0.98, 0.7, 1.0])),
+    params = replace(P, decay_per_minute=draw(st.sampled_from([0.98, 0.7, 1.0])),
                      negative_penalty=draw(st.sampled_from([2.0, 1.0])))
     ledger = RefLedger(params)
     for e in events:
@@ -885,7 +834,7 @@ def test_identical_histories_score_bit_identical():
     # c1 and c2 receive the same ratings from the same raters at the same
     # times and rate the same ratees alike, so select_server's exact-tie
     # rule must see one score for both, whether scored alone or together
-    for params in (P, P_DEVIATION, replace(P, decay_per_minute=0.7)):
+    for params in (P, replace(P, decay_per_minute=0.7)):
         led = ReputationLedger(params)
         for t in range(1, 30):
             tf = t * 0.37
@@ -904,17 +853,15 @@ def test_identical_histories_score_bit_identical():
 
 @pytest.mark.parametrize("seed", [None, 7, 11])
 def test_engine_outputs_match_the_reference_evaluator(seed, monkeypatch):
-    """The example scenario in every mode and under the deviation
-    weighting, run once on score_candidates and once with the reference
-    evaluator patched into the scenario module: every output is
-    byte-identical except reputation.csv, whose rfin may move by 1e-12."""
+    """The example scenario in every mode, run once on score_candidates
+    and once with the reference evaluator patched into the scenario
+    module: every output is byte-identical except reputation.csv, whose
+    rfin may move by 1e-12."""
     doc = json.loads((Path(__file__).resolve().parent.parent
                       / "docs" / "scenario.example.json").read_text())
     if seed is not None:
         doc["seed"] = seed
-    variants = [{"mode": m.value} for m in ReputationMode]
-    variants.append({"tpfs": {"similarity_weighting": "deviation"}})
-    for variant in variants:
+    for variant in ({"mode": m.value} for m in ReputationMode):
         cfg = parse_scenario_config({**doc, **variant})
         got = run_scenario(cfg).output_files()
         with monkeypatch.context() as m:

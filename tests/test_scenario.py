@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import random
+import typing
 from enum import Enum
 from pathlib import Path
 
@@ -292,13 +293,10 @@ CITY_VARIANTS = {
     "TPFS": {},
     "TP_only": {"mode": "TP_only"},
     "TWSL_like": {"mode": "TWSL_like"},
-    "deviation": {"tpfs": {"similarity_weighting": "deviation"}},
 }
 
 
-# sha256 of every output file of city_doc per (variant, seed). The deviation
-# weighting gives the same files as the uniform one here: a ratee's raters
-# nearly always agree, so its feedback spread is 0 and the weights fall back.
+# sha256 of every output file of city_doc per (variant, seed).
 CITY_PINS = {
     ("TPFS", 1): {
         "ledger.jsonl": "ff55b1159e33b664225fd0448a136a675a2ade258fde3466a3b02ac1f2b229a8",
@@ -324,14 +322,6 @@ CITY_PINS = {
         "summary.json": "341760a1b848284c6caac83fb3539ae0d9a1b9a4f4dd47ef4b0bc52ff4bc85f8",
         "world_state.json": "0807bb037c6d19ec8f3cc8720f499432619a75e17b9e4c9cb2ada0261439af5f",
     },
-    ("deviation", 1): {
-        "ledger.jsonl": "ff55b1159e33b664225fd0448a136a675a2ade258fde3466a3b02ac1f2b229a8",
-        "missions.csv": "40a5ab3c25d1a0aec010be1ba925031fd52d62ad08510a9097e8c5eb15504764",
-        "perf.csv": "b920582dda781bca4eada96d99ebafbd77d8bb678d4f2665eea1585bd7b312bc",
-        "reputation.csv": "92e2161f8ded6401bd8996364b3f2f628149d8fe427d3bb03152893a659cd529",
-        "summary.json": "52a411fe9dbc249c7adaefe70d93d1a5410710425e5ba31402d77c8eb71a96eb",
-        "world_state.json": "ea692631bca51fc7a45775df1d0756d4b517fe9ed31347fcb00d4937d1507a6e",
-    },
     ("TPFS", 2): {
         "ledger.jsonl": "598f571f6cc78e957d8f3c86def8fa9794fd5fb697d26f529ddb90af8b7b7d26",
         "missions.csv": "63767242f7572f48adada5b22fa162930a42a50e6a88a023ebf149adc4e1a9e2",
@@ -355,14 +345,6 @@ CITY_PINS = {
         "reputation.csv": "3f175fcea445cf44416225d76835d42973263f17277721044538e36c8379a803",
         "summary.json": "5a46c1346064d167ff4d965a1ffd9bed77441b6b8b88bcabbf09d55ec73d487e",
         "world_state.json": "327a9d37c3b5b6c0404e8431947927152a736da0c1d49d804c35dc242733c799",
-    },
-    ("deviation", 2): {
-        "ledger.jsonl": "598f571f6cc78e957d8f3c86def8fa9794fd5fb697d26f529ddb90af8b7b7d26",
-        "missions.csv": "63767242f7572f48adada5b22fa162930a42a50e6a88a023ebf149adc4e1a9e2",
-        "perf.csv": "f94b18db08a090b9f12cac9b8acd4ee48468586ab3936a3efae85a95b779d22e",
-        "reputation.csv": "9b6735f6f08cece9f85a5dcfb8d327d55925ae47a1425ad860c94a8f906f0cfb",
-        "summary.json": "5b28856d6a0f3f1f68fc85a968d6ce63989588601971a4a21a422ca723809791",
-        "world_state.json": "d61ab8d8c7a85038fc5c3ba6cdefce3f24087af63d1d7bdedee52d5c3505aba8",
     },
 }
 
@@ -966,6 +948,37 @@ def config_value(cfg, path):
     for step in path:
         cfg = cfg[-1] if step == "[]" else getattr(cfg, step)
     return cfg.value if isinstance(cfg, Enum) else list(cfg) if isinstance(cfg, tuple) else cfg
+
+
+def parser_objects(cls, path=()):
+    """(path, field names) of cls and of each config dataclass it holds,
+    with schema_keys' path steps."""
+    hints = typing.get_type_hints(cls)
+    yield path, {f.name for f in dataclasses.fields(cls)}
+    for f in dataclasses.fields(cls):
+        tp, step = hints[f.name], path + (f.name,)
+        if typing.get_origin(tp) is tuple:
+            tp, step = typing.get_args(tp)[0], step + ("[]",)
+        if dataclasses.is_dataclass(tp):
+            yield from parser_objects(tp, step)
+
+
+def test_schema_and_parser_declare_the_same_keys():
+    """Every config object has the same keys in the schema as in the
+    dataclass the parser reads it through, but for the keys the parser
+    moves: ordering's orderer_count and crashed_orderers and faults'
+    unreachable_peers are ScenarioConfig fields."""
+    objects = [((), SCHEMA), *schema_keys(SCHEMA)]
+    objects += [(path + ("[]",), sub["items"]) for path, sub in objects if "items" in sub]
+    declared = {path: set(sub["properties"]) for path, sub in objects if "properties" in sub}
+    parsed = dict(parser_objects(scenario.ScenarioConfig))
+    moved = {("ordering",): {"orderer_count", "crashed_orderers"},
+             ("faults",): {"unreachable_peers"}}
+    for path, keys in moved.items():
+        parsed[()] -= keys
+        parsed[path] = parsed.get(path, set()) | keys
+    parsed[()].add("faults")
+    assert declared == parsed
 
 
 SCHEMA_DEFAULTS = [(path, sub["default"]) for path, sub in schema_keys(SCHEMA) if "default" in sub]
