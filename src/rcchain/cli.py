@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -69,13 +70,14 @@ def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
         step = _number(lam.get("step", 10), "lambda0.step")
         if step <= 0:
             raise ScenarioConfigError("lambda0 step must be > 0")
-        lambdas = []
-        v = start
-        while v <= stop + 1e-9:
-            if len(lambdas) == MAX_GRID_POINTS:  # also ends a step too small to move v
-                raise ScenarioConfigError(f"lambda0 range exceeds {MAX_GRID_POINTS} points")
-            lambdas.append(v)
-            v += step
+        if start + step == start:
+            raise ScenarioConfigError("lambda0 step is too small to move start")
+        # points start + k*step up to stop, counted rather than accumulated,
+        # with a billionth of a step of slack for the quotient's rounding
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_GRID_POINTS:  # also a span that overflows
+            raise ScenarioConfigError(f"lambda0 range exceeds {MAX_GRID_POINTS} points")
+        lambdas = [start + k * step for k in range(math.floor(max(span, -1.0)) + 1)]
     else:
         lambdas = [_number(x, "lambda0") for x in lam]
     batch_sizes = [_number(m, "batch_sizes", int) for m in doc.get("batch_sizes", [10, 50, 100])]

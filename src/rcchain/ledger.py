@@ -20,13 +20,18 @@ audit. Validation does each piece of work once per role: the replay's
 flag comparison is its only digest check, and a policy check hashes the
 result once and stops verifying as soon as the policy is met.
 
-Signatures are RFC 2104 HMAC-SHA256 tags keyed by each identity's key
-(the bytes of its hex key tag), computed from the identity's two pad
-states (SHA-256 over the key XOR ipad and XOR opad, derived once when
-the identity is built) and bit-equal to hmac.digest. Every digest
-hashes one framing, written by one b"".join: each field as its 4-byte
-big-endian length (from a table below 256), then its bytes. Hashing is
-bit-exact:
+Signatures are raw 32-byte RFC 2104 HMAC-SHA256 tags keyed by each
+identity's key (the bytes of its hex key tag), computed from the
+identity's two pad states (SHA-256 over the key XOR ipad and XOR opad,
+derived once when the identity is built) and bit-equal to hmac.digest;
+no signature is exported. Every digest hashes one framing: each field
+as its 4-byte big-endian length (from a table below 256), then its
+bytes. A transaction's bytes are framed once per object, from its own
+fields, and every role (endorser, client, committer, the audit's
+replay) hashes them anew: an endorsed transaction keeps its framed
+result, and a proposal keeps the framed (repr(created_at), nonce) tail
+of its id's preimage, whose kind and client id come pre-framed and
+whose payload is hashed where it lies. Hashing is bit-exact:
 - tx id = SHA-256 of the framed (kind, payload, client id,
   repr(created_at), nonce); ids are content digests, so the body hash
   pins every payload byte;
@@ -48,7 +53,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 ZERO_HASH = bytes(32)
 CA_SECRET = b"rcchain-ca"  # the certificate authority's key for every identity's key tag
@@ -99,25 +104,28 @@ class Identity:
     key_tag: str  # hex; the HMAC signing key
     inner: object = field(init=False, repr=False, compare=False)  # the key's HMAC pad states
     outer: object = field(init=False, repr=False, compare=False)
+    framed_id: bytes = field(init=False, repr=False, compare=False)  # id as tx ids frame it
 
     def __post_init__(self):
         inner, outer = _hmac_pads(bytes.fromhex(self.key_tag))
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "framed_id", _frame((self.id.encode(),)))
 
     def __reduce__(self):  # hash states do not pickle: rebuild them from the fields
         return Identity, (self.id, self.org, self.role, self.key_tag)
 
 
-def sign(identity: Identity, message: bytes) -> str:
+def sign(identity: Identity, message: bytes) -> bytes:
+    """The raw 32-byte HMAC-SHA256 tag of message under the identity's key."""
     inner = identity.inner.copy()
     inner.update(message)
     outer = identity.outer.copy()
     outer.update(inner.digest())
-    return outer.hexdigest()
+    return outer.digest()
 
 
-def verify_sig(identity: Identity, message: bytes, sig: str) -> bool:
+def verify_sig(identity: Identity, message: bytes, sig: bytes) -> bool:
     return hmac.compare_digest(sign(identity, message), sig)
 
 
@@ -175,13 +183,27 @@ def _frame(parts: Iterable[bytes]) -> bytes:
     return b"".join(out)
 
 
-def _tx_digest(kind: str, payload: bytes, client_id: str, created_at: float, nonce: int) -> str:
-    return hashlib.sha256(_frame((kind.encode(), payload, client_id.encode(),
-                                  repr(float(created_at)).encode(),
-                                  str(nonce).encode()))).hexdigest()
+_FRAMED_KINDS = {kind: _frame((kind.encode(),)) for kind in TX_KINDS}
 
 
-@dataclass(frozen=True)
+def _frame_tail(created_at: float, nonce: int) -> bytes:
+    """The last two fields of a tx id's preimage, framed."""
+    return _frame((repr(float(created_at)).encode(), str(nonce).encode()))
+
+
+def _tx_digest(kind: str, payload: bytes, framed_client: bytes, tail: bytes) -> str:
+    """SHA-256 of the framed (kind, payload, client id, repr(created_at),
+    nonce), hex. The parts are hashed where they lie: the payload is not
+    copied into a framing, and the kind and client id come pre-framed."""
+    h = hashlib.sha256(_FRAMED_KINDS.get(kind) or _frame((kind.encode(),)))
+    h.update(len(payload).to_bytes(4, "big"))
+    h.update(payload)
+    h.update(framed_client)
+    h.update(tail)
+    return h.hexdigest()
+
+
+@dataclass(frozen=True, slots=True)
 class TransactionProposal:
     tx_id: str
     kind: str
@@ -189,12 +211,19 @@ class TransactionProposal:
     client: Identity
     created_at: float
     nonce: int
-    client_sig: str
+    client_sig: bytes  # the client's tag over tx_id
+    # _frame_tail of this proposal's fields, derived once: never a
+    # caller's, so dataclasses.replace derives it again
+    _tail: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def digest_ok(self) -> bool:
-        return self.tx_id == _tx_digest(
-            self.kind, self.payload, self.client.id, self.created_at, self.nonce
-        )
+        """Whether tx_id is the digest of this proposal's content, hashed
+        anew on every call."""
+        tail = self._tail
+        if tail is None:
+            tail = _frame_tail(self.created_at, self.nonce)
+            object.__setattr__(self, "_tail", tail)
+        return self.tx_id == _tx_digest(self.kind, self.payload, self.client.framed_id, tail)
 
 
 def propose(
@@ -202,30 +231,45 @@ def propose(
 ) -> TransactionProposal:
     if kind not in TX_KINDS:
         raise ValueError(f"unknown transaction kind {kind!r}")
-    tx_id = _tx_digest(kind, payload, client.id, created_at, nonce)
-    return TransactionProposal(
-        tx_id=tx_id,
-        kind=kind,
-        payload=payload,
-        client=client,
-        created_at=created_at,
-        nonce=nonce,
-        client_sig=sign(client, tx_id.encode()),
-    )
+    tail = _frame_tail(created_at, nonce)
+    tx_id = _tx_digest(kind, payload, client.framed_id, tail)
+    prop = TransactionProposal(tx_id, kind, payload, client, created_at, nonce,
+                               sign(client, tx_id.encode()))
+    object.__setattr__(prop, "_tail", tail)  # the bytes just hashed
+    return prop
 
 
-@dataclass(frozen=True)
-class Endorsement:
+class Endorsement(NamedTuple):
     endorser: Identity
-    sig: str  # over the endorsed transaction's id + result hash
+    sig: bytes  # the endorser's tag over the transaction's signed_message()
 
 
-@dataclass(frozen=True)
+def _frame_result(read_set, write_set) -> bytes:
+    """The result hash's preimage: read count, then key and version per
+    read, write count, then key and value per write, framed."""
+    parts = [str(len(read_set)).encode()]
+    for key, version in read_set:
+        parts += (key.encode(), str(version).encode())
+    parts.append(str(len(write_set)).encode())
+    for key, value in write_set:
+        parts += (key.encode(), value.encode())
+    return _frame(parts)
+
+
+def _signed_message(tx_id: str, framed_result: bytes) -> bytes:
+    """What an endorser signs: the tx id and the hex result hash."""
+    return (tx_id + hashlib.sha256(framed_result).hexdigest()).encode()
+
+
+@dataclass(frozen=True, slots=True)
 class EndorsedTransaction:
     proposal: TransactionProposal
     read_set: tuple[tuple[str, int], ...]
     write_set: tuple[tuple[str, str], ...]
     endorsements: tuple[Endorsement, ...]
+    # _frame_result of the read and write sets, derived once: never a
+    # caller's, so dataclasses.replace derives it again
+    _result: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def tx_id(self) -> str:
@@ -234,6 +278,15 @@ class EndorsedTransaction:
     @property
     def kind(self) -> str:
         return self.proposal.kind
+
+    def signed_message(self) -> bytes:
+        """The message each endorsement must sign; the result is hashed
+        anew on every call."""
+        framed = self._result
+        if framed is None:
+            framed = _frame_result(self.read_set, self.write_set)
+            object.__setattr__(self, "_result", framed)
+        return _signed_message(self.proposal.tx_id, framed)
 
 
 def state_payload(key: str, value: str) -> bytes:
@@ -258,16 +311,6 @@ def simulate_execution(
     return ((key, version),), ((key, value),)
 
 
-def _result_hash(read_set, write_set) -> str:
-    parts = [str(len(read_set)).encode()]
-    for key, version in read_set:
-        parts += (key.encode(), str(version).encode())
-    parts.append(str(len(write_set)).encode())
-    for key, value in write_set:
-        parts += (key.encode(), value.encode())
-    return hashlib.sha256(_frame(parts)).hexdigest()
-
-
 def endorse(
     proposal: TransactionProposal,
     policy: EndorsementPolicy,
@@ -285,7 +328,8 @@ def endorse(
     if not proposal.digest_ok():
         raise ValueError("proposal content does not match its tx id")
     read_set, write_set = simulate_execution(proposal.kind, proposal.payload, world_state)
-    msg = (proposal.tx_id + _result_hash(read_set, write_set)).encode()
+    framed = _frame_result(read_set, write_set)
+    msg = _signed_message(proposal.tx_id, framed)
     wanted = dict.fromkeys(policy.required_orgs, policy.threshold)
     endorsements = []
     for peer in peers:
@@ -293,17 +337,14 @@ def endorse(
             raise ValueError(f"{peer.id} is not an endorsing peer")
         if wanted.get(peer.org) and peer.id not in unreachable:
             wanted[peer.org] -= 1
-            endorsements.append(Endorsement(endorser=peer, sig=sign(peer, msg)))
-    return EndorsedTransaction(
-        proposal=proposal,
-        read_set=read_set,
-        write_set=write_set,
-        endorsements=tuple(endorsements),
-    )
+            endorsements.append(Endorsement(peer, sign(peer, msg)))
+    tx = EndorsedTransaction(proposal, read_set, write_set, tuple(endorsements))
+    object.__setattr__(tx, "_result", framed)  # the bytes just hashed
+    return tx
 
 
 def check_policy(tx: EndorsedTransaction, policy: EndorsementPolicy) -> bool:
-    msg = (tx.tx_id + _result_hash(tx.read_set, tx.write_set)).encode()
+    msg = tx.signed_message()
     missing = dict.fromkeys(policy.required_orgs, policy.threshold)
     short = len(missing)  # required orgs still below the threshold
     for e in tx.endorsements:
@@ -333,8 +374,7 @@ class OrderingConfig:
             raise ValueError(f"batch_timeout_s must be >= 0, got {self.batch_timeout_s!r}")
 
 
-@dataclass(frozen=True)
-class PendingTx:
+class PendingTx(NamedTuple):
     submitted_at: float
     tx: EndorsedTransaction
 
@@ -437,6 +477,9 @@ def _validate_tx(
     return None
 
 
+_VALID = (True, None)  # the validity of every valid transaction, one shared tuple
+
+
 def validate_and_commit(
     candidate: BlockProposal, ledger: ChainLedger, policy: EndorsementPolicy
 ) -> Block:
@@ -456,7 +499,7 @@ def validate_and_commit(
                 _, version = ledger.world_state.get(key, ("", 0))
                 ledger.world_state[key] = (value, version + 1)
         ledger._seen_tx_ids.add(tx.tx_id)
-        validity.append((reason is None, reason))
+        validity.append(_VALID if reason is None else (False, reason))
     block = Block(candidate.number, candidate.prev_hash, candidate.txs,
                   body_hash(_results(candidate.txs, validity)), tuple(validity))
     ledger.blocks.append(block)

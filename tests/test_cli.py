@@ -137,6 +137,26 @@ def test_analyze_rejects_endless_grid(tmp_path, lambda0):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lambda0,count,last", [
+    ({"start": 0.7, "stop": 35000, "step": 0.7}, 50_000, 0.7 + 49_999 * 0.7),
+    ({"start": 0, "stop": 100, "step": 0.1}, 1_001, 100.0),
+    ({"start": 10, "stop": 110, "step": 10}, 11, 110.0),
+    ({"start": 10, "stop": 9.5, "step": 1}, 0, None),
+], ids=["drift-drops-stop", "drift-moves-values", "readme", "empty"])
+def test_analyze_grid_counts_its_points(lambda0, count, last):
+    """A start/stop/step grid is every start + k*step up to stop, counted
+    rather than accumulated, so float drift neither drops the stop point
+    nor moves the values; an empty range is still a config error."""
+    doc = {"lambda0": lambda0, "batch_sizes": [10]}
+    if not count:
+        with pytest.raises(ScenarioConfigError, match="lambda0"):
+            _parse_grid(doc, None)
+        return
+    _, lambdas, _ = _parse_grid(doc, None)
+    assert lambdas == [lambda0["start"] + k * lambda0["step"] for k in range(count)]
+    assert lambdas[-1] == last
+
+
 def test_simulate_rejects_unbounded_poisson_arrivals(tmp_path):
     """The example config at 10^7 missions/min for 60 min expects 6 x 10^8
     arrivals, far above MAX_EXPECTED_MISSIONS; the engine queues every

@@ -2,17 +2,19 @@
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import hmac
 import json
 import pickle
+import tracemalloc
 from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcchain import ledger
+from rcchain import ledger, presets
 from rcchain.ledger import (
     Block,
     BlockProposal,
@@ -28,7 +30,9 @@ from rcchain.ledger import (
     PendingTx,
     TransactionProposal,
     ZERO_HASH,
-    _result_hash,
+    _frame,
+    _frame_result,
+    _frame_tail,
     _tx_digest,
     check_policy,
     endorse,
@@ -62,6 +66,10 @@ def make_network(orgs=ORGS, endorsers_per_org=2):
 
 def payload(key, value):
     return json.dumps({"state_key": key, "state_value": value}).encode()
+
+
+def result_hash(read_set, write_set):
+    return hashlib.sha256(_frame_result(read_set, write_set)).hexdigest()
 
 
 def endorse_tx(client, peers, ledger, key, value, t=0.0, nonce=0, kind="qa_request"):
@@ -143,8 +151,8 @@ def test_endorse_deterministic_result_hash():
     a = endorse(prop, policy, peers, {})
     b = endorse(prop, policy, peers, {})
     assert a.endorsements[0].sig == b.endorsements[0].sig
-    rh = _result_hash(a.read_set, a.write_set)
-    assert rh == _result_hash(b.read_set, b.write_set)
+    rh = result_hash(a.read_set, a.write_set)
+    assert rh == result_hash(b.read_set, b.write_set)
     assert verify_sig(a.endorsements[0].endorser, (prop.tx_id + rh).encode(),
                       a.endorsements[0].sig)
     assert a.read_set == b.read_set and a.write_set == b.write_set
@@ -196,7 +204,7 @@ def check_policy_count_all(tx, policy):
     """Reference policy check: count every endorsement with a valid
     signature over the transaction's own id and result, per org, then
     compare."""
-    msg = (tx.tx_id + _result_hash(tx.read_set, tx.write_set)).encode()
+    msg = (tx.tx_id + result_hash(tx.read_set, tx.write_set)).encode()
     counts = Counter()
     for e in tx.endorsements:
         if verify_sig(e.endorser, msg, e.sig):
@@ -224,16 +232,16 @@ def test_property_check_policy_matches_count_all(required, threshold, picks):
     every_org = EndorsementPolicy(frozenset(POLICY_ORGS), threshold=3)  # all 12 peers sign
     prop = propose("qa_request", payload("k", "v"), client, 0.0)
     full = endorse(prop, every_org, peers, {})
-    msg = (prop.tx_id + _result_hash(full.read_set, full.write_set)).encode()
+    msg = (prop.tx_id + result_hash(full.read_set, full.write_set)).encode()
     other = endorse(propose("qa_request", payload("k", "v"), client, 0.0, nonce=1),
                     every_org, peers, {})
     endorsements = []
     for idx, flaw in picks:
         e = full.endorsements[idx]
         if flaw == "bad_sig":  # signed with another peer's key
-            e = dataclasses.replace(e, sig=sign(peers[(idx + 1) % len(peers)], msg))
+            e = e._replace(sig=sign(peers[(idx + 1) % len(peers)], msg))
         elif flaw == "wrong_result_hash":  # a validly signed different result
-            e = dataclasses.replace(e, sig=sign(e.endorser, (prop.tx_id + "0" * 64).encode()))
+            e = e._replace(sig=sign(e.endorser, (prop.tx_id + "0" * 64).encode()))
         elif flaw == "other_tx":  # a valid signature over another transaction's id
             e = other.endorsements[idx]
         endorsements.append(e)
@@ -245,7 +253,7 @@ def endorse_collect_all(proposal, policy, peers, world_state, unreachable=frozen
     """Reference endorsement: every reachable endorsing peer of every
     required org signs, however many the policy needs."""
     read_set, write_set = simulate_execution(proposal.kind, proposal.payload, world_state)
-    msg = (proposal.tx_id + _result_hash(read_set, write_set)).encode()
+    msg = (proposal.tx_id + result_hash(read_set, write_set)).encode()
     endorsements = tuple(
         Endorsement(endorser=peer, sig=sign(peer, msg))
         for peer in peers
@@ -297,7 +305,7 @@ def tx_digest_reference(kind, payload, client_id, created_at, nonce):
 @settings(deadline=None, max_examples=200)
 def test_property_tx_digest_matches_streaming_reference(kind, body, client_id, created_at,
                                                         nonce):
-    assert (_tx_digest(kind, body, client_id, created_at, nonce)
+    assert (_tx_digest(kind, body, _frame((client_id.encode(),)), _frame_tail(created_at, nonce))
             == tx_digest_reference(kind, body, client_id, created_at, nonce))
 
 
@@ -315,7 +323,84 @@ def test_result_hash_separates_naive_collisions(a, b):
     """Read and write sets that concatenate to the same string hash apart:
     counts and every field are length-prefixed."""
     assert naive_concat(*a) == naive_concat(*b)
-    assert _result_hash(*a) != _result_hash(*b)
+    assert result_hash(*a) != result_hash(*b)
+
+
+def unhashed(tx):
+    """A copy of tx built from its fields alone: nothing in it was framed
+    or hashed."""
+    p = tx.proposal
+    prop = TransactionProposal(p.tx_id, p.kind, p.payload, p.client, p.created_at, p.nonce,
+                               p.client_sig)
+    return EndorsedTransaction(prop, tx.read_set, tx.write_set, tx.endorsements)
+
+
+TX_TAMPERS = {
+    "payload": lambda tx: dataclasses.replace(
+        tx, proposal=dataclasses.replace(tx.proposal, payload=payload("k", "w"))),
+    "nonce": lambda tx: dataclasses.replace(
+        tx, proposal=dataclasses.replace(tx.proposal, nonce=tx.proposal.nonce + 1)),
+    "write_set": lambda tx: dataclasses.replace(tx, write_set=(("k", "w"),)),
+}
+
+
+def tamper_outcomes(tx, peers, policy, honest):
+    """Where a tampered transaction is caught: endorsing its proposal,
+    the client's policy check, its seal on a fresh chain, and the audit
+    of a chain that committed the honest one and had it swapped in."""
+    try:
+        endorse(tx.proposal, policy, peers, {})
+        endorsed = "endorsed"
+    except ValueError:
+        endorsed = "refused"
+    led = ChainLedger()
+    blk = commit(led, policy, [honest])
+    led.blocks[1] = dataclasses.replace(blk, txs=(tx,))
+    return (endorsed, check_policy(tx, policy), commit(ChainLedger(), policy, [tx]).validity,
+            verify_chain(led, policy))
+
+
+@pytest.mark.parametrize("tamper,caught", [
+    ("payload", ("refused", True, ((False, "structure"),), 1)),
+    ("nonce", ("refused", True, ((False, "structure"),), 1)),
+    ("write_set", ("endorsed", False, ((False, "policy"),), 1)),
+])
+def test_tamper_after_hashing_is_caught_as_before(tamper, caught):
+    """A transaction keeps its framed bytes, derived from its own fields:
+    replacing the payload, nonce or write set of one whose digests were
+    all computed (propose, endorse, the client's check, a commit) is
+    caught at endorse, at commit and by verify_chain exactly as on a copy
+    that was never hashed."""
+    _, peers, client, policy = make_network()
+    hashed = endorse_tx(client, peers, ChainLedger(), "k", "v", nonce=1)
+    assert check_policy(hashed, policy)
+    assert commit(ChainLedger(), policy, [hashed]).validity == ((True, None),)
+    fresh = unhashed(hashed)
+    assert tamper_outcomes(TX_TAMPERS[tamper](hashed), peers, policy, hashed) == caught
+    assert tamper_outcomes(TX_TAMPERS[tamper](fresh), peers, policy, hashed) == caught
+
+
+HELD_BYTES_PER_TX = 1497  # tracemalloc, at the commit before slots and raw tags
+
+
+def test_mirrored_transactions_fit_the_heap_budget():
+    """ROADMAP item 14: the ptype-field preset's ratings mirrored on chain
+    (17,000 transactions) hold no more heap per transaction than before
+    each object kept its framed bytes."""
+    events = presets._ptype_events()
+    presets._mirror_on_chain(events[:50], 1)  # first-call allocations are not per-tx
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chain = presets._mirror_on_chain(events, 1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_tx = sum(len(blk.txs) for blk in chain.blocks)
+    assert n_tx == len(events) == 17_000
+    assert held / n_tx <= HELD_BYTES_PER_TX, f"{held / n_tx:.0f} B/tx"
 
 
 def test_sign_calls_per_transaction(monkeypatch):
@@ -337,10 +422,10 @@ def test_sign_calls_per_transaction(monkeypatch):
 
 
 def test_sign_is_hmac_sha256_hex():
-    """RFC 4231 test case 1 pins the tag; CA key tags and signatures equal
-    the hmac.new(...).hexdigest() path."""
+    """RFC 4231 test case 1 pins the tag; CA key tags equal the
+    hmac.new(...).hexdigest() path and signatures its raw digest()."""
     rfc = Identity(id="rfc4231", org="org1", role="client", key_tag="0b" * 20)
-    assert sign(rfc, b"Hi There") == (
+    assert sign(rfc, b"Hi There") == bytes.fromhex(
         "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7")
     _, peers, client, _ = make_network()
     for ident in (client, *peers):
@@ -348,7 +433,7 @@ def test_sign_is_hmac_sha256_hex():
         assert ident.key_tag == hmac.new(b"rcchain-ca", info, "sha256").hexdigest()
         msg = f"tx-{ident.id}".encode()
         assert sign(ident, msg) == hmac.new(
-            bytes.fromhex(ident.key_tag), msg, "sha256").hexdigest()
+            bytes.fromhex(ident.key_tag), msg, "sha256").digest()
 
 
 # key lengths around SHA-256's 64-byte block: empty, short, one short of,
@@ -361,7 +446,7 @@ KEY_LENGTHS = (0, 1, 32, 63, 64, 65, 200)
 @settings(deadline=None, max_examples=300)
 def test_property_sign_equals_hmac_digest(key, message):
     ident = Identity(id="i", org="org1", role="client", key_tag=key.hex())
-    tag = hmac.digest(key, message, "sha256").hex()
+    tag = hmac.digest(key, message, "sha256")
     assert sign(ident, message) == tag
     assert sign(ident, message) == tag  # the pad states are copied, never consumed
     assert verify_sig(ident, message, tag)
@@ -373,8 +458,8 @@ def test_replaced_identity_signs_with_the_new_key():
     other = peers[0].key_tag
     moved = dataclasses.replace(client, key_tag=other)
     msg = b"tx-id"
-    assert sign(moved, msg) == hmac.digest(bytes.fromhex(other), msg, "sha256").hex()
-    assert sign(client, msg) == hmac.digest(bytes.fromhex(client.key_tag), msg, "sha256").hex()
+    assert sign(moved, msg) == hmac.digest(bytes.fromhex(other), msg, "sha256")
+    assert sign(client, msg) == hmac.digest(bytes.fromhex(client.key_tag), msg, "sha256")
     assert sign(moved, msg) != sign(client, msg)
 
 
