@@ -273,6 +273,24 @@ def test_outputs_pinned(batch_size, feed):
     assert hashlib.sha256(repr(stats).encode()).hexdigest() == DES_PINS[(batch_size, feed)]
 
 
+# the same pins where the timeout binds: at every start (lambda0 2, M 100)
+# and at about half of them (lambda0 0.4, M 2)
+TIMEOUT_DES_PINS = {
+    (2.0, 100, STAGE_FEED): "caddacbed2bfc86c0644d79a975acb91bf0b7774ba1efd98c5170a5051970e27",
+    (2.0, 100, BLOCK_FEED): "618f2daa9f4adcc11d19949c0481093e2be1b74787f539d02ff2796dd510ddf6",
+    (0.4, 2, STAGE_FEED): "133e475f8e3b6fce0a072f0bf46e135725f2c652abf8435917237e82a832a655",
+    (0.4, 2, BLOCK_FEED): "239de165a880a7c32ebcb19236ab607bd1fb31aa254b139e73f6c83dcbc4fc03",
+}
+
+
+@pytest.mark.parametrize(("lambda0", "batch_size", "feed"), list(TIMEOUT_DES_PINS))
+def test_timeout_regime_outputs_pinned(lambda0, batch_size, feed):
+    cfg = QueueNetworkConfig(lambda0=lambda0, batch_size=batch_size)
+    stats = simulate_pipeline(cfg, 20_000, seed=batch_size, commit_feed=feed)
+    digest = hashlib.sha256(repr(stats).encode()).hexdigest()
+    assert digest == TIMEOUT_DES_PINS[(lambda0, batch_size, feed)]
+
+
 @pytest.mark.parametrize("feed", [STAGE_FEED, BLOCK_FEED])
 @pytest.mark.parametrize("batch_size", [1, 10, 100])
 def test_traced_peak_per_arrival(batch_size, feed):
