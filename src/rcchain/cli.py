@@ -171,11 +171,12 @@ def cmd_compare(args) -> int:
     table = deviation_table(cfg, stats)
     name, text = report_file("deviation", args.format, DEVIATION_COLUMNS, table)
     path = write_files(out, {name: text})[name]
-    worst = max(table, key=lambda r: r["rel_deviation"])
-    print(
-        f"wrote {path}; confirmation {stats.confirmation_mean:.4f}s, "
-        f"largest relative deviation {worst['rel_deviation']:.3f} ({worst['metric']})"
-    )
+    worst = max((r for r in table if r["rel_deviation"] is not None),
+                key=lambda r: r["rel_deviation"])
+    confirmation = (f"confirmation {stats.confirmation_mean:.4f}s" if stats.n_routed
+                    else "no transaction reached ordering")
+    print(f"wrote {path}; {confirmation}, "
+          f"largest relative deviation {worst['rel_deviation']:.3f} ({worst['metric']})")
     return EXIT_OK
 
 

@@ -26,7 +26,8 @@ def csv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
 
 
 def json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # NaN and Infinity are not JSON: an undefined value is written as None
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def report_file(name: str, fmt: str, columns: Sequence[str],

@@ -29,9 +29,11 @@ timeout binds; between them blocks are full and follow in strides of
 batch_size, so pointer doubling runs over those late starts alone, or
 over every start when the timeout binds at most of them. Each
 full-length quantity is one buffer, written in place and dropped after
-its last reader: tracemalloc's peak is 37-80 bytes per arrival (lambda0 =
-37.29, M in {1, 10, 100}), a run of 10^6 transactions takes 0.1-0.2 s,
-and one of MAX_N_TX at M = 1 peaks near 600 MB resident.
+its last reader: tracemalloc's peak is 31-44 bytes per arrival (lambda0 =
+37.29, M in {1, 10, 100}) and 64 where the timeout binds at about half
+the block starts (lambda0 = 0.4, M = 2), a run of 10^6 transactions
+takes 0.1-0.2 s, and one of MAX_N_TX in the stage feed at M = 1 (compare's
+longest) peaks near 390 MiB resident.
 """
 
 from __future__ import annotations
@@ -216,36 +218,51 @@ def simulate_pipeline(
         nan = float("nan")
         return PipelineStats(0, 0, d0_mean, nan, nan, nan, nan, n0_time_avg, nan, 0.0)
 
-    cut_times, starts, sizes = _cut_batches(arrive1, cfg.batch_size)
-    # assembly/broadcast of each block, scaled by its actual fill, then
-    # in-order delivery
-    cut_times += rng.exponential(1.0, len(sizes)) * sizes / (2.0 * (cfg.q01 * cfg.lambda0))
-    release = np.maximum.accumulate(cut_times, out=cut_times)
-    d1 = np.repeat(release, sizes) - arrive1
-
-    s2 = rng.exponential(1.0 / cfg.mu2, n_routed)
+    release, starts, sizes = _cut_batches(arrive1, cfg.batch_size)
     if commit_feed == STAGE_FEED:
+        del starts  # only the block feed reads the block starts
+    # each block's cut instant, plus its assembly/broadcast delay scaled by
+    # its actual fill, then in-order delivery
+    release += rng.exponential(1.0, len(sizes)) * sizes / (2.0 * (cfg.q01 * cfg.lambda0))
+    np.maximum.accumulate(release, out=release)
+    d1 = np.repeat(release, sizes)
+    d1_mean = float(np.subtract(d1, arrive1, out=d1).mean())
+
+    # each full-length array is dropped right after its last reader
+    if commit_feed == STAGE_FEED:
+        del release, sizes
+        confirmation = np.add(routed_col, d1, out=routed_col)
+        del d1
         # per-transaction M/M/1 fed by the (Poisson) endorsement departures
-        d2_depart = _fifo_departures(arrive1, s2)
+        d2_depart = _fifo_departures(arrive1, rng.exponential(1.0 / cfg.mu2, n_routed))
         horizon = d2_depart[-1]
         sojourn2 = np.subtract(d2_depart, arrive1, out=d2_depart)
-        confirmation = np.add(routed_col, d1, out=routed_col)
+        del arrive1, d2_depart
         confirmation += sojourn2
+        sum2 = float(sojourn2.sum())
+        del sojourn2
     else:
+        del arrive1, d1
         # blocks commit in order; a block's transactions validate in parallel
-        block_depart = _fifo_departures(release, np.maximum.reduceat(s2, starts))
+        s2 = rng.exponential(1.0 / cfg.mu2, n_routed)
+        block_s2 = np.maximum.reduceat(s2, starts)
+        del s2, starts
+        block_depart = _fifo_departures(release, block_s2)
         horizon = block_depart[-1]
         # each block's commit sojourn, spread to its transactions
         sojourn2 = np.repeat(np.subtract(block_depart, release, out=release), sizes)
-        confirmation = np.repeat(block_depart, sizes) - routed_col
+        sum2 = float(sojourn2.sum())
+        del sojourn2, release
+        confirmation = np.repeat(block_depart, sizes)
+        del block_depart, sizes
+        confirmation -= routed_col
 
-    sum2 = float(sojourn2.sum())
     n_valid = int((rng.random(n_routed) < cfg.q23).sum())
     return PipelineStats(
         n_routed=n_routed,
         n_valid=n_valid,
         d0_mean=d0_mean,
-        d1_mean=float(d1.mean()),
+        d1_mean=d1_mean,
         d2_mean=sum2 / n_routed,
         confirmation_mean=float(confirmation.mean()),
         confirmation_std=float(confirmation.std()),
@@ -259,7 +276,9 @@ DEVIATION_COLUMNS = ["metric", "closed_form", "simulated", "abs_deviation", "rel
 
 
 def deviation_table(cfg: QueueNetworkConfig, stats: PipelineStats) -> list[dict]:
-    """Closed form vs simulation, one row per comparable metric."""
+    """Closed form vs simulation, one row per comparable metric. A value
+    the run could not measure (no transaction reached ordering) and its
+    deviations are None, as are relative deviations from a zero closed form."""
     m = performance(cfg)
     pairs = [
         ("D0", m.delays[0], stats.d0_mean),
@@ -272,7 +291,10 @@ def deviation_table(cfg: QueueNetworkConfig, stats: PipelineStats) -> list[dict]
     ]
     rows = []
     for name, closed, simulated in pairs:
-        gap = abs(simulated - closed)
-        values = (name, closed, simulated, gap, gap / closed if closed else float("nan"))
+        if simulated != simulated:  # nan: the run could not measure it
+            simulated = None
+        gap = None if simulated is None else abs(simulated - closed)
+        rel = gap / closed if gap is not None and closed else None
+        values = (name, closed, simulated, gap, rel)
         rows.append(dict(zip(DEVIATION_COLUMNS, values, strict=True)))
     return rows

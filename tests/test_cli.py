@@ -28,6 +28,7 @@ from rcchain.cli import (
     build_parser,
     main,
 )
+from rcchain.ioutil import json_text
 from rcchain.pipeline_des import MAX_N_TX
 from rcchain.scenario import MAX_EXPECTED_MISSIONS, ScenarioConfigError, parse_scenario_config
 
@@ -462,6 +463,43 @@ def test_compare_default_point_tracks_closed_forms(tmp_path):
     assert len(rows) == 7
     for metric, *_, rel in rows:
         assert float(rel) <= 0.05, metric
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_compare_with_nothing_routed_writes_no_nan(tmp_path, capsys, fmt):
+    """The one arrival at seed 1 is not routed, so the ordering and
+    commitment values are unmeasured: null in JSON, an empty cell in CSV."""
+    out = tmp_path / "cmp"
+    argv = ["compare", "--out", str(out), "--n-tx", "1", "--seed", "1", "--format", fmt]
+    assert main(argv) == EXIT_OK
+    said = capsys.readouterr().out
+    assert "no transaction reached ordering" in said and "nan" not in said
+    assert said.rstrip().endswith("largest relative deviation 1.000 (H_flow)")
+    text = (out / f"deviation.{fmt}").read_text()
+    if fmt == "json":
+        rows = json.loads(text, parse_constant=_refuse_constant)
+    else:
+        header, *lines = (line.split(",") for line in text.splitlines())
+        rows = [{"metric": metric,
+                 **{k: float(c) if c else None for k, c in zip(header[1:], cells, strict=True)}}
+                for metric, *cells in lines]
+    unmeasured = {"D1", "D2", "D", "N2"}
+    assert [r["metric"] for r in rows] == ["D0", "D1", "D2", "D", "N0", "N2", "H_flow"]
+    for r in rows:
+        values = [r["simulated"], r["abs_deviation"], r["rel_deviation"]]
+        if r["metric"] in unmeasured:
+            assert values == [None, None, None]
+        else:
+            assert all(math.isfinite(v) for v in values + [r["closed_form"]])
+
+
+def test_json_writer_refuses_nan():
+    with pytest.raises(ValueError):
+        json_text({"x": float("nan")})
 
 
 
