@@ -1,11 +1,29 @@
 """Deterministic output writers: canonical indented JSON, repr-float
-CSV, tables in either, and atomic temp-then-rename file writes."""
+CSV, tables in either, and atomic temp-then-rename file writes; and
+_gc_paused, the one place the cyclic garbage collector is switched, which
+scenario._Engine.run and presets._mirror_on_chain run under."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+from contextlib import contextmanager
 from typing import Iterable, Sequence
+
+
+@contextmanager
+def _gc_paused():
+    """Run the body with the cyclic collector off, then restore the caller's
+    setting, also when the body raises. Reference counting still frees
+    everything; only cycles created inside would wait for a later pass."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def fmt_cell(value) -> str:

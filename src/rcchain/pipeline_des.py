@@ -30,7 +30,7 @@ batch_size, so pointer doubling runs over those late starts alone, or
 over every start when the timeout binds at most of them. Each
 full-length quantity is one buffer, written in place and dropped after
 its last reader: tracemalloc's peak is 31-44 bytes per arrival (lambda0 =
-37.29, M in {1, 10, 100}) and 64 where the timeout binds at about half
+37.29, M in {1, 10, 100}) and 47 where the timeout binds at about half
 the block starts (lambda0 = 0.4, M = 2), a run of 10^6 transactions
 takes 0.1-0.2 s, and one of MAX_N_TX in the stage feed at M = 1 (compare's
 longest) peaks near 390 MiB resident.
@@ -38,6 +38,7 @@ longest) peaks near 390 MiB resident.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,7 @@ def _cut_batches(times: np.ndarray, batch_size: int) -> tuple[np.ndarray, np.nda
     if (dest[0] if late[0] else miss_end[0]) == n:
         # the stride run from 0 (dest[0]) reaches no late start: every block is full
         return times[m - 1 :: m].copy(), np.arange(0, n, m), np.full(n // m, m, dtype=np.intp)
+    del late
     # the node of each late start and of n, by position; a miss reads an
     # unset entry and is overwritten below
     node = np.empty(n + 1, dtype=np.intp)
@@ -155,12 +157,16 @@ def _cut_batches(times: np.ndarray, batch_size: int) -> tuple[np.ndarray, np.nda
     jump = node[dest]
     if len(miss):
         jump[miss] = node[miss_end]
-    del node
+        del miss_end
+    del node, miss
     orbit = _orbit(jump, k + 1)
+    del jump
     # run i goes from dest[orbit[i]] in strides of m up to the next late start
     # on the orbit, the last one up to n
     run_start = dest[orbit]
+    del dest
     run_end = pos[np.append(orbit[1:], k + 1) - 1]
+    del pos, orbit
     lens = (run_end - run_start) // m
     lens[:-1] += 1
     at_late = np.cumsum(lens[:-1]) - 1  # the block of each late start on the orbit
@@ -187,6 +193,10 @@ def check_run(cfg: QueueNetworkConfig, n_tx: int, commit_feed: str) -> None:
         raise ValueError("endorsement or commitment station is saturated")
     if solve_traffic(cfg)[1] == 0:  # performance's rule: q01 = 0 or lambda0 = 0
         raise ValueError("no traffic reaches the orderer (Lambda1 = 0)")
+    # every interval drawn at such a rate is inf; mu0 and mu2 exceed lambda0 here
+    if 1.0 / cfg.lambda0 == math.inf:
+        raise ValueError(f"lambda0 = {cfg.lambda0!r} is too small: its mean interval "
+                         "1/lambda0 is not finite")
 
 
 def simulate_pipeline(

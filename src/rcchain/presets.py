@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .ioutil import csv_text, json_text, report_file, write_files
+from .ioutil import _gc_paused, csv_text, json_text, report_file, write_files
 from .ledger import (
     CertificateAuthority,
     ChainLedger,
@@ -100,7 +100,9 @@ def _record_all(ledger: ReputationLedger, events: list[RatingEvent]) -> None:
 
 def _mirror_on_chain(events: list[RatingEvent], seed: int) -> ChainLedger:
     """Commit every scripted rating as a reputation_update transaction on a
-    single-org chain, batched; returns the sealed ledger."""
+    single-org chain, batched; returns the sealed ledger. The loop runs with
+    the cyclic collector paused: the four or so objects each transaction
+    leaves on the chain form no cycle, and a pass would walk them all again."""
     ca = CertificateAuthority()
     peer = ca.register("consortium", "endorsing_peer", "consortium/peer0")
     client = ca.register("consortium", "client", f"preset-client-{seed}")
@@ -114,13 +116,14 @@ def _mirror_on_chain(events: list[RatingEvent], seed: int) -> ChainLedger:
             validate_and_commit(chain.next_proposal(batch), chain, policy)
             batch = []
 
-    for seq, e in enumerate(events):
-        prop = propose("reputation_update", rating_payload(e, seq), client, e.timestamp,
-                       nonce=seq)
-        batch.append(endorse(prop, policy, [peer], chain.world_state))
-        if len(batch) == 25:
-            flush()
-    flush()
+    with _gc_paused():
+        for seq, e in enumerate(events):
+            prop = propose("reputation_update", rating_payload(e, seq), client, e.timestamp,
+                           nonce=seq)
+            batch.append(endorse(prop, policy, [peer], chain.world_state))
+            if len(batch) == 25:
+                flush()
+        flush()
     return chain
 
 

@@ -184,16 +184,19 @@ def sweep(
     batch_sizes: Iterable[int],
 ) -> list[dict]:
     """Grid evaluation as report rows keyed by REPORT_COLUMNS; unstable
-    rows are flagged, never dropped, and their undefined metrics are None."""
+    rows are flagged, never dropped, and their undefined metrics are None,
+    as is a metric that overflows (D1 = M/Lambda1 at a subnormal Lambda1)."""
     rows = []
     for lam in lambda0s:
         for m in batch_sizes:
             cfg = replace(base, lambda0=lam, batch_size=m)
             r0, r1, r2, stable = utilizations(cfg)
             perf = performance(cfg) if stable and cfg.q01 * lam > 0 else None
-            metrics = ((*perf.mean_counts, perf.mean_count_total, *perf.delays,
-                        perf.confirmation_time, perf.throughput_eq31, perf.throughput_flow)
-                       if perf else (None,) * 10)
+            metrics = (None,) * 10
+            if perf:
+                metrics = tuple(v if math.isfinite(v) else None for v in (
+                    *perf.mean_counts, perf.mean_count_total, *perf.delays,
+                    perf.confirmation_time, perf.throughput_eq31, perf.throughput_flow))
             values = (lam, m, cfg.orderer_mode, r0, r1, r2, stable, *metrics)
             rows.append(dict(zip(REPORT_COLUMNS, values, strict=True)))
     return rows

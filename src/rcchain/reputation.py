@@ -27,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 VehicleId = str
 _NONE: dict = {}  # never written: the records of a vehicle with no ratings
@@ -89,22 +89,33 @@ class TpfsParams:
             raise ValueError("negative_penalty must be >= 1")
 
 
-@dataclass(frozen=True)
-class RatingEvent:
+class _RatingFields(NamedTuple):
     rater: VehicleId
     ratee: VehicleId
     positive: bool
     timestamp: float  # minutes since scenario start, stored as a float
 
-    def __post_init__(self):
-        if self.rater == self.ratee:
+
+class RatingEvent(_RatingFields):
+    """One rating, checked when built: by the constructor, _make, _replace,
+    pickle and copy alike. A tuple, because the presets build tens of
+    thousands per pass and a frozen dataclass costs twice as much to make."""
+
+    __slots__ = ()
+
+    def __new__(cls, rater: VehicleId, ratee: VehicleId, positive: bool, timestamp: float):
+        if rater == ratee:
             raise ValueError("a vehicle cannot rate itself")
-        if not isinstance(self.positive, bool):
-            raise TypeError(f"positive must be a bool, got {self.positive!r}")
-        t = float(self.timestamp)
+        if not isinstance(positive, bool):
+            raise TypeError(f"positive must be a bool, got {positive!r}")
+        t = float(timestamp)
         if not 0.0 <= t < math.inf:  # also false for NaN
             raise ValueError(f"timestamp must be finite and >= 0, got {t!r}")
-        object.__setattr__(self, "timestamp", t)
+        return tuple.__new__(cls, (rater, ratee, positive, t))
+
+    @classmethod
+    def _make(cls, iterable) -> RatingEvent:  # _replace builds through it too
+        return cls(*iterable)
 
 
 class ReputationLedger:

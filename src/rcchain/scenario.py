@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 from random import Random
 from typing import Callable, Generator, NamedTuple, Optional
 
-from .ioutil import csv_text, json_text, write_files
+from .ioutil import _gc_paused, csv_text, json_text, write_files
 from .ledger import (
     Block,
     CertificateAuthority,
@@ -520,11 +520,15 @@ class _Engine:
         self._seq += 1
 
     def run(self):
-        self._generate_missions()
-        while self._events:
-            t, _, fn = heapq.heappop(self._events)
-            self.now = max(self.now, t)
-            fn()
+        """Queue the arrivals and process events in time order, with the
+        cyclic collector paused: the run only appends acyclic records, which
+        a pass would walk again to reclaim nothing."""
+        with _gc_paused():
+            self._generate_missions()
+            while self._events:
+                t, _, fn = heapq.heappop(self._events)
+                self.now = max(self.now, t)
+                fn()
 
     def _generate_missions(self):
         arr = self.cfg.arrivals

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -500,6 +501,39 @@ def test_compare_with_nothing_routed_writes_no_nan(tmp_path, capsys, fmt):
 def test_json_writer_refuses_nan():
     with pytest.raises(ValueError):
         json_text({"x": float("nan")})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_analyze_at_a_subnormal_lambda0_leaves_overflowing_metrics_empty(tmp_path, capsys, fmt):
+    """Lambda1 = 0.9e-310 makes D1 = M/Lambda1 and D overflow: None, like an
+    unstable row's metrics, so JSON output is strict and CSV has no inf."""
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"lambda0": [1e-310], "batch_sizes": [10]}))
+    out = tmp_path / "an"
+    assert main(["analyze", "--config", str(config), "--out", str(out), "--format", fmt]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    text = (out / f"queueing_report.{fmt}").read_text()
+    assert "inf" not in text.lower()
+    if fmt == "json":
+        [row] = json.loads(text, parse_constant=_refuse_constant)
+    else:
+        header, cells = (line.split(",") for line in text.splitlines())
+        row = dict(zip(header, cells, strict=True))
+        row = {k: None if row[k] == "" else float(row[k]) for k in ("D0", "D1", "D2", "D")}
+    assert row["D1"] is None and row["D"] is None
+    assert 0.0 < row["D0"] < math.inf and 0.0 < row["D2"] < math.inf
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_compare_refuses_a_rate_whose_mean_interval_overflows(tmp_path, capsys, fmt):
+    out = tmp_path / "cmp"
+    argv = ["compare", "--lambda0", "1e-310", "--n-tx", "100", "--format", fmt, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would raise here
+        assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "lambda0" in err and "Out of range" not in err
+    assert not out.exists()
 
 
 

@@ -1,11 +1,13 @@
 """Preset experiments: built-in assertions, determinism, outputs."""
 
+import gc
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from rcchain import presets
 from rcchain.ledger import verify_export_lines
 from rcchain.presets import PRESETS, run_preset
 
@@ -146,3 +148,27 @@ def test_preset_write_outputs(results, tmp_path):
     doc = json.loads((tmp_path / "assertions.json").read_text())
     assert doc["all_passed"] is True
     assert doc["preset"] == "neighbor-sweep"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_preset_leaves_the_collector_as_it_found_it(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for name in PRESETS:
+            run_preset(name)
+            assert gc.isenabled() is enabled, name
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("events", [presets._timeline_events, presets._ptype_events],
+                         ids=["timeline", "ptype-field"])
+def test_chain_mirror_leaves_no_cyclic_garbage(events):
+    """The mirror pauses the cyclic collector; a collection right after it
+    finds nothing, so the pause skips only passes that reclaim nothing."""
+    scripted = events()
+    gc.collect()
+    chain = presets._mirror_on_chain(scripted, 1)
+    assert gc.collect() == 0
+    assert len(chain.blocks) > 1

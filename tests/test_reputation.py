@@ -1,9 +1,11 @@
 """Unit and property tests for the reputation model."""
 
+import copy
 import csv
 import io
 import json
 import math
+import pickle
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -362,6 +364,41 @@ def test_rating_event_stores_a_float_timestamp_and_requires_a_bool_sign():
     for positive in (1, 0, None, "yes"):
         with pytest.raises(TypeError, match="positive"):
             RatingEvent("i", "j", positive, 0.0)
+
+
+def test_rating_event_checks_hold_for_every_way_to_build_one():
+    event = RatingEvent(rater="i", ratee="j", positive=True, timestamp=3)
+    assert event == RatingEvent("i", "j", True, 3.0) and type(event.timestamp) is float
+    assert repr(event) == "RatingEvent(rater='i', ratee='j', positive=True, timestamp=3.0)"
+    bad = {
+        ("i", "i", True, 0.0): (ValueError, "a vehicle cannot rate itself"),
+        ("i", "j", 1, 0.0): (TypeError, "positive must be a bool, got 1"),
+        ("i", "j", True, -1): (ValueError, "timestamp must be finite and >= 0, got -1.0"),
+    }
+    for args, (error, message) in bad.items():
+        for build in (lambda: RatingEvent(*args), lambda: RatingEvent._make(args),
+                      lambda: event._replace(**dict(zip(RatingEvent._fields, args)))):
+            with pytest.raises(error) as info:
+                build()
+            assert str(info.value) == message
+    with pytest.raises(ValueError, match="cannot rate itself"):
+        event._replace(ratee=event.rater)
+    replaced = event._replace(timestamp=7)
+    assert type(replaced) is RatingEvent and type(replaced.timestamp) is float
+
+
+def test_rating_event_is_immutable_and_copies_through_its_checks():
+    event = RatingEvent("i", "j", False, 2.5)
+    for name in (*RatingEvent._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(event, name, "x")
+    for clone in (pickle.loads(pickle.dumps(event)), copy.copy(event), copy.deepcopy(event)):
+        assert clone == event and type(clone) is RatingEvent
+    # copy and pickle rebuild an event by calling the class with its fields
+    rebuild, (cls, *fields) = event.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
+    assert cls is RatingEvent and fields == ["i", "j", False, 2.5]
+    with pytest.raises(ValueError, match="cannot rate itself"):
+        rebuild(cls, "i", "i", False, 2.5)
 
 
 def test_record_rating_rejects_out_of_order_pair_and_leaves_it_unchanged():

@@ -4,6 +4,7 @@ import collections
 import copy
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rcchain.cli import EXIT_CONFIG, main
+from rcchain.ioutil import _gc_paused
 from rcchain.ledger import EndorsementPolicy, OrderingConfig, export_ledger_lines, verify_chain
 from rcchain.reputation import RatingEvent, ReputationLedger, ReputationMode
 from rcchain import scenario
@@ -1077,3 +1079,37 @@ def test_configs_built_in_code_obey_the_parsers_rules():
     assert BehaviorProfile(kind="p_type", switch_at=1.0).fake_rate == 1.0
     assert BehaviorProfile(kind="untruthful_rater").fake_rate == 0.0
     assert BehaviorProfile().fake_rate == 0.0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_paused_restores_the_callers_collector_setting(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with _gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyError), _gc_paused():
+            raise KeyError("body")
+        assert gc.isenabled() is enabled
+        run_scenario(parse_scenario_config(base_config()))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+STALLED_EXAMPLE = copy.deepcopy(EXAMPLE)
+STALLED_EXAMPLE["ordering"]["crashed_orderers"] = ["rsu-a1", "rsu-a2"]
+STALLED_EXAMPLE["faults"] = {"unreachable_peers": ["taxi-fleet/peer0", "taxi-fleet/peer1"]}
+
+
+@pytest.mark.parametrize("doc", [city_doc(1), EXAMPLE, STALLED_EXAMPLE],
+                         ids=["city", "example", "stalled-and-unreachable"])
+def test_engine_run_leaves_no_cyclic_garbage(doc):
+    """The run pauses the cyclic collector; a collection right after it
+    finds nothing, so the pause skips only passes that reclaim nothing."""
+    engine = scenario._Engine(parse_scenario_config(doc))
+    gc.collect()
+    engine.run()
+    assert gc.collect() == 0
+    assert engine.missions
