@@ -7,18 +7,19 @@ endorsement to its transaction; only the first `threshold` reachable
 peers of each required org, in the order given, are asked, since a
 policy needs no more. The ordering service cuts blocks by batch size or
 timeout (orderer faults are the scenario's); committing peers re-check
-policy, duplicates, and read-set versions (the MVCC check that kills
-double spends), apply valid writes to the world state, and seal every
-transaction into its block regardless of legality; the sealed block is
-the commit result, and its validity flags are the only record of which
-transactions took effect; a tx whose id does not match its content is
-sealed "structure", the one place a digest may fail. Audits share the
-link walk (numbers, prev-hash links, body hashes from genesis) over
-chains and exported files, and the replay that validates recorded
-blocks once more onto another ledger for peer catch-up and the full
-audit. Validation does each piece of work once per role: the replay's
-flag comparison is its only digest check, and a policy check hashes the
-result once and stops verifying as soon as the policy is met.
+policy, duplicates, and the version each transaction read of its one
+key (the MVCC check that kills double spends), store each valid write
+in the world state, and seal every transaction into its block
+regardless of legality; the sealed block is the commit result, and its
+validity flags are the only record of which transactions took effect; a
+tx whose id does not match its content is sealed "structure", the one
+place a digest may fail. Audits share the link walk (numbers, prev-hash
+links, body hashes from genesis) over chains and exported files, and
+the replay that validates recorded blocks once more onto another ledger
+for peer catch-up and the full audit. Validation does each piece of
+work once per role: the replay's flag comparison is its only digest
+check, and a policy check hashes the result once and stops verifying as
+soon as the policy is met.
 
 Signatures are raw 32-byte RFC 2104 HMAC-SHA256 tags keyed by each
 identity's key (the bytes of its hex key tag), computed from the
@@ -29,14 +30,17 @@ as its 4-byte big-endian length (from a table below 256), then its
 bytes. A transaction's bytes are framed once per object, from its own
 fields, and every role (endorser, client, committer, the audit's
 replay) hashes them anew: an endorsed transaction keeps its framed
-result, and a proposal keeps the framed (repr(created_at), nonce) tail
-of its id's preimage, whose kind and client id come pre-framed and
-whose payload is hashed where it lies. Hashing is bit-exact:
+(key, version, value) result, and a proposal keeps the framed
+(repr(created_at), nonce) tail of its id's preimage, whose kind and
+client id come pre-framed and whose payload is hashed where it lies.
+Hashing is bit-exact:
 - tx id = SHA-256 of the framed (kind, payload, client id,
   repr(created_at), nonce); ids are content digests, so the body hash
   pins every payload byte;
-- result hash = SHA-256 of the framed (read count, then key and version
-  per read, write count, then key and value per write), hex;
+- result hash = SHA-256 of the framed ("1", key, version, "1", key,
+  value), hex: the chaincode reads and writes one key, framed as a read
+  set and a write set of one entry each (a count, then key and version;
+  a count, then key and value);
 - body hash = SHA-256 of the framed (tx id, kind, flags, reason) of
   every transaction in block order, flags being one byte (bit 0 valid,
   bit 1 a reason is present), so an export is tamper-evident down to
@@ -244,16 +248,11 @@ class Endorsement(NamedTuple):
     sig: bytes  # the endorser's tag over the transaction's signed_message()
 
 
-def _frame_result(read_set, write_set) -> bytes:
-    """The result hash's preimage: read count, then key and version per
-    read, write count, then key and value per write, framed."""
-    parts = [str(len(read_set)).encode()]
-    for key, version in read_set:
-        parts += (key.encode(), str(version).encode())
-    parts.append(str(len(write_set)).encode())
-    for key, value in write_set:
-        parts += (key.encode(), value.encode())
-    return _frame(parts)
+def _frame_result(key: str, version: int, value: str) -> bytes:
+    """The result hash's preimage: one read of key at version and one
+    write of value to it, each set framed as its count, then its entry."""
+    k = key.encode()
+    return _frame((b"1", k, str(version).encode(), b"1", k, value.encode()))
 
 
 def _signed_message(tx_id: str, framed_result: bytes) -> bytes:
@@ -264,10 +263,11 @@ def _signed_message(tx_id: str, framed_result: bytes) -> bytes:
 @dataclass(frozen=True, slots=True)
 class EndorsedTransaction:
     proposal: TransactionProposal
-    read_set: tuple[tuple[str, int], ...]
-    write_set: tuple[tuple[str, str], ...]
+    key: str  # the one state key the chaincode read and wrote
+    version: int  # the key's version it read
+    value: str  # what it wrote there
     endorsements: tuple[Endorsement, ...]
-    # _frame_result of the read and write sets, derived once: never a
+    # _frame_result of key, version and value, derived once: never a
     # caller's, so dataclasses.replace derives it again
     _result: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
@@ -284,7 +284,7 @@ class EndorsedTransaction:
         anew on every call."""
         framed = self._result
         if framed is None:
-            framed = _frame_result(self.read_set, self.write_set)
+            framed = _frame_result(self.key, self.version, self.value)
             object.__setattr__(self, "_result", framed)
         return _signed_message(self.proposal.tx_id, framed)
 
@@ -299,16 +299,16 @@ def state_payload(key: str, value: str) -> bytes:
 
 def simulate_execution(
     kind: str, payload: bytes, world_state: dict[str, tuple[str, int]]
-) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[str, str], ...]]:
+) -> tuple[str, int, str]:
     """Deterministic chaincode stand-in: read-modify-write of the payload's
-    state key against the current world-state version."""
+    one state key. Returns (key, the world-state version read, the value
+    written)."""
     doc = json.loads(payload.decode())
     key = doc["state_key"]
     value = doc["state_value"]
     if not isinstance(key, str) or not isinstance(value, str):
         raise ValueError("state_key and state_value must be strings")
-    _, version = world_state.get(key, ("", 0))
-    return ((key, version),), ((key, value),)
+    return key, world_state.get(key, ("", 0))[1], value
 
 
 def endorse(
@@ -327,8 +327,8 @@ def endorse(
     """
     if not proposal.digest_ok():
         raise ValueError("proposal content does not match its tx id")
-    read_set, write_set = simulate_execution(proposal.kind, proposal.payload, world_state)
-    framed = _frame_result(read_set, write_set)
+    key, version, value = simulate_execution(proposal.kind, proposal.payload, world_state)
+    framed = _frame_result(key, version, value)
     msg = _signed_message(proposal.tx_id, framed)
     wanted = dict.fromkeys(policy.required_orgs, policy.threshold)
     endorsements = []
@@ -338,7 +338,7 @@ def endorse(
         if wanted.get(peer.org) and peer.id not in unreachable:
             wanted[peer.org] -= 1
             endorsements.append(Endorsement(peer, sign(peer, msg)))
-    tx = EndorsedTransaction(proposal, read_set, write_set, tuple(endorsements))
+    tx = EndorsedTransaction(proposal, key, version, value, tuple(endorsements))
     object.__setattr__(tx, "_result", framed)  # the bytes just hashed
     return tx
 
@@ -462,7 +462,7 @@ def _validate_tx(
     seen: set[str],
 ) -> Optional[str]:
     """Reason the transaction is invalid, or None. Check order: structure,
-    signatures/policy, duplicate, read-set versions."""
+    signatures/policy, duplicate, the version read."""
     if not tx.proposal.digest_ok():
         return "structure"
     if not verify_sig(tx.proposal.client, tx.proposal.tx_id.encode(), tx.proposal.client_sig):
@@ -471,9 +471,8 @@ def _validate_tx(
         return "policy"
     if tx.tx_id in seen:
         return "duplicate"
-    for key, version in tx.read_set:
-        if world_state.get(key, ("", 0))[1] != version:
-            return "mvcc_conflict"
+    if world_state.get(tx.key, ("", 0))[1] != tx.version:
+        return "mvcc_conflict"
     return None
 
 
@@ -483,7 +482,7 @@ _VALID = (True, None)  # the validity of every valid transaction, one shared tup
 def validate_and_commit(
     candidate: BlockProposal, ledger: ChainLedger, policy: EndorsementPolicy
 ) -> Block:
-    """Validate every transaction in order, apply valid write sets, and
+    """Validate every transaction in order, store each valid write, and
     append and return the block sealed with every transaction's validity."""
     if candidate.number != ledger.tip.number + 1:
         raise BlockRejected(
@@ -494,10 +493,8 @@ def validate_and_commit(
     validity = []
     for tx in candidate.txs:
         reason = _validate_tx(tx, policy, ledger.world_state, ledger._seen_tx_ids)
-        if reason is None:
-            for key, value in tx.write_set:
-                _, version = ledger.world_state.get(key, ("", 0))
-                ledger.world_state[key] = (value, version + 1)
+        if reason is None:  # the version read is the current one
+            ledger.world_state[tx.key] = (tx.value, tx.version + 1)
         ledger._seen_tx_ids.add(tx.tx_id)
         validity.append(_VALID if reason is None else (False, reason))
     block = Block(candidate.number, candidate.prev_hash, candidate.txs,

@@ -39,6 +39,7 @@ longest) peaks near 390 MiB resident.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,14 @@ from .queueing import QueueNetworkConfig, performance, solve_traffic, utilizatio
 STAGE_FEED = "stage"
 BLOCK_FEED = "block"
 MAX_N_TX = 10_000_000  # most arrivals one run may simulate
+# most n_tx / lambda0, the expected last arrival instant, a run may have.
+# Each instant is a sum of exponential draws, each below 45 times its mean
+# (numpy's ziggurat draws at most r - log(2**-53) = 44.4), so for q01 >= 0.1
+# every instant and span stays under 45 n_tx (1/lambda0 + 1/mu0 +
+# 1/(2 Lambda1) + 1/mu2) <= 765 n_tx/lambda0, plus the timeout. The std of
+# the confirmation time sums up to MAX_N_TX such spans squared: at this bound
+# that is at most MAX_N_TX * 765**2 / 2**44 < 1/2 of the largest float.
+MAX_LAST_ARRIVAL_S = math.sqrt(sys.float_info.max) / 2**22
 
 
 @dataclass(frozen=True)
@@ -193,10 +202,9 @@ def check_run(cfg: QueueNetworkConfig, n_tx: int, commit_feed: str) -> None:
         raise ValueError("endorsement or commitment station is saturated")
     if solve_traffic(cfg)[1] == 0:  # performance's rule: q01 = 0 or lambda0 = 0
         raise ValueError("no traffic reaches the orderer (Lambda1 = 0)")
-    # every interval drawn at such a rate is inf; mu0 and mu2 exceed lambda0 here
-    if 1.0 / cfg.lambda0 == math.inf:
-        raise ValueError(f"lambda0 = {cfg.lambda0!r} is too small: its mean interval "
-                         "1/lambda0 is not finite")
+    if not n_tx / cfg.lambda0 <= MAX_LAST_ARRIVAL_S:  # n_tx >= 1: also 1/lambda0 = inf
+        raise ValueError(f"lambda0 = {cfg.lambda0!r} is too small for n_tx = {n_tx}: the "
+                         f"expected last arrival n_tx/lambda0 is over {MAX_LAST_ARRIVAL_S:.4g} s")
 
 
 def simulate_pipeline(

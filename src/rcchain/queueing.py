@@ -81,7 +81,7 @@ class PerfMetrics:
     mean_count_total: float
     delays: tuple[float, float, float]            # seconds per node
     confirmation_time: float                      # seconds
-    throughput_eq31: float                        # N2*q23/D, tx/s
+    throughput_eq31: float                        # N2*q23/D, tx/s; nan if D overflows
     throughput_flow: float                        # q23*Lambda2, tx/s
 
 
@@ -167,7 +167,7 @@ def performance(cfg: QueueNetworkConfig) -> PerfMetrics:
         mean_count_total=n0 + n1 + n2,
         delays=(d0, d1, d2),
         confirmation_time=d_total,
-        throughput_eq31=n2 * cfg.q23 / d_total,
+        throughput_eq31=n2 * cfg.q23 / d_total if d_total < math.inf else math.nan,
         throughput_flow=cfg.q23 * l2,
     )
 
@@ -185,7 +185,8 @@ def sweep(
 ) -> list[dict]:
     """Grid evaluation as report rows keyed by REPORT_COLUMNS; unstable
     rows are flagged, never dropped, and their undefined metrics are None,
-    as is a metric that overflows (D1 = M/Lambda1 at a subnormal Lambda1)."""
+    as is a metric that overflows (D1 = M/Lambda1 at a subnormal Lambda1,
+    hence D) or is computed from one that does (H_eq31 = N2*q23/D)."""
     rows = []
     for lam in lambda0s:
         for m in batch_sizes:

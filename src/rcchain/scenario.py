@@ -679,9 +679,10 @@ def rating_payload(event: RatingEvent, seq: int) -> bytes:
     return state_payload(f"rep/{event.rater}/{event.ratee}/{seq}", rating)
 
 
-def rating_from_payload(payload: bytes) -> RatingEvent:
-    """The rating a reputation_update payload carries; rating_payload's inverse."""
-    rating = json.loads(json.loads(payload.decode())["state_value"])
+def rating_from_value(value: str) -> RatingEvent:
+    """The rating a reputation_update writes, decoded from the state value
+    that rating_payload encodes."""
+    rating = json.loads(value)
     return RatingEvent(rating["rater"], rating["ratee"], rating["positive"], rating["t_min"])
 
 
@@ -710,8 +711,7 @@ def apply_block(ledger: ReputationLedger, block: Block, mode: ReputationMode,
     transaction order; the engine and the chain replay apply ratings only here."""
     for tx, (valid, _reason) in zip(block.txs, block.validity):
         if valid and tx.kind == "reputation_update":
-            apply_reputation_update(ledger, rating_from_payload(tx.proposal.payload), mode,
-                                    trajectories)
+            apply_reputation_update(ledger, rating_from_value(tx.value), mode, trajectories)
 
 
 def reputation_from_chain(

@@ -30,7 +30,7 @@ from rcchain.cli import (
     main,
 )
 from rcchain.ioutil import json_text
-from rcchain.pipeline_des import MAX_N_TX
+from rcchain.pipeline_des import MAX_LAST_ARRIVAL_S, MAX_N_TX
 from rcchain.scenario import MAX_EXPECTED_MISSIONS, ScenarioConfigError, parse_scenario_config
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -506,7 +506,8 @@ def test_json_writer_refuses_nan():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_analyze_at_a_subnormal_lambda0_leaves_overflowing_metrics_empty(tmp_path, capsys, fmt):
     """Lambda1 = 0.9e-310 makes D1 = M/Lambda1 and D overflow: None, like an
-    unstable row's metrics, so JSON output is strict and CSV has no inf."""
+    unstable row's metrics, and so is H_eq31 = N2*q23/D, so JSON output is
+    strict and CSV has no inf."""
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"lambda0": [1e-310], "batch_sizes": [10]}))
     out = tmp_path / "an"
@@ -519,8 +520,9 @@ def test_analyze_at_a_subnormal_lambda0_leaves_overflowing_metrics_empty(tmp_pat
     else:
         header, cells = (line.split(",") for line in text.splitlines())
         row = dict(zip(header, cells, strict=True))
-        row = {k: None if row[k] == "" else float(row[k]) for k in ("D0", "D1", "D2", "D")}
-    assert row["D1"] is None and row["D"] is None
+        row = {k: None if row[k] == "" else float(row[k])
+               for k in ("D0", "D1", "D2", "D", "H_eq31")}
+    assert row["D1"] is None and row["D"] is None and row["H_eq31"] is None
     assert 0.0 < row["D0"] < math.inf and 0.0 < row["D2"] < math.inf
 
 
@@ -535,6 +537,29 @@ def test_compare_refuses_a_rate_whose_mean_interval_overflows(tmp_path, capsys, 
     assert err.count("\n") == 1 and "lambda0" in err and "Out of range" not in err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("lambda0,n_tx,code", [
+    ("1e-305", 100_000, EXIT_CONFIG),  # 1/lambda0 is finite, the arrivals' sum is not
+    (repr(1000 / MAX_LAST_ARRIVAL_S * (1 - 1e-9)), 1000, EXIT_CONFIG),
+    (repr(1000 / MAX_LAST_ARRIVAL_S * (1 + 1e-9)), 1000, EXIT_OK),
+], ids=["1e-305", "just-over", "just-under"])
+def test_compare_bounds_the_expected_last_arrival(tmp_path, capsys, lambda0, n_tx, code):
+    """compare refuses n_tx/lambda0 over MAX_LAST_ARRIVAL_S with exit 2 and
+    one stderr line, and just under it writes every simulated cell."""
+    out = tmp_path / "cmp"
+    argv = ["compare", "--lambda0", lambda0, "--n-tx", str(n_tx), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would raise here
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert captured.err == "" and "nan" not in captured.out
+        lines = (out / "deviation.csv").read_text().splitlines()
+        header, *rows = (line.split(",") for line in lines)
+        assert rows and all(math.isfinite(float(row[header.index("simulated")])) for row in rows)
+    else:
+        assert captured.err.count("\n") == 1 and "n_tx/lambda0" in captured.err
+        assert not out.exists()
 
 
 # sha256 of every file analyze writes for the README grid and compare

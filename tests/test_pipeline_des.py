@@ -2,7 +2,9 @@
 1e6-transaction oracle run lives in the acceptance suite)."""
 
 import hashlib
+import math
 import tracemalloc
+import warnings
 from collections import deque
 from dataclasses import replace
 
@@ -15,6 +17,7 @@ from rcchain.ledger import OrderingConfig, PendingTx, order_batch
 from rcchain.pipeline_des import (
     BATCH_TIMEOUT_S,
     BLOCK_FEED,
+    MAX_LAST_ARRIVAL_S,
     STAGE_FEED,
     _cut_batches,
     deviation_table,
@@ -24,6 +27,23 @@ from rcchain.queueing import QueueNetworkConfig, performance
 
 CFG100 = QueueNetworkConfig(lambda0=100.0)
 CFG40 = QueueNetworkConfig(lambda0=40.0)
+
+
+@pytest.mark.parametrize("feed", [STAGE_FEED, BLOCK_FEED])
+@pytest.mark.parametrize("n_tx,q01", [(1, 1.0), (1000, 0.1), (100_000, 0.1), (100_000, 0.9)])
+def test_runs_on_each_side_of_the_last_arrival_bound(n_tx, q01, feed):
+    """Just under MAX_LAST_ARRIVAL_S of expected last arrival n_tx/lambda0,
+    a run draws no overflow and every statistic is finite, down to the
+    least q01 the bound's margin covers; just over it, the run is refused
+    before it draws anything."""
+    inside = QueueNetworkConfig(lambda0=n_tx / MAX_LAST_ARRIVAL_S * (1 + 1e-9), q01=q01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would raise here
+        stats = simulate_pipeline(inside, n_tx, seed=1, commit_feed=feed)
+    assert stats.n_routed > 0 and all(math.isfinite(v) for v in vars(stats).values())
+    outside = replace(inside, lambda0=n_tx / MAX_LAST_ARRIVAL_S * (1 - 1e-9))
+    with pytest.raises(ValueError, match="n_tx/lambda0"):
+        simulate_pipeline(outside, n_tx, seed=1, commit_feed=feed)
 
 
 def test_stage_feed_matches_node_laws():

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 import typing
 from enum import Enum
 from pathlib import Path
@@ -19,7 +20,13 @@ from hypothesis import strategies as st
 
 from rcchain.cli import EXIT_CONFIG, main
 from rcchain.ioutil import _gc_paused
-from rcchain.ledger import EndorsementPolicy, OrderingConfig, export_ledger_lines, verify_chain
+from rcchain.ledger import (
+    EndorsementPolicy,
+    OrderingConfig,
+    export_ledger_lines,
+    simulate_execution,
+    verify_chain,
+)
 from rcchain.reputation import RatingEvent, ReputationLedger, ReputationMode
 from rcchain import scenario
 from rcchain.scenario import (
@@ -33,7 +40,7 @@ from rcchain.scenario import (
     apply_block,
     mission_payload,
     parse_scenario_config,
-    rating_from_payload,
+    rating_from_value,
     rating_payload,
     reputation_from_chain,
     run_scenario,
@@ -721,6 +728,13 @@ awkward_text = st.one_of(st.sampled_from(AWKWARD_TEXT), st.text())
 EDGE_TIMES = (0.0, 5e-324, 0.1 + 0.2, 1e16, 1e22)
 
 
+def rating_written_by(payload):
+    """The rating a reputation_update with this payload writes: the
+    chaincode's state value, decoded."""
+    _key, _version, value = simulate_execution("reputation_update", payload, {})
+    return rating_from_value(value)
+
+
 def state_reference(key, value_doc):
     return compact_reference({"state_key": key,
                               "state_value": compact_reference(value_doc)}).encode()
@@ -738,8 +752,8 @@ def test_property_rating_payload_matches_json_dumps_and_round_trips(rater, ratee
     assert payload == state_reference(
         f"rep/{rater}/{ratee}/{seq}",
         {"rater": rater, "ratee": ratee, "positive": positive, "t_min": t})
-    assert rating_from_payload(payload) == event
-    assert rating_payload(rating_from_payload(payload), seq) == payload
+    assert rating_written_by(payload) == event
+    assert rating_payload(rating_written_by(payload), seq) == payload
 
 
 @pytest.mark.parametrize("t", EDGE_TIMES)
@@ -747,7 +761,7 @@ def test_rating_payload_writes_edge_timestamps_as_json_dumps(t):
     payload = rating_payload(RatingEvent('v"1', "v\u2028", True, t), 0)
     assert payload == state_reference(
         "rep/v\"1/v\u2028/0", {"rater": 'v"1', "ratee": "v\u2028", "positive": True, "t_min": t})
-    assert rating_from_payload(payload).timestamp == t
+    assert rating_written_by(payload).timestamp == t
 
 
 def test_rating_payload_of_an_int_timestamp_is_the_float_one():
@@ -1113,3 +1127,31 @@ def test_engine_run_leaves_no_cyclic_garbage(doc):
     engine.run()
     assert gc.collect() == 0
     assert engine.missions
+
+
+ENGINE_HELD_BYTES_PER_TX = 1819  # tracemalloc: 1,774.5 measured, plus 2.5%
+
+
+def test_engine_transactions_fit_the_heap_budget():
+    """ROADMAP item 14: the example at 200 missions/min for 10 min (7,828
+    transactions) holds no more heap per transaction in its report (the
+    chain, world state, reputation ledger, missions, trajectory and perf
+    records together) than the budget."""
+    doc = copy.deepcopy(EXAMPLE)
+    doc["arrivals"]["rate_per_min"] = 200
+    doc["duration_min"] = 1
+    run_scenario(parse_scenario_config(doc))  # first-call allocations are not per-tx
+    doc["duration_min"] = 10
+    cfg = parse_scenario_config(doc)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_scenario(cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n_tx = report.summary["transactions"]
+    assert n_tx == 7828
+    assert held / n_tx <= ENGINE_HELD_BYTES_PER_TX, f"{held / n_tx:.1f} B/tx"
