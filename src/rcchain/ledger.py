@@ -13,13 +13,12 @@ in the world state, and seal every transaction into its block
 regardless of legality; the sealed block is the commit result, and its
 validity flags are the only record of which transactions took effect; a
 tx whose id does not match its content is sealed "structure", the one
-place a digest may fail. Audits share the link walk (numbers, prev-hash
-links, body hashes from genesis) over chains and exported files, and
-the replay that validates recorded blocks once more onto another ledger
-for peer catch-up and the full audit. Validation does each piece of
-work once per role: the replay's flag comparison is its only digest
-check, and a policy check hashes the result once and stops verifying as
-soon as the policy is met.
+place a digest may fail. The full chain audit is a fresh peer catching
+up from genesis; an export, with no content to replay, gets a link walk
+(numbers, prev-hash links, body hashes). Validation does each piece of
+work once per role, audits included: the replay's flag comparison is
+its only digest check, and a policy check hashes the result once and
+stops verifying as soon as the policy is met.
 
 Signatures are raw 32-byte RFC 2104 HMAC-SHA256 tags keyed by each
 identity's key (the bytes of its hex key tag), computed from the
@@ -409,11 +408,6 @@ def body_hash(results: Iterable[tuple[str, str, bool, Optional[str]]]) -> bytes:
     return hashlib.sha256(_frame(parts)).digest()
 
 
-def _results(txs: Iterable[EndorsedTransaction], validity):
-    """The (tx_id, kind, valid, reason) records a block's body hash covers."""
-    return ((tx.tx_id, tx.kind, ok, reason) for tx, (ok, reason) in zip(txs, validity))
-
-
 def header_hash(number: int, prev_hash: bytes, body: bytes) -> bytes:
     return hashlib.sha256(number.to_bytes(8, "big") + prev_hash + body).digest()
 
@@ -497,74 +491,59 @@ def validate_and_commit(
             ledger.world_state[tx.key] = (tx.value, tx.version + 1)
         ledger._seen_tx_ids.add(tx.tx_id)
         validity.append(_VALID if reason is None else (False, reason))
-    block = Block(candidate.number, candidate.prev_hash, candidate.txs,
-                  body_hash(_results(candidate.txs, validity)), tuple(validity))
+    body = body_hash((tx.tx_id, tx.kind, ok, reason)
+                     for tx, (ok, reason) in zip(candidate.txs, validity))
+    block = Block(candidate.number, candidate.prev_hash, candidate.txs, body, tuple(validity))
     ledger.blocks.append(block)
     return block
 
 
-def _first_bad_link(records: Iterable[tuple[int, bytes, bytes, bytes]]) -> Optional[int]:
-    """Walk (number, prev_hash, stated body hash, recomputed body hash)
-    records from genesis; returns the position of the first one out of
-    sequence, off the link, or with a wrong body hash."""
-    prev_header, k = ZERO_HASH, -1
-    for k, (number, prev_hash, stated, recomputed) in enumerate(records):
-        if number != k or prev_hash != prev_header or stated != recomputed:
+def _catch_up(peer: ChainLedger, source: list[Block], policy: EndorsementPolicy) -> Optional[int]:
+    """The peer's blocks must match the source's in number, then header;
+    later ones are re-validated onto a copy of the peer, adopted once each
+    seals to the recorded flags and header (commit checks number and link,
+    so the body hash decides). Returns the first bad block's number or None."""
+    for k, (mine, theirs) in enumerate(zip(peer.blocks, source)):
+        if theirs.number != k or theirs.header() != mine.header():
             return k
-        prev_header = header_hash(number, prev_hash, stated)
-    if k < 0:
-        raise ValueError("no genesis block")
-    return None
-
-
-def _replay(target: ChainLedger, blocks: list[Block], policy: EndorsementPolicy) -> Optional[int]:
-    """Re-validate recorded blocks onto target; returns the number of the
-    first one rejected or sealed to other flags or header."""
-    for blk in blocks:
-        k = target.tip.number + 1
+    trial = ChainLedger()
+    trial.blocks, trial.world_state, trial._seen_tx_ids = (
+        peer.blocks[:], dict(peer.world_state), set(peer._seen_tx_ids))
+    for k, blk in enumerate(source[len(peer.blocks):], start=len(peer.blocks)):
         try:
-            proposal = BlockProposal(blk.number, blk.prev_hash, blk.txs)
-            sealed = validate_and_commit(proposal, target, policy)
+            sealed = validate_and_commit(BlockProposal(blk.number, blk.prev_hash, blk.txs),
+                                         trial, policy)
         except BlockRejected:
             return k
-        if sealed.validity != blk.validity or sealed.header() != blk.header():
+        if sealed.validity != blk.validity or sealed.body_hash != blk.body_hash:
             return k
+    peer.blocks, peer.world_state, peer._seen_tx_ids = (
+        trial.blocks, trial.world_state, trial._seen_tx_ids)
     return None
 
 
 def sync_peer(lagging: ChainLedger, source: ChainLedger, policy: EndorsementPolicy) -> None:
-    """Replay the source's missing blocks onto the lagging ledger. The
-    shared prefix must match hash-for-hash and every replayed block must
-    seal to the flags and header the source recorded; divergence is an
-    integrity error, never silently repaired, and leaves the lagging
-    ledger as it was: the replay runs on a copy adopted only when clean."""
-    if lagging.tip.number > source.tip.number:
+    """Catch the lagging ledger up to the source. Divergence is an integrity
+    error, never silently repaired, and leaves the lagging ledger as it was."""
+    if len(lagging.blocks) > len(source.blocks):
         raise IntegrityError("lagging ledger is ahead of the source")
-    for k in range(lagging.tip.number + 1):
-        if lagging.blocks[k].header() != source.blocks[k].header():
-            raise IntegrityError(f"divergent prefix at block {k}")
-    trial = ChainLedger()
-    trial.blocks, trial.world_state, trial._seen_tx_ids = (
-        lagging.blocks[:], dict(lagging.world_state), set(lagging._seen_tx_ids))
-    bad = _replay(trial, source.blocks[lagging.tip.number + 1:], policy)
+    bad = _catch_up(lagging, source.blocks, policy)
     if bad is not None:
-        raise IntegrityError(f"replay of block {bad} does not match the source")
-    lagging.blocks, lagging.world_state, lagging._seen_tx_ids = (
-        trial.blocks, trial.world_state, trial._seen_tx_ids)
+        raise IntegrityError(f"divergent prefix at block {bad}" if bad < len(lagging.blocks)
+                             else f"replay of block {bad} does not match the source")
 
 
 def verify_chain(ledger: ChainLedger, policy: EndorsementPolicy) -> Optional[int]:
-    """Full audit: the link walk, then a replay of the validity flags and
-    world state from genesis. None when clean, else the first bad block."""
-    bad_link = _first_bad_link(
-        (b.number, b.prev_hash, b.body_hash, body_hash(_results(b.txs, b.validity)))
-        for b in ledger.blocks
-    )
-    scratch = ChainLedger()
-    bad = _replay(scratch, ledger.blocks[1:], policy)
-    if bad is None and scratch.world_state != ledger.world_state:
+    """Full audit: a fresh peer, whose genesis the chain's must equal,
+    catches up and must replay the same world state. None when clean,
+    else the first bad block."""
+    if not ledger.blocks:
+        raise ValueError("no genesis block")
+    peer = ChainLedger()
+    bad = 0 if ledger.blocks[0] != peer.blocks[0] else _catch_up(peer, ledger.blocks, policy)
+    if bad is None and peer.world_state != ledger.world_state:
         bad = ledger.tip.number
-    return min((k for k in (bad, bad_link) if k is not None), default=None)
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +587,21 @@ def export_files(ledger: ChainLedger) -> dict[str, str]:
 
 
 def verify_export_lines(lines: Iterable[str]) -> Optional[int]:
-    """Link walk over an exported ledger file; the export is
+    """Link walk over an exported ledger file from genesis; the export is
     self-verifiable because the body hash covers every exported field of
     each transaction. Returns None when clean, else the first bad block
-    number."""
-    return _first_bad_link(
-        (r["number"], bytes.fromhex(r["prev_hash"]), bytes.fromhex(r["body_hash"]),
-         body_hash((tx["tx_id"], tx["kind"], tx["valid"], tx["reason"]) for tx in r["txs"]))
-        for r in map(json.loads, lines)
-    )
+    number; a number that is not a JSON integer is a TypeError."""
+    prev_header, k = ZERO_HASH, -1
+    for k, r in enumerate(map(json.loads, lines)):
+        number, prev_hash, stated = (
+            r["number"], bytes.fromhex(r["prev_hash"]), bytes.fromhex(r["body_hash"]))
+        recomputed = body_hash(
+            (tx["tx_id"], tx["kind"], tx["valid"], tx["reason"]) for tx in r["txs"])
+        if type(number) is not int:  # a JSON true would hash as 1
+            raise TypeError(f"block number {number!r} is not an integer")
+        if number != k or prev_hash != prev_header or stated != recomputed:
+            return k
+        prev_header = header_hash(number, prev_hash, stated)
+    if k < 0:
+        raise ValueError("no genesis block")
+    return None

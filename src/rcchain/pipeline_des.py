@@ -58,6 +58,12 @@ MAX_N_TX = 10_000_000  # most arrivals one run may simulate
 # the confirmation time sums up to MAX_N_TX such spans squared: at this bound
 # that is at most MAX_N_TX * 765**2 / 2**44 < 1/2 of the largest float.
 MAX_LAST_ARRIVAL_S = math.sqrt(sys.float_info.max) / 2**22
+# most float spacing at the expected last arrival, as a share of the shortest
+# mean service time 1/max(mu0, mu2). A sojourn is a difference of instants up
+# to about n_tx/lambda0 (within a binade of it at large n_tx), off by under 4
+# spacings: 2**-14 of a mean sojourn, a fifth of a mean's relative sampling
+# error at MAX_N_TX, 1/sqrt(MAX_N_TX) = 2**-11.6.
+_MAX_SPACING_SHARE = 2.0**-16
 
 
 @dataclass(frozen=True)
@@ -205,6 +211,11 @@ def check_run(cfg: QueueNetworkConfig, n_tx: int, commit_feed: str) -> None:
     if not n_tx / cfg.lambda0 <= MAX_LAST_ARRIVAL_S:  # n_tx >= 1: also 1/lambda0 = inf
         raise ValueError(f"lambda0 = {cfg.lambda0!r} is too small for n_tx = {n_tx}: the "
                          f"expected last arrival n_tx/lambda0 is over {MAX_LAST_ARRIVAL_S:.4g} s")
+    spacing, service = math.ulp(n_tx / cfg.lambda0), 1.0 / max(cfg.mu0, cfg.mu2)
+    if spacing > _MAX_SPACING_SHARE * service:
+        raise ValueError(f"lambda0 = {cfg.lambda0!r} is too small for n_tx = {n_tx}: the float "
+                         f"spacing at the expected last arrival n_tx/lambda0, {spacing:.3g} s, is "
+                         f"over 2**-16 of the shortest mean service time {service:.3g} s")
 
 
 def simulate_pipeline(

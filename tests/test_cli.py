@@ -375,6 +375,26 @@ def test_ledger_verify_wrong_types_are_unreadable(record, tmp_path, capsys):
     assert "cannot parse ledger export" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,number,written", [
+    (1, 1, "true"),
+    (0, 0, "false"),
+    (1, 1, '"1"'),
+], ids=["true-at-1", "false-at-genesis", "string-at-1"])
+def test_ledger_verify_refuses_a_number_that_is_not_an_integer(
+        line, number, written, example_ledger_lines, tmp_path, capsys):
+    """A JSON boolean compares equal to 1 or 0 and hashes as it, so the
+    example's export with one block number rewritten to one would verify
+    clean; it is unreadable, as is a number written as a string."""
+    lines = list(example_ledger_lines)
+    field = f'"number":{number},'
+    assert field in lines[line]
+    lines[line] = lines[line].replace(field, f'"number":{written},')
+    path = tmp_path / "ledger.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["ledger-verify", str(path)]) == EXIT_IO
+    assert "cannot parse ledger export" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,value", [
     ("batch_sizes", [10.5]),
     ("batch_sizes", [True]),
@@ -541,11 +561,18 @@ def test_compare_refuses_a_rate_whose_mean_interval_overflows(tmp_path, capsys, 
 @pytest.mark.parametrize("lambda0,n_tx,code", [
     ("1e-305", 100_000, EXIT_CONFIG),  # 1/lambda0 is finite, the arrivals' sum is not
     (repr(1000 / MAX_LAST_ARRIVAL_S * (1 - 1e-9)), 1000, EXIT_CONFIG),
-    (repr(1000 / MAX_LAST_ARRIVAL_S * (1 + 1e-9)), 1000, EXIT_OK),
-], ids=["1e-305", "just-over", "just-under"])
+    # compare's service rates are 150: the clock's spacing is 2**-23 s
+    # below 2**29 s, under 2**-16/150 s, and 2**-22 s from there on
+    (repr(1000 / 2**29 * (1 + 1e-9)), 1000, EXIT_OK),
+    (repr(1000 / 2**29), 1000, EXIT_CONFIG),
+    ("1e-13", 100_000, EXIT_CONFIG),  # spacing 128 s: D2 read 14 % low
+    ("1e-142", 100_000, EXIT_CONFIG),  # D0, D2, N0 and N2 read 0.0
+], ids=["1e-305", "just-over", "just-under", "spacing-edge", "1e-13", "1e-142"])
 def test_compare_bounds_the_expected_last_arrival(tmp_path, capsys, lambda0, n_tx, code):
-    """compare refuses n_tx/lambda0 over MAX_LAST_ARRIVAL_S with exit 2 and
-    one stderr line, and just under it writes every simulated cell."""
+    """compare refuses n_tx/lambda0 over MAX_LAST_ARRIVAL_S, or one where
+    the clock's spacing is over 2**-16 of a mean service time, with exit 2
+    and one stderr line, and just under the spacing bound writes every
+    simulated cell."""
     out = tmp_path / "cmp"
     argv = ["compare", "--lambda0", lambda0, "--n-tx", str(n_tx), "--out", str(out)]
     with warnings.catch_warnings():

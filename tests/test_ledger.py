@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import gc
 import hashlib
 import hmac
@@ -736,6 +737,240 @@ def test_hash_chain_links():
     assert led.blocks[0].prev_hash == ZERO_HASH
     for k in range(1, len(led.blocks)):
         assert led.blocks[k].prev_hash == led.blocks[k - 1].header()
+
+
+@pytest.mark.parametrize("number", [-1, 2**64])
+def test_out_of_range_number_in_the_shared_prefix_is_an_integrity_error(number):
+    """A source block the peer already holds, numbered outside 0..2**64-1,
+    is a divergent prefix at its position, not an OverflowError from
+    hashing its header; the peer stays as it was and the audit names the
+    same block."""
+    source, policy = build_chain(6)
+    lagging = replay_prefix(source, policy, 2)
+    before = ([b.header() for b in lagging.blocks], dict(lagging.world_state))
+    source.blocks[2] = dataclasses.replace(source.blocks[2], number=number)
+    with pytest.raises(IntegrityError, match="block 2"):
+        sync_peer(lagging, source, policy)
+    assert ([b.header() for b in lagging.blocks], lagging.world_state) == before
+    assert verify_chain(source, policy) == 2
+
+
+def reference_verify_chain(led, policy):
+    """The full audit as two passes: a link walk over the chain (numbers,
+    prev-hash links, body hashes recomputed from the recorded flags), then
+    a replay from genesis onto a fresh ledger; the first bad block of
+    either, or the tip when only the world state differs."""
+    if not led.blocks:
+        raise ValueError("no genesis block")
+    bad_link, prev_header = None, ZERO_HASH
+    for k, blk in enumerate(led.blocks):
+        recomputed = ledger.body_hash((tx.tx_id, tx.kind, ok, reason)
+                                      for tx, (ok, reason) in zip(blk.txs, blk.validity))
+        if blk.number != k or blk.prev_hash != prev_header or blk.body_hash != recomputed:
+            bad_link = k
+            break
+        prev_header = ledger.header_hash(blk.number, blk.prev_hash, blk.body_hash)
+    scratch, bad = ChainLedger(), None
+    for blk in led.blocks[1:]:
+        k = scratch.tip.number + 1
+        try:
+            sealed = validate_and_commit(BlockProposal(blk.number, blk.prev_hash, blk.txs),
+                                         scratch, policy)
+        except BlockRejected:
+            bad = k
+            break
+        if sealed.validity != blk.validity or sealed.header() != blk.header():
+            bad = k
+            break
+    if bad is None and scratch.world_state != led.world_state:
+        bad = led.tip.number
+    return min((k for k in (bad, bad_link) if k is not None), default=None)
+
+
+@functools.cache
+def audit_chain():
+    """Six blocks of four transactions, sealing every outcome a clean
+    audit admits: valid writes, an MVCC conflict, a duplicate, a policy,
+    a signature and a structure failure. Built once; tampers replace
+    blocks and never mutate them."""
+    ca, peers, client, policy = make_network()
+    forger = ca.register("org2", "client", "forger")
+    led, nonce, earlier = ChainLedger(), 0, None
+    for n in range(6):
+        txs = []
+        for i in range(3):
+            txs.append(endorse_tx(client, peers, led, f"k{(n + i) % 4}", f"v{nonce}",
+                                  nonce=nonce))
+            nonce += 1
+        extra = endorse_tx(client, peers, led, f"k{n % 4}", f"w{nonce}", nonce=nonce)
+        nonce += 1
+        prop = extra.proposal
+        extra = [
+            extra,  # reads the version the block's first write replaces
+            earlier,
+            dataclasses.replace(extra, endorsements=extra.endorsements[:1]),
+            dataclasses.replace(extra, proposal=dataclasses.replace(
+                prop, client_sig=sign(forger, prop.tx_id.encode()))),
+            dataclasses.replace(extra, proposal=dataclasses.replace(
+                prop, nonce=prop.nonce + 1000)),
+            extra,
+        ][n]
+        commit(led, policy, txs + [extra])
+        earlier = txs[1]
+    assert {r for blk in led.blocks for _, r in blk.validity} == {
+        None, "mvcc_conflict", "duplicate", "policy", "signature", "structure"}
+    return led, policy
+
+
+def _replace_block(led, k, **changes):
+    led.blocks[k] = dataclasses.replace(led.blocks[k], **changes)
+
+
+def _later_block(led, draw):
+    return draw(st.integers(min_value=1, max_value=len(led.blocks) - 1))
+
+
+def _tx_position(led, draw, flagged=False):
+    """(block, index) of a transaction past genesis; with flagged, one
+    that still has its validity flag."""
+    spots = [(k, i) for k, blk in enumerate(led.blocks) if k
+             for i in range(len(blk.validity) if flagged else len(blk.txs))]
+    return draw(st.sampled_from(spots))
+
+
+def _tamper_flag(led, draw):  # a flipped flag, a changed reason or a dropped flag
+    k, i = _tx_position(led, draw, flagged=True)
+    validity = list(led.blocks[k].validity)
+    ok, reason = validity[i]
+    how = draw(st.sampled_from(["flip", "reason", "drop"]))
+    if how == "flip":
+        validity[i] = (True, None) if not ok else (False, "mvcc_conflict")
+    elif how == "reason":
+        validity[i] = (ok, draw(st.sampled_from(
+            [r for r in (None, "", "policy", "duplicate") if r != reason])))
+    else:
+        del validity[i]
+    _replace_block(led, k, validity=tuple(validity))
+
+
+def _tamper_link(led, draw):  # a changed prev_hash or body_hash
+    field = draw(st.sampled_from(["prev_hash", "body_hash"]))
+    _replace_block(led, _later_block(led, draw),
+                   **{field: draw(st.binary(min_size=32, max_size=32))})
+
+
+def _tamper_number(led, draw):  # genesis included
+    k = draw(st.integers(min_value=0, max_value=len(led.blocks) - 1))
+    number = led.blocks[k].number
+    _replace_block(led, k, number=draw(st.sampled_from([number + 1, number - 1, -1, 2**64])))
+
+
+def _tamper_tx(led, draw):  # an edited payload, value or nonce
+    k, i = _tx_position(led, draw)
+    txs = list(led.blocks[k].txs)
+    txs[i] = TX_TAMPERS[draw(st.sampled_from(sorted(TX_TAMPERS)))](txs[i])
+    _replace_block(led, k, txs=tuple(txs))
+
+
+def _tamper_order(led, draw):  # a dropped, swapped or moved block
+    if len(led.blocks) < 3:
+        return
+    how = draw(st.sampled_from(["drop", "swap", "move"]))
+    j = _later_block(led, draw)
+    if how == "drop":
+        del led.blocks[j]
+        return
+    k = draw(st.sampled_from([k for k in range(1, len(led.blocks)) if k != j]))
+    if how == "swap":
+        led.blocks[j], led.blocks[k] = led.blocks[k], led.blocks[j]
+    else:
+        led.blocks.insert(k, led.blocks.pop(j))
+
+
+def _tamper_move_tx(led, draw):  # a transaction and its flag moved to another block
+    if len(led.blocks) < 3:
+        return
+    k, i = _tx_position(led, draw, flagged=True)
+    j = draw(st.sampled_from([j for j in range(1, len(led.blocks)) if j != k]))
+    src, dst = led.blocks[k], led.blocks[j]
+    at = draw(st.integers(min_value=0, max_value=min(len(dst.txs), len(dst.validity))))
+    _replace_block(led, k, txs=src.txs[:i] + src.txs[i + 1:],
+                   validity=src.validity[:i] + src.validity[i + 1:])
+    _replace_block(led, j, txs=dst.txs[:at] + (src.txs[i],) + dst.txs[at:],
+                   validity=dst.validity[:at] + (src.validity[i],) + dst.validity[at:])
+
+
+def _tamper_restate(led, draw):  # a body hash restated over the block's records
+    k = _later_block(led, draw)
+    blk = led.blocks[k]
+    _replace_block(led, k, body_hash=ledger.body_hash(
+        (tx.tx_id, tx.kind, ok, reason) for tx, (ok, reason) in zip(blk.txs, blk.validity)))
+
+
+def _tamper_world_state(led, draw):
+    key = draw(st.sampled_from(sorted(led.world_state)))
+    value, version = led.world_state[key]
+    how = draw(st.sampled_from(["value", "version", "drop", "add"]))
+    if how == "value":
+        led.world_state[key] = ("forged", version)
+    elif how == "version":
+        led.world_state[key] = (value, version + 1)
+    elif how == "drop":
+        del led.world_state[key]
+    else:
+        led.world_state["forged"] = ("x", 1)
+
+
+def _tamper_genesis(led, draw):  # a body hash restated over it is pinned on its own
+    how = draw(st.sampled_from(["prev_hash", "body_hash", "tx"]))
+    if how == "tx":
+        k, i = _tx_position(led, draw, flagged=True)
+        blk = led.blocks[k]
+        _replace_block(led, 0, txs=led.blocks[0].txs + (blk.txs[i],),
+                       validity=led.blocks[0].validity + (blk.validity[i],))
+    else:
+        _replace_block(led, 0, **{how: draw(st.binary(min_size=32, max_size=32))})
+
+
+AUDIT_TAMPERS = [_tamper_flag, _tamper_link, _tamper_number, _tamper_tx, _tamper_order,
+                 _tamper_move_tx, _tamper_restate, _tamper_world_state, _tamper_genesis]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=500)
+def test_property_audit_matches_link_walk_and_replay(data):
+    """One to three tampers of any kind give the catch-up audit the
+    verdict of the link walk and replay it replaces."""
+    base, policy = audit_chain()
+    led = ChainLedger()
+    led.blocks, led.world_state = list(base.blocks), dict(base.world_state)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        data.draw(st.sampled_from(AUDIT_TAMPERS))(led, data.draw)
+    assert verify_chain(led, policy) == reference_verify_chain(led, policy)
+
+
+def _genesis_with_records(txs, validity, restate):
+    genesis = ChainLedger().blocks[0]
+    body = ledger.body_hash((tx.tx_id, tx.kind, ok, reason)
+                            for tx, (ok, reason) in zip(txs, validity))
+    return dataclasses.replace(genesis, txs=txs, validity=validity,
+                               body_hash=body if restate else genesis.body_hash)
+
+
+@pytest.mark.parametrize("txs,restate,link_walk", [
+    (1, True, 1),  # rewritten consistently: block 1's link to it breaks
+    (0, False, None),  # a flag without a transaction hashes like none
+], ids=["restated-tx", "flag-without-tx"])
+def test_edited_genesis_is_named_block_0(txs, restate, link_walk):
+    """The catch-up audit checks genesis against a fresh ledger's, so a
+    genesis given records its body hash agrees with is block 0. The link
+    walk and replay named block 1, whose link broke, for a transaction
+    with its body hash restated, and passed a flag without a transaction,
+    which the body hash does not cover."""
+    led, policy = build_chain(4)
+    led.blocks[0] = _genesis_with_records(led.blocks[1].txs[:txs], ((True, None),), restate)
+    assert reference_verify_chain(led, policy) == link_walk
+    assert verify_chain(led, policy) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from rcchain.pipeline_des import (
     BLOCK_FEED,
     MAX_LAST_ARRIVAL_S,
     STAGE_FEED,
+    _MAX_SPACING_SHARE,
     _cut_batches,
     deviation_table,
     simulate_pipeline,
@@ -35,14 +36,39 @@ def test_runs_on_each_side_of_the_last_arrival_bound(n_tx, q01, feed):
     """Just under MAX_LAST_ARRIVAL_S of expected last arrival n_tx/lambda0,
     a run draws no overflow and every statistic is finite, down to the
     least q01 the bound's margin covers; just over it, the run is refused
-    before it draws anything."""
-    inside = QueueNetworkConfig(lambda0=n_tx / MAX_LAST_ARRIVAL_S * (1 + 1e-9), q01=q01)
+    before it draws anything. The service rates scale with lambda0, so
+    the clock's spacing stays far below a mean service time and only this
+    bound binds."""
+    lambda0 = n_tx / MAX_LAST_ARRIVAL_S * (1 + 1e-9)
+    inside = QueueNetworkConfig(lambda0=lambda0, q01=q01, mu0=4 * lambda0, mu2=4 * lambda0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warnings would raise here
         stats = simulate_pipeline(inside, n_tx, seed=1, commit_feed=feed)
     assert stats.n_routed > 0 and all(math.isfinite(v) for v in vars(stats).values())
     outside = replace(inside, lambda0=n_tx / MAX_LAST_ARRIVAL_S * (1 - 1e-9))
     with pytest.raises(ValueError, match="n_tx/lambda0"):
+        simulate_pipeline(outside, n_tx, seed=1, commit_feed=feed)
+
+
+def coarsest_clock(mu):
+    """The least power of two whose float spacing is over 2**-16 of 1/mu:
+    an expected last arrival n_tx/lambda0 from there on is refused."""
+    return 2.0 ** (math.floor(math.log2(_MAX_SPACING_SHARE / mu)) + 53)
+
+
+@pytest.mark.parametrize("feed", [STAGE_FEED, BLOCK_FEED])
+@pytest.mark.parametrize("mu0,mu2", [(150.0, 150.0), (150.0, 4e4), (4e4, 150.0)])
+def test_runs_on_each_side_of_the_clock_spacing_bound(mu0, mu2, feed):
+    """Just under the expected last arrival where the clock's spacing
+    passes 2**-16 of the shortest mean service time 1/max(mu0, mu2), a run
+    simulates; from there on it is refused before it draws anything."""
+    n_tx, edge = 1000, coarsest_clock(max(mu0, mu2))
+    assert math.ulp(edge / 2) <= _MAX_SPACING_SHARE / max(mu0, mu2) < math.ulp(edge)
+    inside = QueueNetworkConfig(lambda0=n_tx / edge * (1 + 1e-9), mu0=mu0, mu2=mu2)
+    stats = simulate_pipeline(inside, n_tx, seed=1, commit_feed=feed)
+    assert stats.n_routed > 0 and all(math.isfinite(v) for v in vars(stats).values())
+    outside = replace(inside, lambda0=n_tx / edge)
+    with pytest.raises(ValueError, match="spacing at the expected last arrival n_tx/lambda0"):
         simulate_pipeline(outside, n_tx, seed=1, commit_feed=feed)
 
 
