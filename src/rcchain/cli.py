@@ -31,8 +31,8 @@ from .queueing import (
     sweep,
 )
 from .reputation import ReputationMode
-from .scenario import (ScenarioConfigError, _check_keys, _number, _require, _shape_checked,
-                       from_doc, load_scenario_config, run_scenario)
+from .scenario import (ScenarioConfigError, _number, _shape_checked, from_doc,
+                       load_scenario_config, run_scenario)
 from .ledger import verify_export_lines
 
 EXIT_OK = 0
@@ -57,17 +57,23 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+@dataclasses.dataclass(frozen=True)
+class LambdaRange:
+    """An analyze grid's lambda0 range, the points start + k*step up to stop."""
+    start: float
+    stop: float
+    step: float = 10.0
+
+
 @_shape_checked
 def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
     """The grid's first point as a QueueNetworkConfig, read through its
-    fields, then the lambda0 and batch-size lists."""
+    fields, then the lambda0 and batch-size lists; the config of every
+    lambda0 and of every batch size is checked, not only the first."""
     fields = {key: value for key, value in doc.items() if key not in ("lambda0", "batch_sizes")}
     lam = doc.get("lambda0", {"start": 10, "stop": 110, "step": 10})
     if isinstance(lam, dict):
-        _check_keys(lam, {"start", "stop", "step"}, "lambda0")
-        start, stop = (_number(_require(lam, key, "lambda0"), f"lambda0.{key}")
-                       for key in ("start", "stop"))
-        step = _number(lam.get("step", 10), "lambda0.step")
+        start, stop, step = dataclasses.astuple(from_doc(LambdaRange, lam, "lambda0"))
         if step <= 0:
             raise ScenarioConfigError("lambda0 step must be > 0")
         if start + step == start:
@@ -86,6 +92,10 @@ def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
     if orderer_mode_override:
         fields["orderer_mode"] = orderer_mode_override
     base = from_doc(QueueNetworkConfig, fields, lambda0=lambdas[0], batch_size=batch_sizes[0])
+    for x in lambdas[1:]:
+        dataclasses.replace(base, lambda0=x)
+    for m in batch_sizes[1:]:
+        dataclasses.replace(base, batch_size=m)
     return base, lambdas, batch_sizes
 
 

@@ -590,7 +590,8 @@ def verify_export_lines(lines: Iterable[str]) -> Optional[int]:
     """Link walk over an exported ledger file from genesis; the export is
     self-verifiable because the body hash covers every exported field of
     each transaction. Returns None when clean, else the first bad block
-    number; a number that is not a JSON integer is a TypeError."""
+    number; a number that is not a JSON integer, or a validity flag that
+    is not a JSON boolean, is a TypeError."""
     prev_header, k = ZERO_HASH, -1
     for k, r in enumerate(map(json.loads, lines)):
         number, prev_hash, stated = (
@@ -599,6 +600,8 @@ def verify_export_lines(lines: Iterable[str]) -> Optional[int]:
             (tx["tx_id"], tx["kind"], tx["valid"], tx["reason"]) for tx in r["txs"])
         if type(number) is not int:  # a JSON true would hash as 1
             raise TypeError(f"block number {number!r} is not an integer")
+        if any(type(tx["valid"]) is not bool for tx in r["txs"]):  # 0 or null would hash as false
+            raise TypeError(f"block {k} has a validity flag that is not a boolean")
         if number != k or prev_hash != prev_header or stated != recomputed:
             return k
         prev_header = header_hash(number, prev_hash, stated)

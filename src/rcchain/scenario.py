@@ -177,7 +177,33 @@ class ArrivalSpec:
 
 
 @dataclass(frozen=True)
+class OrderingSpec(OrderingConfig):
+    """The ordering object: the batch cutter's settings, which order_batch
+    reads, and the orderers (RSUs are the orderers)."""
+    orderer_count: int = 3
+    crashed_orderers: frozenset[str] = frozenset()  # RSU ids, down for the whole run
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.orderer_count < 1:
+            raise ScenarioConfigError(f"orderer_count must be >= 1, got {self.orderer_count!r}")
+
+
+@dataclass(frozen=True)
+class FaultSpec:
+    unreachable_peers: frozenset[str] = frozenset()  # endorsing-peer ids, silent for the whole run
+
+
+def _known(ids: frozenset[str], known: set[str], where: str) -> None:
+    if ids - known:
+        raise ScenarioConfigError(f"{where} names unknown ids {sorted(ids - known)}")
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario, one field per key of its JSON document. Construction
+    checks the rules across objects: organization names, ids, fault
+    targets, the policy, requesters and RSU areas."""
     duration_min: float
     seed: int
     organizations: tuple[OrgSpec, ...]
@@ -185,35 +211,50 @@ class ScenarioConfig:
     rsus: tuple[RsuSpec, ...] = ()
     vehicles: tuple[VehicleSpec, ...] = ()
     tpfs: TpfsParams = TpfsParams()
-    ordering: OrderingConfig = OrderingConfig()
-    orderer_count: int = 3
-    crashed_orderers: frozenset[str] = frozenset()  # RSU ids, down for the whole run
+    ordering: OrderingSpec = OrderingSpec()
     arrivals: ArrivalSpec = ArrivalSpec()
     mode: ReputationMode = ReputationMode.TPFS
-    unreachable_peers: frozenset[str] = frozenset()
+    faults: FaultSpec = FaultSpec()
 
     def __post_init__(self):
         if not self.duration_min > 0:
             raise ScenarioConfigError(f"duration_min must be positive, got {self.duration_min!r}")
-        if self.orderer_count < 1:
-            raise ScenarioConfigError(f"orderer_count must be >= 1, got {self.orderer_count!r}")
         rate = self.arrivals.rate_per_min
         if self.arrivals.kind == "poisson" and rate * self.duration_min > MAX_EXPECTED_MISSIONS:
             raise ScenarioConfigError(
                 f"arrivals.rate_per_min x duration_min expects more than {MAX_EXPECTED_MISSIONS} "
                 f"missions: {rate} x {self.duration_min}")
-
-
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ScenarioConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ScenarioConfigError(f"missing key {key!r} in {where}")
-    return doc[key]
+        orgs, agents = self.organizations, self.rsus + self.vehicles
+        org_names = {o.name for o in orgs}
+        if len(org_names) != len(orgs):
+            raise ScenarioConfigError("duplicate organization names")
+        for agent in agents:
+            if agent.org not in org_names:
+                raise ScenarioConfigError(f"{agent.id!r} references unknown org {agent.org!r}")
+        if len({agent.id for agent in agents}) != len(agents):
+            raise ScenarioConfigError("duplicate agent ids")
+        _known(self.ordering.crashed_orderers, {r.id for r in self.rsus},
+               "ordering.crashed_orderers")
+        _known(self.faults.unreachable_peers, {pid for o in orgs for pid in o.peer_ids()},
+               "faults.unreachable_peers")
+        _known(self.policy.required_orgs, org_names, "policy.required_orgs")
+        for o in orgs:
+            if o.name in self.policy.required_orgs and self.policy.threshold > o.endorsing_peers:
+                raise ScenarioConfigError(
+                    f"policy threshold {self.policy.threshold} exceeds the {o.endorsing_peers} "
+                    f"endorsing peers of {o.name!r}")
+        vehicle_ids = {v.id for v in self.vehicles}
+        requesters = {v.id for v in self.vehicles if "requester" in v.roles}
+        for m in self.arrivals.missions:
+            if m.requester not in vehicle_ids:
+                raise ScenarioConfigError(
+                    f"scripted mission references unknown vehicle {m.requester!r}")
+            if m.requester not in requesters:
+                raise ScenarioConfigError(f"vehicle {m.requester!r} cannot act as requester")
+        rsu_areas = {r.area for r in self.rsus}
+        for v in self.vehicles:
+            if v.id in requesters and v.area not in rsu_areas:
+                raise ScenarioConfigError(f"area {v.area!r} has requesters but no RSU")
 
 
 def _json(kind: type, name: str) -> Callable:
@@ -302,11 +343,11 @@ def from_doc(cls, doc: dict, where: str = "", **given):
     if not (_object(doc, obj).keys() <= readers.keys() and given.keys().isdisjoint(doc)):
         unknown = (doc.keys() - readers.keys()) | (doc.keys() & given.keys())
         raise ScenarioConfigError(f"unknown keys in {obj}: {sorted(unknown)}")
+    for name in required:
+        if name not in doc and name not in given:
+            raise ScenarioConfigError(f"missing key {name!r} in {obj}")
     for name, value in doc.items():
         given[name] = readers[name](value, f"{where}.{name}" if where else name)
-    for name in required:
-        if name not in given:
-            raise ScenarioConfigError(f"missing key {name!r} in {obj}")
     return cls(**given)
 
 
@@ -322,70 +363,19 @@ def _shape_checked(parse):
     return functools.wraps(parse)(checked)
 
 
-def _known(ids: frozenset[str], known: set[str], where: str) -> None:
-    if ids - known:
-        raise ScenarioConfigError(f"{where} names unknown ids {sorted(ids - known)}")
-
-
 @_shape_checked
 def parse_scenario_config(doc: dict) -> ScenarioConfig:
-    """Strict parse. Each JSON object is read through its dataclass by
-    from_doc, so defaults and the rules one object can check live on the
-    dataclasses; this adds the checks across objects: organization names,
-    ids, RSU areas, requesters and the policy threshold."""
-    if not isinstance(doc, dict):
-        raise ScenarioConfigError("scenario config must be a JSON object")
-    _check_keys(doc, {"duration_min", "seed", "organizations", "rsus", "vehicles", "tpfs",
-                      "ordering", "policy", "arrivals", "mode", "faults"}, "config")
-    fields = {key: value for key, value in doc.items()
-              if key not in ("organizations", "ordering", "policy", "faults")}
-    # ordering.orderer_count, ordering.crashed_orderers and
-    # faults.unreachable_peers are ScenarioConfig fields
-    ordering = dict(_object(doc.get("ordering", {}), "ordering"))
-    for key in ("orderer_count", "crashed_orderers"):
-        if key in ordering:
-            fields[key] = ordering.pop(key)
-    fields["ordering"] = ordering
-    faults = _object(doc.get("faults", {}), "faults")
-    _check_keys(faults, {"unreachable_peers"}, "faults")
-    fields.update(faults)
-    read_orgs = _fields(ScenarioConfig)[0]["organizations"]
-    orgs = read_orgs(_require(doc, "organizations", "config"), "organizations")
-    org_names = {o.name for o in orgs}
-    policy = {"required_orgs": [o.name for o in orgs], **_object(doc.get("policy", {}), "policy")}
-    cfg = from_doc(ScenarioConfig, fields, organizations=orgs,
-                   policy=from_doc(EndorsementPolicy, policy, "policy"))
-
-    if len(org_names) != len(orgs):
-        raise ScenarioConfigError("duplicate organization names")
-    for agent in cfg.rsus + cfg.vehicles:
-        if agent.org not in org_names:
-            raise ScenarioConfigError(f"{agent.id!r} references unknown org {agent.org!r}")
-    ids = [agent.id for agent in cfg.rsus + cfg.vehicles]
-    if len(set(ids)) != len(ids):
-        raise ScenarioConfigError("duplicate agent ids")
-    _known(cfg.crashed_orderers, {r.id for r in cfg.rsus}, "ordering.crashed_orderers")
-    _known(cfg.unreachable_peers, {pid for o in orgs for pid in o.peer_ids()},
-           "faults.unreachable_peers")
-    _known(cfg.policy.required_orgs, org_names, "policy.required_orgs")
-    for o in orgs:
-        if o.name in cfg.policy.required_orgs and cfg.policy.threshold > o.endorsing_peers:
-            raise ScenarioConfigError(
-                f"policy threshold {cfg.policy.threshold} exceeds the {o.endorsing_peers} "
-                f"endorsing peers of {o.name!r}")
-    vehicle_ids = {v.id for v in cfg.vehicles}
-    requesters = {v.id for v in cfg.vehicles if "requester" in v.roles}
-    for m in cfg.arrivals.missions:
-        if m.requester not in vehicle_ids:
-            raise ScenarioConfigError(f"scripted mission references unknown vehicle {m.requester!r}")
-        if m.requester not in requesters:
-            raise ScenarioConfigError(f"vehicle {m.requester!r} cannot act as requester")
-    # every area with a requester-capable vehicle needs an RSU
-    rsu_areas = {r.area for r in cfg.rsus}
-    for v in cfg.vehicles:
-        if v.id in requesters and v.area not in rsu_areas:
-            raise ScenarioConfigError(f"area {v.area!r} has requesters but no RSU")
-    return cfg
+    """Strict parse: from_doc reads each JSON object through its
+    dataclass, whose construction checks every rule. The one step left
+    here needs the organizations' names: policy.required_orgs defaults to
+    every declared organization."""
+    doc = dict(_object(doc, "config"))
+    policy = _object(doc.pop("policy", {}), "policy")  # put back last, read after the orgs
+    if "required_orgs" not in policy:
+        orgs = _array(doc.get("organizations", []), "organizations")
+        policy = {**policy,
+                  "required_orgs": [_object(o, "organizations[]").get("name") for o in orgs]}
+    return from_doc(ScenarioConfig, {**doc, "policy": policy})
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
@@ -491,8 +481,8 @@ class _Engine:
             self.rsus_in[r.area].append(r.id)
         self.pending: deque[PendingTx] = deque()
         # faults are fixed for the run: with no orderer majority nothing is cut
-        up = cfg.orderer_count - len(cfg.crashed_orderers)
-        self.ordering_up = 2 * up > cfg.orderer_count
+        up = cfg.ordering.orderer_count - len(cfg.ordering.crashed_orderers)
+        self.ordering_up = 2 * up > cfg.ordering.orderer_count
         self._nonce = 0
         self._endorse_free = self._commit_free = 0.0  # FIFO stations: instant next free
         self._rep_seq = 0
@@ -567,7 +557,7 @@ class _Engine:
 
         def do_endorse():
             tx = endorse(prop, self.cfg.policy, self.peers, self.chain.world_state,
-                         unreachable=self.cfg.unreachable_peers)
+                         unreachable=self.cfg.faults.unreachable_peers)
             if not check_policy(tx, self.cfg.policy):  # a resubmit would fail the same way
                 self._advance(mission, False)
                 return

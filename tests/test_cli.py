@@ -30,6 +30,8 @@ from rcchain.cli import (
     main,
 )
 from rcchain.ioutil import json_text
+from rcchain.ledger import (CertificateAuthority, ChainLedger, EndorsementPolicy, endorse,
+                            export_ledger_lines, propose, state_payload, validate_and_commit)
 from rcchain.pipeline_des import MAX_LAST_ARRIVAL_S, MAX_N_TX
 from rcchain.scenario import MAX_EXPECTED_MISSIONS, ScenarioConfigError, parse_scenario_config
 
@@ -96,6 +98,22 @@ def test_analyze_malformed_config_no_partial_files(tmp_path):
     cfg.write_text(json.dumps({"lambda0": [10], "batch_sizes": [10], "bogus": 1}))
     out = tmp_path / "never"
     assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [
+    {"lambda0": [10, -1], "batch_sizes": [10]},
+    {"lambda0": [10], "batch_sizes": [10, 0]},
+    {"lambda0": {"start": 10, "stop": 20, "step": 10}, "batch_sizes": [10, 50, 0]},
+], ids=["negative-lambda0", "zero-batch-size", "zero-batch-size-last"])
+def test_analyze_checks_every_grid_point_before_out(grid, tmp_path, capsys):
+    """A bad lambda0 or batch size past the grid's first point used to be
+    refused by the sweep, after --out was made."""
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(grid))
+    out = tmp_path / "never"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -390,6 +408,47 @@ def test_ledger_verify_refuses_a_number_that_is_not_an_integer(
     assert field in lines[line]
     lines[line] = lines[line].replace(field, f'"number":{written},')
     path = tmp_path / "ledger.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["ledger-verify", str(path)]) == EXIT_IO
+    assert "cannot parse ledger export" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def duplicate_export_lines():
+    """The export of a chain whose block 2 seals a replayed transaction
+    as invalid (duplicate), so it holds one "valid":false."""
+    ca = CertificateAuthority()
+    peers = [ca.register("org1", "endorsing_peer", f"org1/peer{k}") for k in range(2)]
+    client = ca.register("org1", "client", "client-0")
+    policy = EndorsementPolicy(frozenset({"org1"}))
+    chain = ChainLedger()
+    tx = endorse(propose("qa_request", state_payload("k", "v"), client, 0.0, 1), policy, peers,
+                 chain.world_state)
+    for _ in range(2):
+        validate_and_commit(chain.next_proposal([tx]), chain, policy)
+    assert chain.blocks[2].validity == ((False, "duplicate"),)
+    return export_ledger_lines(chain)
+
+
+@pytest.mark.parametrize("line,flag,written", [
+    (2, "false", "0"),
+    (2, "false", "null"),
+    (2, "false", '"no"'),
+    (2, "false", "[]"),
+    (1, "true", "1"),
+], ids=["zero", "null", "string", "list", "one-for-true"])
+def test_ledger_verify_refuses_a_validity_flag_that_is_not_a_boolean(
+        line, flag, written, duplicate_export_lines, tmp_path, capsys):
+    """The body hash keys on the flag being true, so the duplicate's false
+    rewritten to any other falsy value used to verify clean, and a true
+    rewritten to 1 read as an integrity failure; each is unreadable."""
+    lines = list(duplicate_export_lines)
+    path = tmp_path / "ledger.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["ledger-verify", str(path)]) == EXIT_OK
+    field = f'"valid":{flag}'
+    assert lines[line].count(field) == 1
+    lines[line] = lines[line].replace(field, f'"valid":{written}')
     path.write_text("\n".join(lines) + "\n")
     assert main(["ledger-verify", str(path)]) == EXIT_IO
     assert "cannot parse ledger export" in capsys.readouterr().err

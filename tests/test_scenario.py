@@ -9,11 +9,14 @@ import hashlib
 import json
 import math
 import random
+import re
+import time
 import tracemalloc
 import typing
 from enum import Enum
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -34,6 +37,8 @@ from rcchain.scenario import (
     MAX_EXPECTED_MISSIONS,
     ArrivalSpec,
     BehaviorProfile,
+    FaultSpec,
+    OrderingSpec,
     ScenarioConfigError,
     ScriptedMission,
     VehicleSpec,
@@ -959,8 +964,6 @@ def parent_of(doc, path):
 
 def config_value(cfg, path):
     """The parsed value of the key at path, as JSON writes it."""
-    if path == ("ordering", "orderer_count"):  # a ScenarioConfig field
-        path = ("orderer_count",)
     for step in path:
         cfg = cfg[-1] if step == "[]" else getattr(cfg, step)
     return cfg.value if isinstance(cfg, Enum) else list(cfg) if isinstance(cfg, tuple) else cfg
@@ -981,20 +984,11 @@ def parser_objects(cls, path=()):
 
 def test_schema_and_parser_declare_the_same_keys():
     """Every config object has the same keys in the schema as in the
-    dataclass the parser reads it through, but for the keys the parser
-    moves: ordering's orderer_count and crashed_orderers and faults'
-    unreachable_peers are ScenarioConfig fields."""
+    dataclass the parser reads it through."""
     objects = [((), SCHEMA), *schema_keys(SCHEMA)]
     objects += [(path + ("[]",), sub["items"]) for path, sub in objects if "items" in sub]
     declared = {path: set(sub["properties"]) for path, sub in objects if "properties" in sub}
-    parsed = dict(parser_objects(scenario.ScenarioConfig))
-    moved = {("ordering",): {"orderer_count", "crashed_orderers"},
-             ("faults",): {"unreachable_peers"}}
-    for path, keys in moved.items():
-        parsed[()] -= keys
-        parsed[path] = parsed.get(path, set()) | keys
-    parsed[()].add("faults")
-    assert declared == parsed
+    assert declared == dict(parser_objects(scenario.ScenarioConfig))
 
 
 SCHEMA_DEFAULTS = [(path, sub["default"]) for path, sub in schema_keys(SCHEMA) if "default" in sub]
@@ -1072,17 +1066,107 @@ def test_schema_array_bounds_are_the_parsers():
             parse_scenario_config(doc)
 
 
+def edited(doc, path, value):
+    """A deep copy of doc with the value at path (keys and list indices) set."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return doc
+
+
+# the rules the parser checks and the schema does not state: all but the
+# last two span objects, the missions bound is a product of two keys, and
+# the schema gives p_type's switch_at only in words. Each entry is the
+# rule's message and a one-value edit of the example that breaks it.
+PARSER_ONLY_RULES = {
+    "duplicate-org-name": ("duplicate organization names",
+                           (("organizations", 1, "name"), "map-company")),
+    "unknown-org": ("references unknown org", (("rsus", 0, "org"), "x")),
+    "duplicate-agent-id": ("duplicate agent ids", (("rsus", 0, "id"), "car-01")),
+    "unknown-crashed-orderer": ("ordering.crashed_orderers names unknown ids",
+                                (("ordering", "crashed_orderers"), ["car-01"])),
+    "unknown-unreachable-peer": ("faults.unreachable_peers names unknown ids",
+                                 (("faults",), {"unreachable_peers": ["map-company/peer2"]})),
+    "unknown-policy-org": ("policy.required_orgs names unknown ids",
+                           (("policy", "required_orgs"), ["x"])),
+    "threshold-above-peers": ("exceeds the 2 endorsing peers", (("policy", "threshold"), 3)),
+    "scripted-unknown-vehicle": ("scripted mission references unknown vehicle", (
+        ("arrivals",), {"kind": "scripted", "missions": [{"t_min": 1, "requester": "x"}]})),
+    "scripted-non-requester": ("cannot act as requester", (
+        ("arrivals",), {"kind": "scripted", "missions": [{"t_min": 1, "requester": "taxi-11"}]})),
+    "area-without-rsu": ("has requesters but no RSU", (("vehicles", 0, "area"), "x")),
+    "expected-missions": ("expects more than", (("arrivals", "rate_per_min"), 1e6)),
+    "p_type-without-switch_at": ("p_type profiles need switch_at",
+                                 (("vehicles", 3, "profile", "switch_at"), None)),
+}
+SCHEMA_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+
+@pytest.mark.parametrize("rule", list(PARSER_ONLY_RULES))
+def test_each_parser_only_rule_is_triggered_by_its_example(rule):
+    """The example with the rule's edit validates against the schema and is
+    refused by the parser with the rule's message, so the list of rules the
+    schema leaves out cannot grow silently."""
+    message, (path, value) = PARSER_ONLY_RULES[rule]
+    doc = edited(EXAMPLE, path, value)
+    assert SCHEMA_VALIDATOR.is_valid(doc)
+    with pytest.raises(ScenarioConfigError, match=message):
+        parse_scenario_config(doc)
+
+
+def scalar_leaves(doc, path=()):
+    """The path of every value in doc that is neither an object nor an array."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from scalar_leaves(value, path + (key,))
+    else:
+        yield path
+
+
+SWEEP_VALUES = [0, -1, -0.0, 1e-300, 5e-324, 1e308, 2**63, 10**30, True, False, "x", None, [],
+                {}, 0.5, 3]
+SWEEP_BUDGET_S = 10.0  # about 0.4 s for the 784 parses and schema checks on a 2-vCPU box
+
+
+def test_sweep_of_every_example_leaf_parses_or_is_config_error():
+    """ROADMAP item 16, first cut: each scalar leaf of the example (list
+    members included) set to each value of the pool is parsed in process,
+    never run. The parser returns a config or raises ScenarioConfigError,
+    never another exception, and its verdict is the schema's but where the
+    parser refuses for one of PARSER_ONLY_RULES."""
+    start = time.perf_counter()
+    leaves = list(scalar_leaves(EXAMPLE))
+    assert len(leaves) == 49
+    rules = [message for message, _ in PARSER_ONLY_RULES.values()]
+    for path in leaves:
+        for value in SWEEP_VALUES:
+            doc = edited(EXAMPLE, path, value)
+            try:
+                parse_scenario_config(doc)
+                refusal = None
+            except ScenarioConfigError as err:
+                refusal = str(err)
+            if SCHEMA_VALIDATOR.is_valid(doc) != (refusal is None):
+                assert refusal is not None, f"{path} = {value!r}: parsed, but the schema refuses"
+                assert any(re.search(rule, refusal) for rule in rules), (
+                    f"{path} = {value!r}: the schema accepts, the parser says {refusal!r}")
+    assert time.perf_counter() - start < SWEEP_BUDGET_S
+
+
 def test_configs_built_in_code_obey_the_parsers_rules():
     """The range rules live on the config dataclasses, so a config built or
     replaced in code is checked as a parsed one is."""
     cfg = parse_scenario_config(base_config())
     with pytest.raises(ValueError, match="batch_timeout_s"):
         OrderingConfig(batch_timeout_s=-1.0)
-    for changes in ({"duration_min": 0}, {"duration_min": math.nan}, {"orderer_count": 0},
+    for changes in ({"duration_min": 0}, {"duration_min": math.nan},
                     {"arrivals": ArrivalSpec(rate_per_min=MAX_EXPECTED_MISSIONS)}):
         with pytest.raises(ScenarioConfigError, match=next(iter(changes)).split("_")[0]):
             dataclasses.replace(cfg, **changes)
-    for bad in (lambda: ArrivalSpec(kind="bursty"), lambda: ArrivalSpec(rate_per_min=-1.0),
+    for bad in (lambda: OrderingSpec(orderer_count=0),
+                lambda: ArrivalSpec(kind="bursty"), lambda: ArrivalSpec(rate_per_min=-1.0),
                 lambda: ScriptedMission(-1.0, "v"), lambda: ScriptedMission(1.0, "v", "chat"),
                 lambda: VehicleSpec("v", "o", "A", roles=("driver",))):
         with pytest.raises(ScenarioConfigError):
@@ -1093,6 +1177,37 @@ def test_configs_built_in_code_obey_the_parsers_rules():
     assert BehaviorProfile(kind="p_type", switch_at=1.0).fake_rate == 1.0
     assert BehaviorProfile(kind="untruthful_rater").fake_rate == 0.0
     assert BehaviorProfile().fake_rate == 0.0
+
+
+CROSS_OBJECT_VIOLATIONS = {
+    "no-rsu": (lambda cfg: {"rsus": ()}, "no RSU"),
+    "unknown-policy-org": (
+        lambda cfg: {"policy": EndorsementPolicy(frozenset({"no-such-org"}))}, "required_orgs"),
+    "threshold-above-peers": (
+        lambda cfg: {"policy": dataclasses.replace(cfg.policy, threshold=5)}, "threshold"),
+    "unknown-crashed-orderer": (
+        lambda cfg: {"ordering": dataclasses.replace(
+            cfg.ordering, crashed_orderers=frozenset({"rsu-zz"}))}, "crashed_orderers"),
+    "unknown-unreachable-peer": (
+        lambda cfg: {"faults": FaultSpec(frozenset({"taxi-fleet/peer7"}))}, "unreachable_peers"),
+    "scripted-non-requester": (
+        lambda cfg: {"arrivals": ArrivalSpec("scripted", missions=(
+            ScriptedMission(1.0, "taxi-11"),))}, "cannot act as requester"),
+    "duplicate-ids": (
+        lambda cfg: {"vehicles": cfg.vehicles + cfg.vehicles[:1]}, "duplicate agent ids"),
+}
+
+
+@pytest.mark.parametrize("case", list(CROSS_OBJECT_VIOLATIONS))
+def test_replaced_configs_obey_the_cross_object_rules(case):
+    """The rules across objects live on ScenarioConfig, so the example
+    replaced in code with one broken reference is refused on construction:
+    no RSU used to fail mid-run in randrange, and an unknown policy org or
+    an unmeetable threshold abandoned every mission."""
+    changes, match = CROSS_OBJECT_VIOLATIONS[case]
+    cfg = parse_scenario_config(EXAMPLE)
+    with pytest.raises(ScenarioConfigError, match=match):
+        dataclasses.replace(cfg, **changes(cfg))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
