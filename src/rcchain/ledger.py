@@ -26,13 +26,13 @@ identity's two pad states (SHA-256 over the key XOR ipad and XOR opad,
 derived once when the identity is built) and bit-equal to hmac.digest;
 no signature is exported. Every digest hashes one framing: each field
 as its 4-byte big-endian length (from a table below 256), then its
-bytes. A transaction's bytes are framed once per object, from its own
-fields, and every role (endorser, client, committer, the audit's
-replay) hashes them anew: an endorsed transaction keeps its framed
-(key, version, value) result, and a proposal keeps the framed
-(repr(created_at), nonce) tail of its id's preimage, whose kind and
-client id come pre-framed and whose payload is hashed where it lies.
-Hashing is bit-exact:
+bytes. A transaction is one record from endorsement to audit: its
+proposal plus what endorsement added (the chaincode's one-key read and
+write, and the endorsements). It keeps the framed (repr(created_at),
+nonce) tail of its id's preimage, whose kind and client id come
+pre-framed and whose payload is hashed where it lies, and the framed
+(key, version, value) result; every role (endorser, client, committer,
+the audit's replay) hashes them anew. Hashing is bit-exact:
 - tx id = SHA-256 of the framed (kind, payload, client id,
   repr(created_at), nonce); ids are content digests, so the body hash
   pins every payload byte;
@@ -260,8 +260,8 @@ def _signed_message(tx_id: str, framed_result: bytes) -> bytes:
 
 
 @dataclass(frozen=True, slots=True)
-class EndorsedTransaction:
-    proposal: TransactionProposal
+class EndorsedTransaction(TransactionProposal):
+    """A proposal plus what endorsement added: the one record a block holds."""
     key: str  # the one state key the chaincode read and wrote
     version: int  # the key's version it read
     value: str  # what it wrote there
@@ -270,14 +270,6 @@ class EndorsedTransaction:
     # caller's, so dataclasses.replace derives it again
     _result: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def tx_id(self) -> str:
-        return self.proposal.tx_id
-
-    @property
-    def kind(self) -> str:
-        return self.proposal.kind
-
     def signed_message(self) -> bytes:
         """The message each endorsement must sign; the result is hashed
         anew on every call."""
@@ -285,7 +277,7 @@ class EndorsedTransaction:
         if framed is None:
             framed = _frame_result(self.key, self.version, self.value)
             object.__setattr__(self, "_result", framed)
-        return _signed_message(self.proposal.tx_id, framed)
+        return _signed_message(self.tx_id, framed)
 
 
 def state_payload(key: str, value: str) -> bytes:
@@ -296,9 +288,8 @@ def state_payload(key: str, value: str) -> bytes:
     return f'{{"state_key":{q(key)},"state_value":{q(value)}}}'.encode()
 
 
-def simulate_execution(
-    kind: str, payload: bytes, world_state: dict[str, tuple[str, int]]
-) -> tuple[str, int, str]:
+def simulate_execution(payload: bytes,
+                       world_state: dict[str, tuple[str, int]]) -> tuple[str, int, str]:
     """Deterministic chaincode stand-in: read-modify-write of the payload's
     one state key. Returns (key, the world-state version read, the value
     written)."""
@@ -326,7 +317,7 @@ def endorse(
     """
     if not proposal.digest_ok():
         raise ValueError("proposal content does not match its tx id")
-    key, version, value = simulate_execution(proposal.kind, proposal.payload, world_state)
+    key, version, value = simulate_execution(proposal.payload, world_state)
     framed = _frame_result(key, version, value)
     msg = _signed_message(proposal.tx_id, framed)
     wanted = dict.fromkeys(policy.required_orgs, policy.threshold)
@@ -337,7 +328,10 @@ def endorse(
         if wanted.get(peer.org) and peer.id not in unreachable:
             wanted[peer.org] -= 1
             endorsements.append(Endorsement(peer, sign(peer, msg)))
-    tx = EndorsedTransaction(proposal, key, version, value, tuple(endorsements))
+    p = proposal
+    tx = EndorsedTransaction(p.tx_id, p.kind, p.payload, p.client, p.created_at, p.nonce,
+                             p.client_sig, key, version, value, tuple(endorsements))
+    object.__setattr__(tx, "_tail", p._tail)  # derived by digest_ok above
     object.__setattr__(tx, "_result", framed)  # the bytes just hashed
     return tx
 
@@ -457,9 +451,9 @@ def _validate_tx(
 ) -> Optional[str]:
     """Reason the transaction is invalid, or None. Check order: structure,
     signatures/policy, duplicate, the version read."""
-    if not tx.proposal.digest_ok():
+    if not tx.digest_ok():
         return "structure"
-    if not verify_sig(tx.proposal.client, tx.proposal.tx_id.encode(), tx.proposal.client_sig):
+    if not verify_sig(tx.client, tx.tx_id.encode(), tx.client_sig):
         return "signature"
     if not check_policy(tx, policy):
         return "policy"
@@ -590,18 +584,22 @@ def verify_export_lines(lines: Iterable[str]) -> Optional[int]:
     """Link walk over an exported ledger file from genesis; the export is
     self-verifiable because the body hash covers every exported field of
     each transaction. Returns None when clean, else the first bad block
-    number; a number that is not a JSON integer, or a validity flag that
-    is not a JSON boolean, is a TypeError."""
+    number; a number that is not a JSON integer, a validity flag that is
+    not a JSON boolean, or a reason that is neither a JSON string nor
+    null, is a TypeError."""
     prev_header, k = ZERO_HASH, -1
     for k, r in enumerate(map(json.loads, lines)):
         number, prev_hash, stated = (
             r["number"], bytes.fromhex(r["prev_hash"]), bytes.fromhex(r["body_hash"]))
-        recomputed = body_hash(
-            (tx["tx_id"], tx["kind"], tx["valid"], tx["reason"]) for tx in r["txs"])
         if type(number) is not int:  # a JSON true would hash as 1
             raise TypeError(f"block number {number!r} is not an integer")
         if any(type(tx["valid"]) is not bool for tx in r["txs"]):  # 0 or null would hash as false
             raise TypeError(f"block {k} has a validity flag that is not a boolean")
+        if any(tx["reason"] is not None and type(tx["reason"]) is not str  # false would hash as ""
+               for tx in r["txs"]):
+            raise TypeError(f"block {k} has a reason that is neither a string nor null")
+        recomputed = body_hash(
+            (tx["tx_id"], tx["kind"], tx["valid"], tx["reason"]) for tx in r["txs"])
         if number != k or prev_hash != prev_header or stated != recomputed:
             return k
         prev_header = header_hash(number, prev_hash, stated)

@@ -562,7 +562,7 @@ class _Engine:
                 self._advance(mission, False)
                 return
             self.pending.append(PendingTx(self.now, tx))
-            self._tx_meta[tx.tx_id] = (t_arrive, self.now, mission)
+            self._tx_meta[tx.tx_id] = (self.now, mission)
             self._check_cut()
             # microsecond of slack so float roundoff cannot undershoot the
             # timeout comparison in order_batch
@@ -586,10 +586,9 @@ class _Engine:
         def do_commit():  # the block's ratings first, then its missions resume
             apply_block(self.reputation, block, self.cfg.mode, self.trajectories)
             for tx, (valid, _reason) in zip(block.txs, block.validity):
-                t_arrive, t_endorsed, mission = self._tx_meta.pop(tx.tx_id)
-                self.perf.append(
-                    PerfRecord(tx.tx_id, t_arrive, t_endorsed, t_ordered, t_committed, valid)
-                )
+                t_endorsed, mission = self._tx_meta.pop(tx.tx_id)
+                self.perf.append(PerfRecord(tx.tx_id, tx.created_at, t_endorsed, t_ordered,
+                                            t_committed, valid))
                 self._advance(mission, valid)
 
         self.schedule(t_committed, do_commit)

@@ -236,9 +236,7 @@ def test_criterion_7_ledger_property_suite():
     # tamper detection during sync
     import dataclasses as _dc
 
-    bad = _dc.replace(led.blocks[5].txs[0],
-                      proposal=_dc.replace(led.blocks[5].txs[0].proposal,
-                                           payload=b'{"state_key":"x","state_value":"z"}'))
+    bad = _dc.replace(led.blocks[5].txs[0], payload=b'{"state_key":"x","state_value":"z"}')
     led.blocks[5] = _dc.replace(led.blocks[5], txs=(bad,))
     assert verify_chain(led, policy) == 5
     lag2 = ChainLedger()

@@ -454,6 +454,25 @@ def test_ledger_verify_refuses_a_validity_flag_that_is_not_a_boolean(
     assert "cannot parse ledger export" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("written", ["false", "0", "[]", "{}", "1"])
+def test_ledger_verify_refuses_a_reason_that_is_not_a_string(
+        written, example_ledger_lines, tmp_path, capsys):
+    """The body hash frames a reason as (reason or ""), so false, 0, [] and
+    {} in place of a valid transaction's null read as an integrity failure
+    (in place of an empty reason they would verify clean), and 1 was
+    unreadable only through an AttributeError; each is now refused."""
+    lines = list(example_ledger_lines)
+    path = tmp_path / "ledger.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["ledger-verify", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "ok\n"
+    assert '"reason":null' in lines[1]
+    lines[1] = lines[1].replace('"reason":null', f'"reason":{written}', 1)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["ledger-verify", str(path)]) == EXIT_IO
+    assert "reason that is neither a string nor null" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,value", [
     ("batch_sizes", [10.5]),
     ("batch_sizes", [True]),

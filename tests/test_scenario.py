@@ -205,7 +205,7 @@ def test_stations_are_fifo_and_blocks_commit_in_order(malicious):
     committed = {p.tx_id: p.t_committed for p in report.perf}
     per_block = [committed[blk.txs[0].tx_id] for blk in report.chain.blocks[1:]]
     assert per_block == sorted(per_block)
-    nonce = {tx.tx_id: tx.proposal.nonce for blk in report.chain.blocks for tx in blk.txs}
+    nonce = {tx.tx_id: tx.nonce for blk in report.chain.blocks for tx in blk.txs}
     endorsed = [p.t_endorsed for p in sorted(report.perf, key=lambda p: nonce[p.tx_id])]
     assert endorsed == sorted(endorsed)
 
@@ -712,8 +712,8 @@ def test_payloads_are_compact_canonical_json():
     nested = 0
     for blk in report.chain.blocks:
         for tx in blk.txs:
-            doc = json.loads(tx.proposal.payload)
-            assert tx.proposal.payload == compact_reference(doc).encode()
+            doc = json.loads(tx.payload)
+            assert tx.payload == compact_reference(doc).encode()
             if tx.kind in ("qa_request", "reputation_update"):
                 assert doc["state_value"] == compact_reference(json.loads(doc["state_value"]))
                 nested += 1
@@ -736,7 +736,7 @@ EDGE_TIMES = (0.0, 5e-324, 0.1 + 0.2, 1e16, 1e22)
 def rating_written_by(payload):
     """The rating a reputation_update with this payload writes: the
     chaincode's state value, decoded."""
-    _key, _version, value = simulate_execution("reputation_update", payload, {})
+    _key, _version, value = simulate_execution(payload, {})
     return rating_from_value(value)
 
 
@@ -1077,9 +1077,9 @@ def edited(doc, path, value):
 
 
 # the rules the parser checks and the schema does not state: all but the
-# last two span objects, the missions bound is a product of two keys, and
-# the schema gives p_type's switch_at only in words. Each entry is the
-# rule's message and a one-value edit of the example that breaks it.
+# last span objects, and the missions bound is a product of two keys. Each
+# entry is the rule's message and a one-value edit of the example that
+# breaks it.
 PARSER_ONLY_RULES = {
     "duplicate-org-name": ("duplicate organization names",
                            (("organizations", 1, "name"), "map-company")),
@@ -1098,8 +1098,6 @@ PARSER_ONLY_RULES = {
         ("arrivals",), {"kind": "scripted", "missions": [{"t_min": 1, "requester": "taxi-11"}]})),
     "area-without-rsu": ("has requesters but no RSU", (("vehicles", 0, "area"), "x")),
     "expected-missions": ("expects more than", (("arrivals", "rate_per_min"), 1e6)),
-    "p_type-without-switch_at": ("p_type profiles need switch_at",
-                                 (("vehicles", 3, "profile", "switch_at"), None)),
 }
 SCHEMA_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
@@ -1114,6 +1112,27 @@ def test_each_parser_only_rule_is_triggered_by_its_example(rule):
     assert SCHEMA_VALIDATOR.is_valid(doc)
     with pytest.raises(ScenarioConfigError, match=message):
         parse_scenario_config(doc)
+
+
+@pytest.mark.parametrize("profile,valid", [
+    ({"kind": "p_type"}, False),
+    ({"kind": "p_type", "switch_at": None}, False),
+    ({"kind": "p_type", "switch_at": 10}, True),
+    ({"kind": "malicious"}, True),
+    ({}, True),
+], ids=["p_type-absent", "p_type-null", "p_type-number", "malicious", "no-kind"])
+def test_schema_and_parser_agree_that_p_type_needs_switch_at(profile, valid):
+    """The schema's if/then on kind states the parser's rule, absent key
+    included, which the leaf sweep cannot reach."""
+    doc = edited(EXAMPLE, ("vehicles", 3, "profile"), profile)
+    assert SCHEMA_VALIDATOR.is_valid(doc) == valid
+    try:
+        parse_scenario_config(doc)
+        parsed = True
+    except ScenarioConfigError as err:
+        assert "p_type profiles need switch_at" in str(err)
+        parsed = False
+    assert parsed == valid
 
 
 def scalar_leaves(doc, path=()):
@@ -1244,7 +1263,7 @@ def test_engine_run_leaves_no_cyclic_garbage(doc):
     assert engine.missions
 
 
-ENGINE_HELD_BYTES_PER_TX = 1819  # tracemalloc: 1,774.5 measured, plus 2.5%
+ENGINE_HELD_BYTES_PER_TX = 1778  # tracemalloc: 1,734.5 measured, plus 2.5%
 
 
 def test_engine_transactions_fit_the_heap_budget():
