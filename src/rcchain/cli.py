@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from .ioutil import json_text, report_file, write_files
+from .ioutil import json_text, load_json, report_file, write_files
 from .queueing import (
     ORDERER_MODES,
     QueueNetworkConfig,
@@ -50,11 +50,6 @@ def _out_dir(args) -> str:
     out = os.environ.get("RCCHAIN_OUT") or args.out
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,7 +95,7 @@ def _parse_grid(doc: dict, orderer_mode_override: str | None) -> tuple:
 
 
 def cmd_analyze(args) -> int:
-    doc = _load_json(args.config)
+    doc = load_json(args.config)
     base, lambdas, batch_sizes = _parse_grid(doc, args.orderer_mode)
     out = _out_dir(args)
     rows = sweep(base, lambdas, batch_sizes)

@@ -1,7 +1,8 @@
 """Deterministic output writers: canonical indented JSON, repr-float
-CSV, tables in either, and atomic temp-then-rename file writes; and
-_gc_paused, the one place the cyclic garbage collector is switched, which
-scenario._Engine.run and presets._mirror_on_chain run under."""
+CSV, tables in either, and atomic temp-then-rename file writes; the JSON
+readers of every input file; and _gc_paused, the one place the cyclic
+garbage collector is switched, which scenario._Engine.run and
+presets._mirror_on_chain run under."""
 
 from __future__ import annotations
 
@@ -24,6 +25,20 @@ def _gc_paused():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def parse_json(text: str):
+    """json.loads, with nesting too deep for its parser (about 1,000
+    levels) a ValueError, as other malformed JSON is, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deep to parse") from None
+
+
+def load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_json(fh.read())
 
 
 def fmt_cell(value) -> str:

@@ -26,7 +26,10 @@ identity's two pad states (SHA-256 over the key XOR ipad and XOR opad,
 derived once when the identity is built) and bit-equal to hmac.digest;
 no signature is exported. Every digest hashes one framing: each field
 as its 4-byte big-endian length (from a table below 256), then its
-bytes. A transaction is one record from endorsement to audit: its
+bytes; a framing of a fixed number of parts (an id's tail, a result, a
+block body's entries) is one join of pre-framed pieces, byte-equal to
+_frame's, and a payload in state_payload's canonical shape is read by
+json's C string scanner. A transaction is one record from endorsement to audit: its
 proposal plus what endorsement added (the chaincode's one-key read and
 write, and the endorsements). It keeps the framed (repr(created_at),
 nonce) tail of its id's preimage, whose kind and client id come
@@ -54,9 +57,12 @@ import hashlib
 import hmac
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Optional
+
+from .ioutil import parse_json
 
 ZERO_HASH = bytes(32)
 CA_SECRET = b"rcchain-ca"  # the certificate authority's key for every identity's key tag
@@ -172,7 +178,14 @@ class EndorsementPolicy:
             raise ValueError("policy needs at least one required org")
 
 
-_PREFIX = [n.to_bytes(4, "big") for n in range(256)]
+class _Prefixes(dict):
+    """Length -> its 4-byte big-endian prefix, built on lookup from 256 up."""
+
+    def __missing__(self, n: int) -> bytes:
+        return n.to_bytes(4, "big")
+
+
+_PREFIX = _Prefixes((n, n.to_bytes(4, "big")) for n in range(256))
 
 
 def _frame(parts: Iterable[bytes]) -> bytes:
@@ -180,18 +193,19 @@ def _frame(parts: Iterable[bytes]) -> bytes:
     join: the one injective encoding every digest in this module hashes."""
     out = []
     for part in parts:
-        n = len(part)
-        out.append(_PREFIX[n] if n < 256 else n.to_bytes(4, "big"))
-        out.append(part)
+        out += (_PREFIX[len(part)], part)
     return b"".join(out)
 
 
 _FRAMED_KINDS = {kind: _frame((kind.encode(),)) for kind in TX_KINDS}
+_FRAMED_ONE = _frame((b"1",))  # a read or write set's count
+_FRAMED_NO_REASON = (_frame((b"\0", b"")), _frame((b"\1", b"")))  # body_hash's (flags, "")
 
 
 def _frame_tail(created_at: float, nonce: int) -> bytes:
     """The last two fields of a tx id's preimage, framed."""
-    return _frame((repr(float(created_at)).encode(), str(nonce).encode()))
+    t, n = repr(float(created_at)).encode(), str(nonce).encode()
+    return b"".join((_PREFIX[len(t)], t, _PREFIX[len(n)], n))
 
 
 def _tx_digest(kind: str, payload: bytes, framed_client: bytes, tail: bytes) -> str:
@@ -199,7 +213,7 @@ def _tx_digest(kind: str, payload: bytes, framed_client: bytes, tail: bytes) -> 
     nonce), hex. The parts are hashed where they lie: the payload is not
     copied into a framing, and the kind and client id come pre-framed."""
     h = hashlib.sha256(_FRAMED_KINDS.get(kind) or _frame((kind.encode(),)))
-    h.update(len(payload).to_bytes(4, "big"))
+    h.update(_PREFIX[len(payload)])
     h.update(payload)
     h.update(framed_client)
     h.update(tail)
@@ -229,6 +243,19 @@ class TransactionProposal:
         return self.tx_id == _tx_digest(self.kind, self.payload, self.client.framed_id, tail)
 
 
+def _sealer(cls):
+    """A builder of cls records from every field's value, in field order,
+    writing each slot once through its member descriptor. __init__ pays a
+    frozen object.__setattr__ per field and writes a kept-bytes slot twice
+    (None, then the bytes); the builder is compiled, as dataclasses
+    compiles __init__, so its writes run unrolled."""
+    names = [f.name for f in fields(cls)]
+    env = {"new": object.__new__, "cls": cls} | {f"set{n}": getattr(cls, n).__set__ for n in names}
+    exec(f"def seal({', '.join(names)}):\n rec = new(cls)\n"
+         + "".join(f" set{n}(rec, {n})\n" for n in names) + " return rec", env)
+    return env["seal"]
+
+
 def propose(
     kind: str, payload: bytes, client: Identity, created_at: float, nonce: int = 0
 ) -> TransactionProposal:
@@ -236,10 +263,8 @@ def propose(
         raise ValueError(f"unknown transaction kind {kind!r}")
     tail = _frame_tail(created_at, nonce)
     tx_id = _tx_digest(kind, payload, client.framed_id, tail)
-    prop = TransactionProposal(tx_id, kind, payload, client, created_at, nonce,
-                               sign(client, tx_id.encode()))
-    object.__setattr__(prop, "_tail", tail)  # the bytes just hashed
-    return prop
+    return _seal_proposal(tx_id, kind, payload, client, created_at, nonce,
+                          sign(client, tx_id.encode()), tail)  # the bytes just hashed
 
 
 class Endorsement(NamedTuple):
@@ -250,8 +275,9 @@ class Endorsement(NamedTuple):
 def _frame_result(key: str, version: int, value: str) -> bytes:
     """The result hash's preimage: one read of key at version and one
     write of value to it, each set framed as its count, then its entry."""
-    k = key.encode()
-    return _frame((b"1", k, str(version).encode(), b"1", k, value.encode()))
+    k, v, w = key.encode(), str(version).encode(), value.encode()
+    k = _PREFIX[len(k)] + k
+    return b"".join((_FRAMED_ONE, k, _PREFIX[len(v)], v, _FRAMED_ONE, k, _PREFIX[len(w)], w))
 
 
 def _signed_message(tx_id: str, framed_result: bytes) -> bytes:
@@ -280,6 +306,9 @@ class EndorsedTransaction(TransactionProposal):
         return _signed_message(self.tx_id, framed)
 
 
+_seal_proposal, _seal_record = _sealer(TransactionProposal), _sealer(EndorsedTransaction)
+
+
 def state_payload(key: str, value: str) -> bytes:
     """Canonical payload bytes of a write of value to the state key (the
     bytes of json.dumps with sorted keys and compact separators); the
@@ -288,12 +317,23 @@ def state_payload(key: str, value: str) -> bytes:
     return f'{{"state_key":{q(key)},"state_value":{q(value)}}}'.encode()
 
 
+_KEY_HEAD, _VALUE_HEAD = '{"state_key":"', ',"state_value":"'
+
+
 def simulate_execution(payload: bytes,
                        world_state: dict[str, tuple[str, int]]) -> tuple[str, int, str]:
     """Deterministic chaincode stand-in: read-modify-write of the payload's
     one state key. Returns (key, the world-state version read, the value
     written)."""
-    doc = json.loads(payload.decode())
+    text = payload.decode()
+    if text.startswith(_KEY_HEAD):  # state_payload's shape: scan its two strings
+        # json.loads scans these same strings first, so an error here is its error
+        key, end = scanstring(text, len(_KEY_HEAD))
+        if text.startswith(_VALUE_HEAD, end):
+            value, end = scanstring(text, end + len(_VALUE_HEAD))
+            if text[end:] == "}":
+                return key, world_state.get(key, ("", 0))[1], value
+    doc = json.loads(text)
     key = doc["state_key"]
     value = doc["state_value"]
     if not isinstance(key, str) or not isinstance(value, str):
@@ -328,12 +368,9 @@ def endorse(
         if wanted.get(peer.org) and peer.id not in unreachable:
             wanted[peer.org] -= 1
             endorsements.append(Endorsement(peer, sign(peer, msg)))
-    p = proposal
-    tx = EndorsedTransaction(p.tx_id, p.kind, p.payload, p.client, p.created_at, p.nonce,
-                             p.client_sig, key, version, value, tuple(endorsements))
-    object.__setattr__(tx, "_tail", p._tail)  # derived by digest_ok above
-    object.__setattr__(tx, "_result", framed)  # the bytes just hashed
-    return tx
+    p = proposal  # its _tail was derived by digest_ok above; framed was just hashed
+    return _seal_record(p.tx_id, p.kind, p.payload, p.client, p.created_at, p.nonce,
+                        p.client_sig, p._tail, key, version, value, tuple(endorsements), framed)
 
 
 def check_policy(tx: EndorsedTransaction, policy: EndorsementPolicy) -> bool:
@@ -397,9 +434,11 @@ def body_hash(results: Iterable[tuple[str, str, bool, Optional[str]]]) -> bytes:
     one hash apart."""
     parts = []
     for tx_id, kind, valid, reason in results:
-        flags = (valid is True) | (reason is not None) << 1
-        parts += (tx_id.encode(), kind.encode(), bytes((flags,)), (reason or "").encode())
-    return hashlib.sha256(_frame(parts)).digest()
+        i = tx_id.encode()
+        parts += (_PREFIX[len(i)], i, _FRAMED_KINDS.get(kind) or _frame((kind.encode(),)),
+                  _FRAMED_NO_REASON[valid is True] if reason is None
+                  else _frame((bytes(((valid is True) | 2,)), reason.encode())))
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def header_hash(number: int, prev_hash: bytes, body: bytes) -> bytes:
@@ -586,9 +625,9 @@ def verify_export_lines(lines: Iterable[str]) -> Optional[int]:
     each transaction. Returns None when clean, else the first bad block
     number; a number that is not a JSON integer, a validity flag that is
     not a JSON boolean, or a reason that is neither a JSON string nor
-    null, is a TypeError."""
+    null, is a TypeError; a line nested too deep to parse is a ValueError."""
     prev_header, k = ZERO_HASH, -1
-    for k, r in enumerate(map(json.loads, lines)):
+    for k, r in enumerate(map(parse_json, lines)):
         number, prev_hash, stated = (
             r["number"], bytes.fromhex(r["prev_hash"]), bytes.fromhex(r["body_hash"]))
         if type(number) is not int:  # a JSON true would hash as 1

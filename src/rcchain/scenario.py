@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 from random import Random
 from typing import Callable, Generator, NamedTuple, Optional
 
-from .ioutil import _gc_paused, csv_text, json_text, write_files
+from .ioutil import _gc_paused, csv_text, json_text, load_json, write_files
 from .ledger import (
     Block,
     CertificateAuthority,
@@ -379,8 +379,7 @@ def parse_scenario_config(doc: dict) -> ScenarioConfig:
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario_config(json.load(fh))
+    return parse_scenario_config(load_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,25 @@ def test_ledger_verify_unreadable_and_truncated(tmp_path):
     assert main(["ledger-verify", str(trunc)]) == EXIT_IO
 
 
+@pytest.mark.parametrize("command,code", [
+    (["ledger-verify"], EXIT_IO),
+    (["simulate", "--config"], EXIT_CONFIG),
+    (["analyze", "--config"], EXIT_CONFIG),
+], ids=["ledger-verify", "simulate", "analyze"])
+def test_json_nested_too_deep_is_unreadable_input(command, code, tmp_path, capsys):
+    """JSON nested past the parser's recursion limit used to end in a
+    RecursionError traceback and exit 1, from all three JSON readers."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    out = tmp_path / "never"
+    outs = [] if command == ["ledger-verify"] else ["--out", str(out)]
+    assert main([*command, str(path), *outs]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "nested too deep" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("record", [
     {"number": 0, "prev_hash": 5, "body_hash": "00", "txs": []},
     [1, 2],

@@ -12,7 +12,7 @@ import tracemalloc
 from collections import Counter, deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcchain import ledger, presets
@@ -310,7 +310,8 @@ def tx_digest_reference(kind, payload, client_id, created_at, nonce):
 
 
 @given(kind=st.text(), body=st.binary(), client_id=st.text(), created_at=st.floats(),
-       nonce=st.integers(min_value=-2**70, max_value=2**70))
+       nonce=st.one_of(st.integers(min_value=-2**70, max_value=2**70),
+                       st.just(10**300)))  # a nonce of 301 digits frames past the table
 @settings(deadline=None, max_examples=200)
 def test_property_tx_digest_matches_streaming_reference(kind, body, client_id, created_at,
                                                         nonce):
@@ -380,6 +381,32 @@ def test_tamper_after_hashing_is_caught_as_before(tamper, caught):
     fresh = unhashed(hashed)
     assert tamper_outcomes(TX_TAMPERS[tamper](hashed), peers, policy, hashed) == caught
     assert tamper_outcomes(TX_TAMPERS[tamper](fresh), peers, policy, hashed) == caught
+
+
+def test_propose_and_endorse_records_equal_init_built_ones():
+    """propose and endorse write each slot once, without __init__: their
+    records equal ones __init__ builds, carry the framings digest_ok and
+    signed_message derive, stay frozen, and dataclasses.replace leaves the
+    kept bytes unset, to be derived again from the new fields."""
+    _, peers, client, policy = make_network()
+    prop = propose("qa_request", payload("k", "v"), client, 1.5, 3)
+    tx = endorse(prop, policy, peers, {"k": ("u", 4)})
+    for rec in (prop, tx):
+        built = type(rec)(*init_fields(rec))
+        assert rec == built
+        assert built._tail is None and built.digest_ok() and built._tail == rec._tail
+        for f in dataclasses.fields(rec):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, f.name, getattr(rec, f.name))
+    built = EndorsedTransaction(*init_fields(tx))
+    assert built.signed_message() == tx.signed_message() and built._result == tx._result
+    assert tx._result == _frame_result("k", 4, "v")
+    for rec in (prop, tx):
+        moved = dataclasses.replace(rec, nonce=rec.nonce + 1)
+        assert moved._tail is None and not moved.digest_ok()
+    moved = dataclasses.replace(tx, nonce=tx.nonce + 1)
+    assert moved._result is None
+    assert commit(ChainLedger(), policy, [moved]).validity == ((False, "structure"),)
 
 
 HELD_BYTES_PER_TX = 1257  # tracemalloc: 1,226.0 measured, plus 2.5%
@@ -1096,6 +1123,86 @@ def test_frame_matches_the_per_part_loop(lengths):
 @settings(deadline=None, max_examples=200)
 def test_property_frame_matches_the_per_part_loop(parts):
     assert ledger._frame(parts) == framed_reference(parts)
+
+
+def body_hash_reference(records):
+    """SHA-256 of the generic framing of each record's (tx id, kind, flags
+    byte, reason or "")."""
+    parts = []
+    for tx_id, kind, valid, reason in records:
+        flags = (valid is True) | (reason is not None) << 1
+        parts += (tx_id.encode(), kind.encode(), bytes((flags,)), (reason or "").encode())
+    return hashlib.sha256(framed_reference(parts)).digest()
+
+
+body_record = st.tuples(st.one_of(awkward_text, long_text, st.text(min_size=256)),
+                        st.one_of(st.sampled_from(sorted(ledger.TX_KINDS)), awkward_text,
+                                  long_text),
+                        st.booleans(),
+                        st.one_of(st.none(), st.just(""), awkward_text, long_text))
+
+
+@given(st.lists(body_record, max_size=6))
+@settings(deadline=None, max_examples=300)
+def test_property_body_hash_is_the_generic_framing(records):
+    """The pre-framed pieces (kinds, the reason-less flags) hash the bytes
+    of the generic framing, past the 256-byte prefix table and for kinds
+    and reasons no commit writes."""
+    assert ledger.body_hash(records) == body_hash_reference(records)
+
+
+def simulate_execution_reference(payload_bytes, world_state):
+    """The chaincode read through json.loads alone."""
+    doc = json.loads(payload_bytes.decode())
+    key, value = doc["state_key"], doc["state_value"]
+    if not isinstance(key, str) or not isinstance(value, str):
+        raise ValueError("state_key and state_value must be strings")
+    return key, world_state.get(key, ("", 0))[1], value
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as err:  # the exception is the outcome compared
+        return type(err), str(err)
+
+
+@st.composite
+def chaincode_payloads(draw):
+    """state_payload bytes, the same with junk spliced in, or json.dumps's
+    spaced form, of awkward keys and values."""
+    key, value = draw(awkward_text), draw(awkward_text)
+    canonical = state_payload(key, value)
+    how = draw(st.sampled_from(["canonical", "spliced", "spaced"]))
+    if how == "canonical":
+        return canonical
+    if how == "spaced":
+        return payload(key, value)
+    at = draw(st.one_of(st.integers(0, len(canonical)),
+                        st.sampled_from([14, len(canonical) - 1, len(canonical)])))
+    cut = draw(st.integers(0, 3))
+    junk = draw(st.one_of(
+        st.sampled_from([b'"', b"\\", b"}", b",", b"\\u12", b"\x01", b" ", b"\xff"]),
+        st.binary(max_size=4)))
+    return canonical[:at] + junk + canonical[at + cut:]
+
+
+@given(chaincode_payloads(), st.integers(0, 2**70))
+@example(state_payload("k", "v") + b"}", 0)  # extra data after the canonical shape
+@example(state_payload("k", "v") + b" ", 0)  # trailing whitespace json.loads takes
+@example(state_payload("k", "v")[:-1], 0)
+@example(state_payload("k\x01", "v").replace(b"\\u0001", b"\x01"), 0)  # a raw control character
+@settings(deadline=None, max_examples=500)
+def test_property_simulate_execution_matches_json_loads(payload_bytes, version):
+    """The scanned canonical payload reads as json.loads reads it, and
+    any other text gives json.loads's result or its exception."""
+    try:
+        key = json.loads(payload_bytes)["state_key"]
+    except Exception:
+        key = "k"
+    state = {key: ("x", version)} if isinstance(key, str) else {}
+    assert (outcome(simulate_execution, payload_bytes, state)
+            == outcome(simulate_execution_reference, payload_bytes, state))
 
 
 def ledger_line_reference(blk):
