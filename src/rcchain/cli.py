@@ -42,6 +42,15 @@ EXIT_INTEGRITY = 4
 EXIT_ASSERTION = 5
 EXIT_IO = 6
 MAX_GRID_POINTS = 100_000  # most points an analyze lambda0 range may expand to
+MAX_REFUSAL_CHARS = 300  # longest refusal line; an echoed value can be any length
+
+
+def _refuse(message: str, code: int) -> int:
+    """Print a refusal to stderr, cut to MAX_REFUSAL_CHARS and marked; return code."""
+    if len(message) > MAX_REFUSAL_CHARS:
+        message = message[:MAX_REFUSAL_CHARS - len(" [...]")] + " [...]"
+    print(message, file=sys.stderr)
+    return code
 
 
 def _out_dir(args) -> str:
@@ -132,13 +141,11 @@ def cmd_simulate(args) -> int:
 def cmd_preset(args) -> int:
     from . import presets
     if args.name not in presets.PRESETS:
-        print(f"unknown preset {args.name!r}; available: {', '.join(sorted(presets.PRESETS))}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        return _refuse(f"unknown preset {args.name!r}; "
+                       f"available: {', '.join(sorted(presets.PRESETS))}", EXIT_CONFIG)
     if args.name == "neighbor-sweep" and args.seed is not None:
-        print("preset neighbor-sweep takes no --seed: its outputs are the same for every seed",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        return _refuse("preset neighbor-sweep takes no --seed: "
+                       "its outputs are the same for every seed", EXIT_CONFIG)
     out = _out_dir(args)
     result = presets.run_preset(args.name, seed=args.seed)
     result.write_outputs(out)
@@ -156,8 +163,7 @@ def cmd_ledger_verify(args) -> int:
             lines = [line for line in fh.read().splitlines() if line]
         bad = verify_export_lines(lines)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
-        print(f"cannot parse ledger export: {err}", file=sys.stderr)
-        return EXIT_IO
+        return _refuse(f"cannot parse ledger export: {err}", EXIT_IO)
     if bad is None:
         print("ok")
         return EXIT_OK
@@ -234,17 +240,13 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except UnstableConfigError as err:
-        print(f"unstable configuration: {err}", file=sys.stderr)
-        return EXIT_UNSTABLE
+        return _refuse(f"unstable configuration: {err}", EXIT_UNSTABLE)
     except OSError as err:
-        print(f"cannot read input or write output: {err}", file=sys.stderr)
-        return EXIT_IO
+        return _refuse(f"cannot read input or write output: {err}", EXIT_IO)
     except json.JSONDecodeError as err:
-        print(f"config is not valid JSON: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _refuse(f"config is not valid JSON: {err}", EXIT_CONFIG)
     except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _refuse(f"config error: {err}", EXIT_CONFIG)
 
 
 if __name__ == "__main__":

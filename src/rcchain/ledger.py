@@ -31,7 +31,8 @@ block body's entries) is one join of pre-framed pieces, byte-equal to
 _frame's, and a payload in state_payload's canonical shape is read by
 json's C string scanner. A transaction is one record from endorsement to audit: its
 proposal plus what endorsement added (the chaincode's one-key read and
-write, and the endorsements). It keeps the framed (repr(created_at),
+write, and its endorsers and their tags as two tuples, run parallel in
+the order endorse asked the peers). It keeps the framed (repr(created_at),
 nonce) tail of its id's preimage, whose kind and client id come
 pre-framed and whose payload is hashed where it lies, and the framed
 (key, version, value) result; every role (endorser, client, committer,
@@ -267,11 +268,6 @@ def propose(
                           sign(client, tx_id.encode()), tail)  # the bytes just hashed
 
 
-class Endorsement(NamedTuple):
-    endorser: Identity
-    sig: bytes  # the endorser's tag over the transaction's signed_message()
-
-
 def _frame_result(key: str, version: int, value: str) -> bytes:
     """The result hash's preimage: one read of key at version and one
     write of value to it, each set framed as its count, then its entry."""
@@ -291,13 +287,14 @@ class EndorsedTransaction(TransactionProposal):
     key: str  # the one state key the chaincode read and wrote
     version: int  # the key's version it read
     value: str  # what it wrote there
-    endorsements: tuple[Endorsement, ...]
+    endorsers: tuple[Identity, ...]  # the peers endorse asked, in order
+    sigs: tuple[bytes, ...]  # each endorser's tag over signed_message(), in the same order
     # _frame_result of key, version and value, derived once: never a
     # caller's, so dataclasses.replace derives it again
     _result: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def signed_message(self) -> bytes:
-        """The message each endorsement must sign; the result is hashed
+        """The message each endorser must sign; the result is hashed
         anew on every call."""
         framed = self._result
         if framed is None:
@@ -361,25 +358,27 @@ def endorse(
     framed = _frame_result(key, version, value)
     msg = _signed_message(proposal.tx_id, framed)
     wanted = dict.fromkeys(policy.required_orgs, policy.threshold)
-    endorsements = []
+    endorsers = []
     for peer in peers:
         if peer.role != "endorsing_peer":
             raise ValueError(f"{peer.id} is not an endorsing peer")
         if wanted.get(peer.org) and peer.id not in unreachable:
             wanted[peer.org] -= 1
-            endorsements.append(Endorsement(peer, sign(peer, msg)))
+            endorsers.append(peer)
     p = proposal  # its _tail was derived by digest_ok above; framed was just hashed
     return _seal_record(p.tx_id, p.kind, p.payload, p.client, p.created_at, p.nonce,
-                        p.client_sig, p._tail, key, version, value, tuple(endorsements), framed)
+                        p.client_sig, p._tail, key, version, value, tuple(endorsers),
+                        tuple([sign(peer, msg) for peer in endorsers]), framed)
 
 
 def check_policy(tx: EndorsedTransaction, policy: EndorsementPolicy) -> bool:
+    """Whether the matched (endorser, tag) pairs meet the policy; unequal tuples never raise."""
     msg = tx.signed_message()
     missing = dict.fromkeys(policy.required_orgs, policy.threshold)
     short = len(missing)  # required orgs still below the threshold
-    for e in tx.endorsements:
-        org = e.endorser.org
-        if missing.get(org) and verify_sig(e.endorser, msg, e.sig):
+    for peer, sig in zip(tx.endorsers, tx.sigs):
+        org = peer.org
+        if missing.get(org) and verify_sig(peer, msg, sig):
             missing[org] -= 1
             if not missing[org]:
                 short -= 1

@@ -388,8 +388,8 @@ def load_scenario_config(path: str) -> ScenarioConfig:
 
 @dataclass
 class MissionRecord:
-    """A mission, filled in step by step as its lifecycle runs; the fields
-    before candidates are its missions.csv row, under MISSION_COLUMNS."""
+    """A mission, filled in step by step as its lifecycle runs; its fields
+    are its missions.csv row, under MISSION_COLUMNS."""
     mission_id: str
     kind: str
     requester: str
@@ -397,14 +397,12 @@ class MissionRecord:
     outcome: str = "abandoned"          # until the delivery commits: completed_good / _bad
     t_request_min: float = 0.0
     t_commit_min: Optional[float] = None
-    candidates: tuple[str, ...] = ()
 
 
 # missions.csv's header; t_request and t_commit are in minutes
 MISSION_COLUMNS = ("mission_id", "kind", "requester", "selected", "outcome",
                    "t_request", "t_commit")
-_mission_row = operator.attrgetter(*(f.name for f in dataclasses.fields(MissionRecord)
-                                     [:len(MISSION_COLUMNS)]))
+_mission_row = operator.attrgetter(*(f.name for f in dataclasses.fields(MissionRecord)))
 
 
 class PerfRecord(NamedTuple):
@@ -620,7 +618,6 @@ class _Engine:
                            if v != requester and status.get(v) is not Status.REVOKED)
         if not candidates:
             return
-        record.candidates = candidates
         scored = score_groups(score_candidates, self.reputation, requester, candidates,
                               self.cfg.mode, self.now / SECONDS_PER_MINUTE)
         area_rsus = self.rsus_in[area]

@@ -25,6 +25,7 @@ from rcchain.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_UNSTABLE,
+    MAX_REFUSAL_CHARS,
     _parse_grid,
     build_parser,
     main,
@@ -522,6 +523,53 @@ def test_ledger_export_is_a_usage_error(scenario_path, tmp_path, capsys):
         main(["ledger-export", "--config", scenario_path, "--out", str(out)])
     assert exc.value.code == 2
     assert "invalid choice: 'ledger-export'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+LONG = "x" * 1_000_000  # a value a refusal would echo whole
+
+
+def nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def long_block_number(lines):
+    assert '"number":1,' in lines[1]
+    return [lines[0], lines[1].replace('"number":1,', f'"number":{json.dumps(LONG)},'),
+            *lines[2:]]
+
+
+@pytest.mark.parametrize("command,file,code,start", [
+    (["simulate"], lambda lines: json_text({**EXAMPLE, "duration_min": LONG}), EXIT_CONFIG,
+     "config error: malformed config: duration_min must be a number, got 'xxx"),
+    (["simulate"], lambda lines: json_text({**EXAMPLE, "organizations": nested(5, 900)}),
+     EXIT_CONFIG, "config error: malformed config: organizations[] must be an object, got [[["),
+    (["analyze"], lambda lines: json_text({**README_GRID, "mu0": LONG}), EXIT_CONFIG,
+     "config error: "),
+    (["ledger-verify"], lambda lines: "\n".join(long_block_number(lines)) + "\n", EXIT_IO,
+     "cannot parse ledger export: block number 'xxx"),
+    (["preset", LONG], None, EXIT_CONFIG, "unknown preset 'xxx"),
+], ids=["simulate", "simulate-deep", "analyze", "ledger-verify", "preset"])
+def test_refusal_echoing_a_long_value_is_one_capped_line(
+        command, file, code, start, example_ledger_lines, tmp_path, capsys):
+    """A refusal used to echo the offending value whole: a 1 MB string
+    made a 1 MB stderr line. It is one line of at most MAX_REFUSAL_CHARS,
+    the cut marked, with the same exit code and start, and no --out."""
+    args = list(command)
+    if file is not None:
+        path = tmp_path / "input.json"
+        path.write_text(file(list(example_ledger_lines)))
+        args += [str(path)] if command == ["ledger-verify"] else ["--config", str(path)]
+    out = tmp_path / "never"
+    if command != ["ledger-verify"]:
+        args += ["--out", str(out)]
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert len(line) <= MAX_REFUSAL_CHARS and line.startswith(start) and line.endswith(" [...]")
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import re
+import sys
 import time
 import tracemalloc
 import typing
@@ -17,6 +18,7 @@ from enum import Enum
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,12 +26,14 @@ from hypothesis import strategies as st
 from rcchain.cli import EXIT_CONFIG, main
 from rcchain.ioutil import _gc_paused
 from rcchain.ledger import (
+    BATCH_TIMEOUT_S,
     EndorsementPolicy,
     OrderingConfig,
     export_ledger_lines,
     simulate_execution,
     verify_chain,
 )
+from rcchain.pipeline_des import _cut_batches
 from rcchain.reputation import RatingEvent, ReputationLedger, ReputationMode
 from rcchain import scenario
 from rcchain.scenario import (
@@ -427,13 +431,14 @@ def test_new_group_is_scored_only_when_selection_reads_it(mode, monkeypatch):
     assert set(cases) == {"skip", "all below", "no old group"}, cases
 
 
-def test_candidates_match_a_scan_of_the_config():
+def test_candidates_match_a_scan_of_the_config(monkeypatch):
     """The engine indexes requesters and per-area servers once per run.
-    With nobody revoked, every mission's candidates must equal a scan of
-    the config: servers in the requester's area other than the requester,
-    sorted by id. Ids are listed out of order, areas mix idlers and
-    requester-only, server-only and dual-role vehicles, and area D has a
-    requester but no server."""
+    With nobody revoked, every mission's candidates (seen by a shim of
+    scenario.score_groups; a mission with none never scores) must equal a
+    scan of the config: servers in the requester's area other than the
+    requester, sorted by id. Ids are listed out of order, areas mix
+    idlers and requester-only, server-only and dual-role vehicles, and
+    area D has a requester but no server."""
     roles = {"req": ["requester"], "srv": ["server"], "dual": ["requester", "server"],
              "idle": ["idler"]}
     layout = [("z-srv", "A"), ("b-dual", "B"), ("m-req", "A"), ("a-srv", "B"),
@@ -452,6 +457,15 @@ def test_candidates_match_a_scan_of_the_config():
         arrivals={"kind": "poisson", "rate_per_min": 6.0},
     )
     cfg = parse_scenario_config(doc)
+    seen, score_groups = {}, scenario.score_groups
+
+    def scoring(score, ledger, rater, candidates, mode, now):
+        mission_id = sys._getframe(1).f_locals["mission_id"]  # the scoring mission's
+        assert mission_id not in seen
+        seen[mission_id] = tuple(candidates)
+        return score_groups(score, ledger, rater, candidates, mode, now)
+
+    monkeypatch.setattr(scenario, "score_groups", scoring)
     report = run_scenario(cfg)
     assert report.summary["revoked_vehicles"] == []
     by_id = {v.id: v for v in cfg.vehicles}
@@ -461,7 +475,7 @@ def test_candidates_match_a_scan_of_the_config():
         area = by_id[m.requester].area
         expected = tuple(sorted(v.id for v in cfg.vehicles if "server" in v.roles
                                 and v.area == area and v.id != m.requester))
-        assert m.candidates == expected, m.mission_id
+        assert seen.get(m.mission_id, ()) == expected, m.mission_id
         assert m.selected in expected if expected else m.outcome == "abandoned"
 
 
@@ -794,6 +808,42 @@ def test_crashed_orderer_majority_stalls_ordering():
 
 EXAMPLE = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "scenario.example.json").read_text())
+
+
+ENGINE_CUT_SLACK_S = 1e-6  # _submit checks a timeout this long after it is due
+
+
+@pytest.mark.parametrize("rate,minutes,size_cuts", [
+    (None, None, False),  # the example: every block waits out the timeout
+    (200, 5, True),  # most blocks fill
+], ids=["example", "200-per-min"])
+def test_engine_cuts_are_the_des_cutters_cuts(rate, minutes, size_cuts):
+    """ROADMAP item 20: pipeline_des._cut_batches on the engine's own
+    endorsement instants (perf.csv's t_endorsed, in chain order) gives the
+    chain's blocks. A block cut at its size orders at the cutter's time
+    exactly; one cut at its timeout orders at the cutter's deadline plus
+    the engine's slack."""
+    doc = copy.deepcopy(EXAMPLE)
+    if rate is not None:
+        doc["arrivals"]["rate_per_min"], doc["duration_min"] = rate, minutes
+    cfg = parse_scenario_config(doc)
+    assert cfg.ordering.batch_timeout_s == BATCH_TIMEOUT_S  # the cutter's timeout
+    report = run_scenario(cfg)
+    blocks = report.chain.blocks[1:]
+    assert [r.tx_id for r in report.perf] == [tx.tx_id for blk in blocks for tx in blk.txs]
+    m = cfg.ordering.batch_size
+    cut_times, starts, sizes = _cut_batches(np.array([r.t_endorsed for r in report.perf]), m)
+    assert sizes.tolist() == [len(blk.txs) for blk in blocks]
+    kinds = collections.Counter()
+    for cut, start, size in zip(cut_times.tolist(), starts.tolist(), sizes.tolist()):
+        t_ordered = report.perf[start].t_ordered
+        if size == m:  # cut when its m-th member arrived
+            kinds["size"] += 1
+            assert t_ordered == cut, start
+        else:
+            kinds["timeout"] += 1
+            assert abs(t_ordered - (cut + ENGINE_CUT_SLACK_S)) <= 1e-12, start
+    assert kinds["timeout"] and bool(kinds["size"]) == size_cuts, kinds
 
 
 def example_with(section, key, value):
@@ -1263,7 +1313,7 @@ def test_engine_run_leaves_no_cyclic_garbage(doc):
     assert engine.missions
 
 
-ENGINE_HELD_BYTES_PER_TX = 1778  # tracemalloc: 1,734.5 measured, plus 2.5%
+ENGINE_HELD_BYTES_PER_TX = 1636  # tracemalloc: 1,595.6 measured, plus 2.5%
 
 
 def test_engine_transactions_fit_the_heap_budget():
